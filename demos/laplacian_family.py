@@ -27,7 +27,7 @@ f = Field(space, np.sin(np.pi * x) * np.cos(np.pi * y))
 # Dirichlet: always solvable
 rep = solve_laplace("dirichlet", catalog, f)
 print(f"\ndirichlet   max u = {rep.solution.values.max():.6f}, "
-      f"{rep.iterations} CG iterations, residual {rep.pde_residual_norm:.1e}")
+      f"{rep.iterations} refinement steps, residual {rep.pde_residual_norm:.1e}")
 
 # Neumann: data must be mean-free, solution is returned mean-free
 try:

@@ -1,11 +1,16 @@
 """The five scalar Laplacian solves on the ambient cell space.
 
-Dirichlet and Neumann are ordinary (deflated) CG solves.  The
+Dirichlet, Neumann and mixed are direct solves by banded Cholesky
+factors, the Neumann one with a pinned cell and mean-free output.  The
 overdetermined solve imposes both boundary conditions and only accepts
 data in the range of the interior stencil; the underdetermined solve
 imposes none, returns the minimum-norm preimage, and reports the boundary
-ring data it never looks at.  Mixed interpolates between Dirichlet and
-Neumann through the face labels.
+ring data it never looks at.  Both solve with the interior normal
+product; the underdetermined one shares its factor with the
+harmonic-defect measurement of the same call.  Mixed interpolates
+between Dirichlet and Neumann through the face labels.  The 13-point
+biharmonic defect stays on CG: its normal product is too ill
+conditioned for a factor to reach the tolerance.
 
 Every report recomputes its residual and constraint norms from the
 returned solution; nothing is copied out of solver internals.
@@ -21,7 +26,7 @@ import numpy as np
 
 from .errors import CompatibilityError, SpaceMismatchError
 from .grid import DIRICHLET, Field, GridDomain
-from .linalg import SolverConfig, cg_solve, deflated_cg_solve, _run_cg
+from .linalg import SolverConfig, direct_solve, _run_cg
 from .operators import OperatorCatalog
 
 
@@ -84,16 +89,20 @@ def boundary_row_residual(domain: GridDomain, op, u: np.ndarray,
 
 
 def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
-                    cfg: SolverConfig | None = None):
+                    cfg: SolverConfig | None = None, factors: dict | None = None):
     """Distance from the range of the interior stencil (and the projection).
 
     The orthogonal complement of that range is spanned by the discrete
     harmonics, so this measures the harmonic component of the field.
+    `factors` is passed on to direct_solve.
     """
     cfg = cfg or SolverConfig()
     a = catalog.interior_laplacian
-    rhs = a.adjoint().apply_raw(values)
-    x, _, _, _ = _run_cg(catalog.interior_normal, rhs, cfg, [], "harmonic defect")
+    k = catalog.interior_normal
+    rhs = Field(k.domain_space, a.adjoint().apply_raw(values))
+    x = direct_solve(
+        k, rhs, cfg, factors=factors, name="harmonic defect"
+    ).field.values
     inside = a.apply_raw(x)
     return catalog.domain.cell_space.norm(values - inside), inside, x
 
@@ -129,7 +138,7 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         raise SpaceMismatchError("Laplacian data must live on the cell space")
 
     if kind is LaplacianKind.DIRICHLET:
-        res = cg_solve(catalog.laplacian_dirichlet, f, cfg)
+        res = direct_solve(catalog.laplacian_dirichlet, f, cfg)
         u = res.field
         return LaplaceSolveReport(
             kind,
@@ -144,9 +153,7 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         )
 
     if kind is LaplacianKind.NEUMANN:
-        res = deflated_cg_solve(
-            catalog.laplacian_neumann, f, [domain.cell_space.ones()], cfg
-        )
+        res = direct_solve(catalog.laplacian_neumann, f, cfg, constant_kernel=True)
         u = res.field
         return LaplaceSolveReport(
             kind,
@@ -163,16 +170,12 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         )
 
     if kind is LaplacianKind.MIXED:
-        if domain.count_boundary_faces(DIRICHLET).any():
-            res = cg_solve(catalog.laplacian_mixed, f, cfg)
-            defect = 0.0
-        else:
-            # no Dirichlet-labeled face: the operator is singular and the
-            # solve silently becomes the Neumann one
-            res = deflated_cg_solve(
-                catalog.laplacian_mixed, f, [domain.cell_space.ones()], cfg
-            )
-            defect = res.compatibility_defect
+        # with no Dirichlet-labeled face the operator is singular and the
+        # solve silently becomes the Neumann one
+        res = direct_solve(
+            catalog.laplacian_mixed, f, cfg,
+            constant_kernel=not domain.count_boundary_faces(DIRICHLET).any(),
+        )
         u = res.field
         return LaplaceSolveReport(
             kind,
@@ -183,7 +186,7 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
                     domain, catalog.laplacian_mixed, u.values, f.values
                 )
             },
-            compatibility_defect=defect,
+            compatibility_defect=res.compatibility_defect,
             iterations=res.iterations,
         )
 
@@ -216,21 +219,22 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         )
 
     if kind is LaplacianKind.UNDERDETERMINED:
-        ring = domain.ring_cells(1)
-        rhs = f.values[ring]
-        x, it, _, _ = _run_cg(
-            catalog.interior_normal, rhs, cfg, [], "minimum-norm laplacian"
+        k = catalog.interior_normal
+        factors = {}  # the defect measurement below reuses the solve's factor
+        res = direct_solve(
+            k, Field(k.domain_space, f.values[domain.ring_cells(1)]), cfg,
+            factors=factors, name="minimum-norm laplacian",
         )
-        u = catalog.interior_laplacian.apply_raw(x)
+        u = catalog.interior_laplacian.apply_raw(res.field.values)
         uf = Field(domain.cell_space, u)
-        defect, _, _ = harmonic_defect(catalog, u, cfg)
+        defect, _, _ = harmonic_defect(catalog, u, cfg, factors)
         return LaplaceSolveReport(
             kind,
             uf,
             interior_residual_norm(catalog, u, f.values),
             {"no discrete-harmonic component": defect},
             discarded_ring_mass=strip_norm(domain, f.values, 0),
-            iterations=it,
+            iterations=res.iterations,
         )
 
     raise ValueError(f"unhandled Laplacian kind {kind}")

@@ -1,9 +1,17 @@
-"""Typed sparse operators and Krylov solvers over weighted DOF spaces.
+"""Typed sparse operators, direct and Krylov solvers over weighted DOF spaces.
 
 All inner products, norms, adjoints, and convergence targets here are taken
 with respect to the diagonal weights of the DOF spaces involved, never the
-plain Euclidean ones.  Dense eigensolvers take over below 400 unknowns;
-above that ARPACK shift-invert is used.
+plain Euclidean ones.
+
+`direct_solve` inverts a selfadjoint positive (semi)definite operator by a
+banded Cholesky factor of its lower band (cells are numbered row by row, so
+a stencil of reach k has a band of about k grid rows) followed by
+iterative refinement; a caller-owned dict lets several solves of one
+operator share its factor.  `cg_solve` and `deflated_cg_solve` are
+conjugate gradients; `normal_cg_solve` runs them on the normal equations.
+Dense eigensolvers take over below 400 unknowns; above that ARPACK
+shift-invert is used.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (
     BizooError,
@@ -26,6 +35,7 @@ from .grid import DofSpace, Field
 
 DENSE_EIG_LIMIT = 400
 _REORTH_THRESHOLD = 1e-8
+_MAX_REFINEMENT = 10
 
 
 def default_tolerance() -> float:
@@ -343,6 +353,113 @@ def normal_cg_solve(
         res = op.domain_space.norm(op.adjoint().apply_raw(x) - b.values)
         return KrylovResult(sol, it, res, 0.0, hist)
     raise ValueError(f"side must be 'least_squares' or 'min_norm', got {side!r}")
+
+
+# -- direct inverses ------------------------------------------------------------
+
+class _BandedCholesky:
+    """Cholesky factor of the lower band of W A, pinned cells held at zero.
+
+    W A is plain-symmetric when A is selfadjoint in the W-weighted inner
+    product.  Each pinned cell's row and column become the identity, which
+    removes a kernel vector that is nonzero there.
+    """
+
+    def __init__(self, op: SparseOperator, pinned, name: str):
+        w = op.domain_space.weights
+        lower = sp.tril(op.matrix, format="coo")
+        lower.sum_duplicates()
+        rows, cols = lower.row, lower.col
+        vals = w[rows] * lower.data
+        pinned = np.asarray(pinned, dtype=np.int64)
+        if pinned.size:
+            keep = ~(np.isin(rows, pinned) | np.isin(cols, pinned))
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        band = np.zeros((int((rows - cols).max(initial=0)) + 1, w.size), order="F")
+        band[rows - cols, cols] = vals
+        band[0, pinned] = 1.0
+        try:
+            self.band = cholesky_banded(
+                band, overwrite_ab=True, lower=True, check_finite=False
+            )
+        except np.linalg.LinAlgError as exc:
+            raise BizooError(
+                f"{name}: operator is not positive definite ({exc})"
+            ) from None
+        self.weights = w
+        self.pinned = pinned
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        b = self.weights * rhs
+        b[self.pinned] = 0.0
+        return cho_solve_banded(
+            (self.band, True), b, overwrite_b=True, check_finite=False
+        )
+
+
+def direct_solve(
+    op: SparseOperator,
+    b: Field,
+    cfg: SolverConfig | None = None,
+    *,
+    constant_kernel: bool = False,
+    factors: dict | None = None,
+    name: str = "direct solve",
+) -> KrylovResult:
+    """Banded Cholesky solve of a selfadjoint positive definite operator.
+
+    With constant_kernel the operator's kernel is the constants: the data
+    is gated and projected as in deflated_cg_solve, one cell is pinned
+    for the factorization and the solution comes back mean-free.
+    Iterative refinement follows until the weighted residual meets
+    cfg.rel_tolerance; if it stops improving first, ConvergenceFailure
+    states the attained and target residuals.  Refinement starts from
+    x = 0, so `iterations` counts every solve with the factor, the first
+    one included.  Given a `factors` dict, the factor is looked up there
+    by operator and stored on first use, so the caller decides how long
+    it lives.
+    """
+    if not op.domain_space.compatible(op.codomain_space):
+        raise SpaceMismatchError("direct_solve needs an endomorphism")
+    if not b.space.compatible(op.domain_space):
+        raise SpaceMismatchError("right-hand side lives in the wrong space")
+    cfg = cfg or SolverConfig()
+    space = op.domain_space
+    basis = orthonormalize([space.ones()], space) if constant_kernel else []
+    rhs = _project_out(space, b.values.copy(), basis)
+    defect = space.norm(b.values - rhs)
+    if defect > cfg.compat_tolerance * b.norm():
+        raise CompatibilityError(
+            f"right-hand side has a kernel component of relative size "
+            f"{defect / b.norm():.3e} (gate {cfg.compat_tolerance:.1e})",
+            defect=defect,
+            subspace="solver kernel",
+        )
+    history = [space.norm(rhs)]
+    target = cfg.rel_tolerance * history[0]
+    x = np.zeros(space.dim)
+    if history[0] > 0.0:
+        factor = factors.get(op) if factors is not None else None
+        if factor is None:
+            factor = _BandedCholesky(op, [0] if basis else [], name)
+            if factors is not None:
+                factors[op] = factor
+        r = rhs
+        while True:
+            x += _project_out(space, factor.solve(r), basis)
+            r = _project_out(space, rhs - op.apply_raw(x), basis)
+            history.append(space.norm(r))
+            if history[-1] <= target:
+                break
+            if history[-1] >= history[-2] or len(history) > _MAX_REFINEMENT + 1:
+                best = min(history[1:])
+                raise ConvergenceFailure(
+                    f"{name}: refinement stopped at residual {best:.3e}, "
+                    f"target {target:.3e} (relative {best / history[0]:.3e} "
+                    f"against {cfg.rel_tolerance:.1e})",
+                    residual_history=history,
+                )
+    return KrylovResult(Field(space, x), len(history) - 1, history[-1], defect, history)
 
 
 # -- eigenpairs -----------------------------------------------------------------

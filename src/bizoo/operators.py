@@ -374,6 +374,17 @@ class OperatorCatalog:
         )
 
     @property
+    def hessian_dirichlet_normal(self) -> SparseOperator:
+        """adjoint(Hp) Hp on depth>=1 cells, Hp the zero-extension Hessian
+        of the padded field; built once, since Hp and its cached adjoint
+        form a reference cycle."""
+        def build():
+            hp = self.hessian_zero_extension @ self.pad1
+            return hp.adjoint() @ hp
+
+        return self._get("hessian_dirichlet_normal", build)
+
+    @property
     def biharmonic_normal(self) -> SparseOperator:
         return self._get(
             "biharmonic_normal",

@@ -38,6 +38,7 @@ from .linalg import (
     SparseOperator,
     cg_solve,
     deflated_cg_solve,
+    direct_solve,
     identity_operator,
     _run_cg,
 )
@@ -292,20 +293,23 @@ def _as_catalog(catalog_or_domain) -> OperatorCatalog:
 
 
 def _stage_inverse(letter: str, catalog: OperatorCatalog, rhs: np.ndarray,
-                   cfg: SolverConfig):
+                   cfg: SolverConfig, factors: dict):
     """Apply one Laplacian inverse; returns (values, iterations, defect, lost)."""
     domain = catalog.domain
     space = domain.cell_space
     if letter == "d":
-        res = cg_solve(catalog.laplacian_dirichlet, Field(space, rhs), cfg)
+        res = direct_solve(
+            catalog.laplacian_dirichlet, Field(space, rhs), cfg, factors=factors
+        )
         return res.field.values, res.iterations, 0.0, 0.0
     if letter == "n":
-        res = deflated_cg_solve(
-            catalog.laplacian_neumann, Field(space, rhs), [space.ones()], cfg
+        res = direct_solve(
+            catalog.laplacian_neumann, Field(space, rhs), cfg,
+            constant_kernel=True, factors=factors,
         )
         return res.field.values, res.iterations, res.compatibility_defect, 0.0
     if letter == "c":
-        defect, _, x = harmonic_defect(catalog, rhs, cfg)
+        defect, _, x = harmonic_defect(catalog, rhs, cfg, factors)
         nrm = space.norm(rhs)
         if nrm > 0 and defect > cfg.compat_tolerance * nrm:
             raise CompatibilityError(
@@ -316,18 +320,20 @@ def _stage_inverse(letter: str, catalog: OperatorCatalog, rhs: np.ndarray,
             )
         return catalog.pad1.apply_raw(x), 0, defect, 0.0
     if letter == "f":
-        ring = domain.ring_cells(1)
-        x, it, _, _ = _run_cg(
-            catalog.interior_normal, rhs[ring], cfg, [], "free stage"
+        k = catalog.interior_normal
+        res = direct_solve(
+            k, Field(k.domain_space, rhs[domain.ring_cells(1)]), cfg,
+            factors=factors, name="free stage",
         )
         lost = strip_norm(domain, rhs, 0)
-        return catalog.interior_laplacian.apply_raw(x), it, 0.0, lost
+        u = catalog.interior_laplacian.apply_raw(res.field.values)
+        return u, res.iterations, 0.0, lost
     raise ValueError(f"unknown stage letter {letter!r}")
 
 
 def _measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
                         w: np.ndarray | None, f: np.ndarray,
-                        cfg: SolverConfig) -> float:
+                        cfg: SolverConfig, factors: dict) -> float:
     domain = catalog.domain
     if mid == "strip_u":
         return strip_norm(domain, u, 0)
@@ -352,9 +358,9 @@ def _measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
     if mid == "mean_w":
         return mean_defect(domain, w)
     if mid == "harm_u":
-        return harmonic_defect(catalog, u, cfg)[0]
+        return harmonic_defect(catalog, u, cfg, factors)[0]
     if mid == "harm_w":
-        return harmonic_defect(catalog, w, cfg)[0]
+        return harmonic_defect(catalog, w, cfg, factors)[0]
     if mid == "biharm_u":
         return biharmonic_defect(catalog, u, cfg)[0]
     raise ValueError(f"unknown measurement {mid!r}")
@@ -390,6 +396,7 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
         )
 
     start = time.perf_counter()
+    factors = {}  # shared by the stages and constraint measurements below
     if prob.label == "over":
         rhs = catalog.interior_biharmonic.adjoint().apply_raw(f.values)
         x, it, _, _ = _run_cg(
@@ -423,15 +430,17 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
         lost = strip_norm(domain, f.values, 1)
         iterations = it
     else:
-        w, it1, defect, lost1 = _stage_inverse(prob.first, catalog, f.values, cfg)
-        u, it2, defect2, lost2 = _stage_inverse(prob.second, catalog, w, cfg)
+        w, it1, defect, lost1 = _stage_inverse(
+            prob.first, catalog, f.values, cfg, factors
+        )
+        u, it2, defect2, lost2 = _stage_inverse(prob.second, catalog, w, cfg, factors)
         iterations = it1 + it2
         lost = lost1 + lost2
         defect = max(defect, defect2)
         pde = _deep_residual(catalog, u, f.values)
 
     constraints = {
-        name: _measure_constraint(mid, catalog, u, w, f.values, cfg)
+        name: _measure_constraint(mid, catalog, u, w, f.values, cfg, factors)
         for name, mid in prob.constraints
     }
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -529,27 +538,27 @@ def solve_hessian(kind: str, catalog_or_domain, f: Field,
             wall_time_ms=elapsed,
         )
     if kind == "dirichlet":
-        hp = catalog.hessian_zero_extension @ catalog.pad1
-        op = hp.adjoint() @ hp
-        ring = domain.ring_cells(1)
-        x, it, _, _ = _run_cg(op, f.values[ring], cfg, [], "hessian dirichlet")
+        op = catalog.hessian_dirichlet_normal
+        data = Field(op.domain_space, f.values[domain.ring_cells(1)])
+        res = direct_solve(op, data, cfg, name="hessian dirichlet")
+        x = res.field.values
         u = catalog.pad1.apply_raw(x)
         # penalty-based clamped solution of the same data, for comparison
-        y, _, _, _ = _run_cg(
-            catalog.interior_normal, f.values[ring], cfg, [], "clamped reference"
-        )
+        y = direct_solve(
+            catalog.interior_normal, data, cfg, name="clamped reference"
+        ).field.values
         ref = catalog.pad1.apply_raw(y)
         elapsed = (time.perf_counter() - start) * 1000.0
         return BiharmonicSolveReport(
             "hessian_dirichlet",
             Field(space, u),
             None,
-            domain.ring_space(1).norm(op.apply_raw(x) - f.values[ring]),
+            op.domain_space.norm(op.apply_raw(x) - data.values),
             {
                 "u vanishes on the boundary ring": strip_norm(domain, u, 0),
                 "normal difference of u vanishes": normal_difference_norm(domain, u),
             },
-            iterations=it,
+            iterations=res.iterations,
             wall_time_ms=elapsed,
             extras={
                 "clamped_comparison_l2": space.norm(u - ref),
@@ -586,8 +595,9 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     domain = catalog.domain
     space = domain.cell_space
     fnorm = f.norm()
+    factors = {}  # shared by the direct solves made here, not by solve_zoo's
 
-    defect, _, x0 = harmonic_defect(catalog, f.values, cfg)
+    defect, _, _ = harmonic_defect(catalog, f.values, cfg, factors)
     if fnorm > 0 and defect > cfg.compat_tolerance * fnorm:
         raise CompatibilityError(
             f"exchange identities need data in the interior stencil's range; "
@@ -600,16 +610,19 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     k = catalog.interior_normal
     ring = domain.ring_cells(1)
 
+    def k_inverse(values, name):
+        return direct_solve(
+            k, Field(k.domain_space, values), cfg, factors=factors, name=name
+        ).field.values
+
     def clamped_inverse(values):
-        _, _, x = harmonic_defect(catalog, values, cfg)
+        _, _, x = harmonic_defect(catalog, values, cfg, factors)
         return catalog.pad1.apply_raw(x)
 
     def neumann_type_algebraic(values):
         # A K^-2 A* applied without the range gate
-        y = a.adjoint().apply_raw(values)
-        z, _, _, _ = _run_cg(k, y, cfg, [], "exchange inner")
-        z2, _, _, _ = _run_cg(k, z, cfg, [], "exchange inner")
-        return a.apply_raw(z2)
+        z = k_inverse(a.adjoint().apply_raw(values), "exchange inner")
+        return a.apply_raw(k_inverse(z, "exchange inner"))
 
     def free_operator(values):
         return catalog.pad1.apply_raw(a.adjoint().apply_raw(values))
@@ -629,14 +642,13 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     devs["dirichlet_via_neumann"] = space.norm(lhs - free_operator(v))
 
     # free inverse of f, then the gated Neumann-type solve, then the free op
-    ring_sol, _, _, _ = _run_cg(k, f.values[ring], cfg, [], "exchange free")
-    w_free = a.apply_raw(ring_sol)
+    w_free = a.apply_raw(k_inverse(f.values[ring], "exchange free"))
     v = solve_zoo("c_f", catalog, Field(space, w_free), cfg).solution.values
     devs["dirichlet_via_neumann_free"] = space.norm(lhs - free_operator(v))
 
     lhs = solve_zoo("n_d", catalog, f, cfg).solution.values
-    w = deflated_cg_solve(
-        catalog.laplacian_neumann, f, [space.ones()], cfg
+    w = direct_solve(
+        catalog.laplacian_neumann, f, cfg, constant_kernel=True, factors=factors
     ).field.values
     v = solve_zoo("d_d", catalog, Field(space, w), cfg).solution.values
     devs["mixed_second_order"] = space.norm(

@@ -7,6 +7,7 @@ from bizoo import (
     CompatibilityError,
     ConvergenceFailure,
     Field,
+    OperatorCatalog,
     SolverConfig,
     SparseOperator,
     SpaceMismatchError,
@@ -14,6 +15,7 @@ from bizoo import (
     cg_solve,
     default_tolerance,
     deflated_cg_solve,
+    direct_solve,
     identity_operator,
     normal_cg_solve,
     orthonormalize,
@@ -256,3 +258,124 @@ def test_operator_dump_and_triplets(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1] == "row,col,value"
     assert len(lines) == 2 + 4
+
+
+# -- direct solves, checked against CG as the oracle ---------------------------
+
+# (catalog key, Neumann-labeled boundary, operator kernel is the constants)
+ROUTED = (
+    ("laplacian_dirichlet", False, False),
+    ("laplacian_neumann", False, True),
+    ("laplacian_mixed", False, False),
+    ("laplacian_mixed", True, True),  # no Dirichlet face: singular
+    ("interior_normal", False, False),
+    ("hessian_dirichlet_normal", False, False),
+)
+ROUTED_IDS = [f"{key}{'-no-dirichlet' if neu else ''}" for key, neu, _ in ROUTED]
+
+
+@pytest.fixture(scope="module", params=("square", "lshape", "annulus"))
+def catalogs16(request):
+    return {
+        neumann: OperatorCatalog(build_domain(
+            request.param, 16, labels={"all": "neumann"} if neumann else None
+        ))
+        for neumann in (False, True)
+    }
+
+
+def routed_data(op, singular, seed):
+    space = op.domain_space
+    b = rng(seed).normal(size=space.dim)
+    if singular:
+        b -= b.mean()  # uniform weights: the weighted mean is the plain one
+    return Field(space, b)
+
+
+def mean_abs(space, x):
+    ones = np.ones(space.dim)
+    return abs(space.inner(x, ones)) / space.norm(ones)
+
+
+@pytest.mark.parametrize("key,neumann,singular", ROUTED, ids=ROUTED_IDS)
+def test_direct_solve_meets_target_and_agrees_with_cg(catalogs16, key, neumann,
+                                                      singular):
+    op = getattr(catalogs16[neumann], key)
+    space = op.domain_space
+    b = routed_data(op, singular, 21)
+    res = direct_solve(op, b, SolverConfig(rel_tolerance=1e-10),
+                       constant_kernel=singular)
+    x = res.field.values
+    assert space.norm(op.apply_raw(x) - b.values) <= 1e-10 * b.norm()
+    assert res.residual_norm <= 1e-10 * b.norm()
+    assert res.iterations >= 1
+    tight = SolverConfig(rel_tolerance=1e-13)
+    if singular:
+        oracle = deflated_cg_solve(op, b, [space.ones()], tight)
+        assert mean_abs(space, x) <= 1e-13 * space.norm(x)
+    else:
+        oracle = cg_solve(op, b, tight)
+    y = oracle.field.values
+    assert space.norm(x - y) <= 1e-8 * space.norm(y)
+
+
+
+@pytest.mark.parametrize("key,neumann", [("laplacian_neumann", False),
+                                         ("laplacian_mixed", True)])
+def test_direct_solve_compatibility_gate(catalogs16, key, neumann):
+    op = getattr(catalogs16[neumann], key)
+    space = op.domain_space
+    b = routed_data(op, True, 22)
+    shifted = Field(space, b.values + 1e-6 * b.norm() / space.norm(np.ones(space.dim)))
+    with pytest.raises(CompatibilityError) as err:
+        direct_solve(op, shifted, constant_kernel=True)
+    assert err.value.defect == pytest.approx(1e-6 * b.norm(), rel=1e-6)
+    assert err.value.subspace == "solver kernel"
+    # a component under the 1e-8 gate passes and is reported
+    small = Field(space, b.values + 1e-10 * b.norm() / space.norm(np.ones(space.dim)))
+    res = direct_solve(op, small, constant_kernel=True)
+    assert res.compatibility_defect == pytest.approx(1e-10 * b.norm(), rel=1e-3)
+
+
+@pytest.mark.parametrize("key,neumann,singular", ROUTED, ids=ROUTED_IDS)
+def test_direct_solve_unattainable_target_reports_residuals(catalogs16, key,
+                                                            neumann, singular):
+    op = getattr(catalogs16[neumann], key)
+    b = routed_data(op, singular, 23)
+    with pytest.raises(ConvergenceFailure) as err:
+        direct_solve(op, b, SolverConfig(rel_tolerance=1e-18),
+                     constant_kernel=singular)
+    history = err.value.residual_history
+    message = str(err.value)
+    assert f"residual {min(history[1:]):.3e}" in message
+    assert f"target {1e-18 * b.norm():.3e}" in message
+    assert len(history) <= 12  # stops once refinement stops improving
+
+
+def test_direct_solve_reuses_a_caller_owned_factor():
+    cat = OperatorCatalog(build_domain("lshape", 16))
+    op = cat.interior_normal
+    factors = {}
+    first = direct_solve(op, routed_data(op, False, 24), factors=factors)
+    held = factors[op]
+    b = routed_data(op, False, 25)
+    again = direct_solve(op, b, factors=factors)
+    assert list(factors) == [op] and factors[op] is held
+    fresh = direct_solve(op, b)
+    assert np.array_equal(again.field.values, fresh.field.values)
+    assert first.iterations >= 1
+    zero = direct_solve(op, Field(op.domain_space, np.zeros(op.domain_space.dim)))
+    assert zero.iterations == 0 and not zero.field.values.any()
+
+
+def test_direct_solve_guards():
+    space = uniform_space("s", 3)
+    other = uniform_space("t", 2)
+    rect = SparseOperator(sp.csr_matrix(np.ones((2, 3))), space, other)
+    with pytest.raises(SpaceMismatchError):
+        direct_solve(rect, Field(space, np.ones(3)))
+    indefinite = SparseOperator(sp.diags([1.0, -1.0, 2.0]), space, space)
+    with pytest.raises(SpaceMismatchError):
+        direct_solve(indefinite, Field(other, np.ones(2)))
+    with pytest.raises(BizooError, match="not positive definite"):
+        direct_solve(indefinite, Field(space, np.ones(3)))

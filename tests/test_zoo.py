@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
 from bizoo import (
     CompatibilityError,
+    ConvergenceFailure,
     Field,
     ForbiddenCompositionError,
     OperatorCatalog,
@@ -321,6 +324,21 @@ def test_hessian_dirichlet_tracks_clamped_solution():
     assert 3.0 < gaps[8] / gaps[16] < 5.0  # second-order shrink
 
 
+def test_hessian_dirichlet_product_is_built_once_per_catalog(cat8):
+    f = cat8.domain.cell_space.ones()
+    solve_hessian("dirichlet", cat8, f)
+    op = cat8.hessian_dirichlet_normal
+    gc.collect()
+    gc.disable()
+    try:
+        solve_hessian("dirichlet", cat8, f)
+        # a per-call product and its cached adjoint would form a cycle
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert cat8.hessian_dirichlet_normal is op
+
+
 def test_biharmonic_chain(cat16):
     c = best_constant(make_pair(cat16.gradient_dirichlet, kernel_forward=()))
     q = best_constant(make_pair(cat16.interior_laplacian, kernel_forward=()))
@@ -335,3 +353,24 @@ def test_biharmonic_chain(cat16):
     # drastically undersized constant is guaranteed to trip the check
     tight = biharmonic_chain_check(cat16, 0.05 * c, q, samples=10)
     assert not tight.ok()
+
+
+def test_large_square_solves_within_gates_or_fails_with_residuals():
+    # n=128: the interior normal product's conditioning grows like h^-4;
+    # CG spent 155 s here before failing on d_f
+    cat = OperatorCatalog(build_domain("square", 128))
+    f = compatible_data(cat, "L2", seed=128)
+    fnorm = f.norm()
+    rep = solve_zoo("f_c", cat, f)
+    assert rep.pde_residual_norm <= 1e-8 * fnorm
+    for name, value in rep.constraint_norms.items():
+        assert value <= 1e-8 * fnorm, (name, value)
+    try:
+        rep = solve_zoo("d_f", cat, f)
+    except ConvergenceFailure as err:
+        assert "residual" in str(err) and "target" in str(err)
+        assert min(err.residual_history[1:]) > 1e-10 * err.residual_history[0]
+    else:
+        assert rep.pde_residual_norm <= 1e-8 * fnorm
+        for name, value in rep.constraint_norms.items():
+            assert value <= 1e-8 * fnorm, (name, value)
