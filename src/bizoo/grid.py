@@ -174,7 +174,8 @@ class GridDomain:
         self.face_axes = np.asarray(ax, dtype=np.int64)
 
         self.depth = self._compute_depth()
-        self.n_components = self._count_components()
+        self.component_labels = self._label_components()
+        self.n_components = int(self.component_labels.max()) + 1
         self.n_holes = self._count_holes()
         self.face_labels = self._resolve_labels(labels)
 
@@ -197,23 +198,24 @@ class GridDomain:
         # every finite component has boundary faces, so BFS reaches all cells
         return depth
 
-    def _count_components(self) -> int:
+    def _label_components(self) -> np.ndarray:
+        """Connected-piece number of each cell, pieces numbered from 0."""
         m = self.cells.shape[0]
-        seen = np.zeros(m, dtype=bool)
+        labels = np.full(m, -1, dtype=np.int64)
         count = 0
         for start in range(m):
-            if seen[start]:
+            if labels[start] >= 0:
                 continue
-            count += 1
-            seen[start] = True
+            labels[start] = count
             queue = deque([start])
             while queue:
                 k = queue.popleft()
                 for nb in self.neighbors[k]:
-                    if nb >= 0 and not seen[nb]:
-                        seen[nb] = True
+                    if nb >= 0 and labels[nb] < 0:
+                        labels[nb] = count
                         queue.append(nb)
-        return count
+            count += 1
+        return labels
 
     def _count_holes(self) -> int:
         # flood the complement of the mask inside a 1-cell-padded bounding

@@ -6,11 +6,12 @@ overdetermined solve imposes both boundary conditions and only accepts
 data in the range of the interior stencil; the underdetermined solve
 imposes none, returns the minimum-norm preimage, and reports the boundary
 ring data it never looks at.  Both solve with the interior normal
-product; the underdetermined one shares its factor with the
-harmonic-defect measurement of the same call.  Mixed interpolates
-between Dirichlet and Neumann through the face labels.  The 13-point
-biharmonic defect stays on CG: its normal product is too ill
-conditioned for a factor to reach the tolerance.
+product; the underdetermined one refines its answer against the
+interior stencil's adjoint rather than the normal product, and shares
+its factor with the harmonic-defect measurement of the same call.
+Mixed interpolates between Dirichlet and Neumann through the face
+labels.  The 13-point biharmonic defect stays on CG: its normal product
+is too ill conditioned for a factor to reach the tolerance.
 
 Every report recomputes its residual and constraint norms from the
 returned solution; nothing is copied out of solver internals.
@@ -89,21 +90,31 @@ def boundary_row_residual(domain: GridDomain, op, u: np.ndarray,
 
 
 def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
-                    cfg: SolverConfig | None = None, factors: dict | None = None):
-    """Distance from the range of the interior stencil (and the projection).
+                    cfg: SolverConfig | None = None, factors: dict | None = None,
+                    with_preimage: bool = True):
+    """Distance from the range of the interior stencil, the projection onto
+    that range and its preimage under the stencil.
 
     The orthogonal complement of that range is spanned by the discrete
     harmonics, so this measures the harmonic component of the field.
-    `factors` is passed on to direct_solve.
+    Without with_preimage the preimage comes back as None and the
+    projection is refined directly, whose rounding floor is far lower
+    than the preimage's.  `factors` is passed on to direct_solve.
     """
     cfg = cfg or SolverConfig()
     a = catalog.interior_laplacian
     k = catalog.interior_normal
     rhs = Field(k.domain_space, a.adjoint().apply_raw(values))
-    x = direct_solve(
-        k, rhs, cfg, factors=factors, name="harmonic defect"
-    ).field.values
-    inside = a.apply_raw(x)
+    if with_preimage:
+        x = direct_solve(
+            k, rhs, cfg, factors=factors, name="harmonic defect"
+        ).field.values
+        inside = a.apply_raw(x)
+    else:
+        x = None
+        inside = direct_solve(
+            k, rhs, cfg, range_of=a, factors=factors, name="harmonic defect"
+        ).field.values
     return catalog.domain.cell_space.norm(values - inside), inside, x
 
 
@@ -153,7 +164,10 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         )
 
     if kind is LaplacianKind.NEUMANN:
-        res = direct_solve(catalog.laplacian_neumann, f, cfg, constant_kernel=True)
+        res = direct_solve(
+            catalog.laplacian_neumann, f, cfg,
+            kernel_pieces=domain.component_labels,
+        )
         u = res.field
         return LaplaceSolveReport(
             kind,
@@ -174,7 +188,8 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         # solve silently becomes the Neumann one
         res = direct_solve(
             catalog.laplacian_mixed, f, cfg,
-            constant_kernel=not domain.count_boundary_faces(DIRICHLET).any(),
+            kernel_pieces=None if domain.count_boundary_faces(DIRICHLET).any()
+            else domain.component_labels,
         )
         u = res.field
         return LaplaceSolveReport(
@@ -223,11 +238,14 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         factors = {}  # the defect measurement below reuses the solve's factor
         res = direct_solve(
             k, Field(k.domain_space, f.values[domain.ring_cells(1)]), cfg,
-            factors=factors, name="minimum-norm laplacian",
+            range_of=catalog.interior_laplacian, factors=factors,
+            name="minimum-norm laplacian",
         )
-        u = catalog.interior_laplacian.apply_raw(res.field.values)
-        uf = Field(domain.cell_space, u)
-        defect, _, _ = harmonic_defect(catalog, u, cfg, factors)
+        uf = res.field
+        u = uf.values
+        defect, _, _ = harmonic_defect(
+            catalog, u, cfg, factors, with_preimage=False
+        )
         return LaplaceSolveReport(
             kind,
             uf,

@@ -7,8 +7,10 @@ plain Euclidean ones.
 `direct_solve` inverts a selfadjoint positive (semi)definite operator by a
 banded Cholesky factor of its lower band (cells are numbered row by row, so
 a stencil of reach k has a band of about k grid rows) followed by
-iterative refinement; a caller-owned dict lets several solves of one
-operator share its factor.  `cg_solve` and `deflated_cg_solve` are
+iterative refinement, with CG as the fallback where refinement stalls;
+a caller-owned dict lets several solves of one operator share its
+factor.  For a normal product B* B it can return B x and refine that
+against B* u = b instead.  `cg_solve` and `deflated_cg_solve` are
 conjugate gradients; `normal_cg_solve` runs them on the normal equations.
 Dense eigensolvers take over below 400 unknowns; above that ARPACK
 shift-invert is used.
@@ -288,6 +290,25 @@ def cg_solve(op: SparseOperator, b: Field, cfg: SolverConfig | None = None) -> K
     return KrylovResult(Field(op.domain_space, x), it, res, 0.0, hist)
 
 
+def _gate_kernel(space: DofSpace, b: Field, basis, cfg: SolverConfig):
+    """Project an orthonormal kernel basis out of the data.
+
+    Returns (projected values, defect); a kernel component larger than
+    compat_tolerance relative to the data raises CompatibilityError.
+    """
+    projected = _project_out(space, b.values.copy(), basis)
+    defect = space.norm(b.values - projected)
+    bnorm = b.norm()
+    if defect > cfg.compat_tolerance * bnorm:
+        raise CompatibilityError(
+            f"right-hand side has a kernel component of relative size "
+            f"{defect / bnorm:.3e} (gate {cfg.compat_tolerance:.1e})",
+            defect=defect,
+            subspace="solver kernel",
+        )
+    return projected, defect
+
+
 def deflated_cg_solve(
     op: SparseOperator,
     b: Field,
@@ -307,16 +328,7 @@ def deflated_cg_solve(
     cfg = cfg or SolverConfig()
     space = op.domain_space
     basis = orthonormalize(kernel_basis, space)
-    bnorm = b.norm()
-    projected = _project_out(space, b.values.copy(), basis)
-    defect = space.norm(b.values - projected)
-    if defect > cfg.compat_tolerance * bnorm:
-        raise CompatibilityError(
-            f"right-hand side has a kernel component of relative size "
-            f"{defect / bnorm:.3e} (gate {cfg.compat_tolerance:.1e})",
-            defect=defect,
-            subspace="solver kernel",
-        )
+    projected, defect = _gate_kernel(space, b, basis, cfg)
     x, it, hist, res = _run_cg(op, projected, cfg, basis, "deflated cg")
     return KrylovResult(Field(space, x), it, res, defect, hist)
 
@@ -397,69 +409,104 @@ class _BandedCholesky:
         )
 
 
+def _piecewise_constants(space: DofSpace, labels: np.ndarray):
+    """Orthonormal indicators of the labelled pieces, and the first cell of
+    each piece."""
+    first = np.unique(labels, return_index=True)[1]
+    basis = []
+    for k in labels[first]:
+        v = (labels == k).astype(float)
+        basis.append(v / space.norm(v))
+    return basis, first
+
+
 def direct_solve(
     op: SparseOperator,
     b: Field,
     cfg: SolverConfig | None = None,
     *,
-    constant_kernel: bool = False,
+    kernel_pieces: np.ndarray | None = None,
+    range_of: SparseOperator | None = None,
     factors: dict | None = None,
     name: str = "direct solve",
 ) -> KrylovResult:
     """Banded Cholesky solve of a selfadjoint positive definite operator.
 
-    With constant_kernel the operator's kernel is the constants: the data
-    is gated and projected as in deflated_cg_solve, one cell is pinned
-    for the factorization and the solution comes back mean-free.
+    kernel_pieces, when given, numbers the connected pieces of the
+    operator's stencil graph cell by cell, and the kernel is the
+    constants on each piece: the data is gated and projected as in
+    deflated_cg_solve, one cell per piece is pinned for the factorization
+    and the solution comes back orthogonal to the kernel.
+
+    With range_of=B, where op is the normal product B* B, the result is
+    u = B x, the minimum-norm solution of B* u = b, and refinement
+    updates u against that equation.  Its rounding floor then grows with
+    B's conditioning rather than with op's, which is B's squared.
+
     Iterative refinement follows until the weighted residual meets
-    cfg.rel_tolerance; if it stops improving first, ConvergenceFailure
-    states the attained and target residuals.  Refinement starts from
-    x = 0, so `iterations` counts every solve with the factor, the first
-    one included.  Given a `factors` dict, the factor is looked up there
-    by operator and stored on first use, so the caller decides how long
-    it lives.
+    cfg.rel_tolerance.  If it stops improving first, the solve falls back
+    to CG from zero, whose true-residual check sometimes gets under a
+    floor the refined iterate stops at; if CG fails as well,
+    ConvergenceFailure states the attained and target residuals of both.
+    Refinement starts from zero, so `iterations` counts every solve with
+    the factor, the first one included, plus the CG iterations of a
+    fallback.  Given a `factors` dict, the factor is looked up there by
+    operator and stored on first use, so the caller decides how long it
+    lives.
     """
     if not op.domain_space.compatible(op.codomain_space):
         raise SpaceMismatchError("direct_solve needs an endomorphism")
-    if not b.space.compatible(op.domain_space):
-        raise SpaceMismatchError("right-hand side lives in the wrong space")
-    cfg = cfg or SolverConfig()
     space = op.domain_space
-    basis = orthonormalize([space.ones()], space) if constant_kernel else []
-    rhs = _project_out(space, b.values.copy(), basis)
-    defect = space.norm(b.values - rhs)
-    if defect > cfg.compat_tolerance * b.norm():
-        raise CompatibilityError(
-            f"right-hand side has a kernel component of relative size "
-            f"{defect / b.norm():.3e} (gate {cfg.compat_tolerance:.1e})",
-            defect=defect,
-            subspace="solver kernel",
-        )
+    if not b.space.compatible(space):
+        raise SpaceMismatchError("right-hand side lives in the wrong space")
+    if range_of is not None and not range_of.domain_space.compatible(space):
+        raise SpaceMismatchError("range_of must map out of the operator's space")
+    cfg = cfg or SolverConfig()
+    basis, pinned = [], []
+    if kernel_pieces is not None:
+        basis, pinned = _piecewise_constants(space, kernel_pieces)
+    rhs, defect = _gate_kernel(space, b, basis, cfg)
+    if range_of is None:
+        out_space, lift, residual_of = space, None, op.apply_raw
+    else:
+        out_space = range_of.codomain_space
+        lift, residual_of = range_of.apply_raw, range_of.adjoint().apply_raw
     history = [space.norm(rhs)]
     target = cfg.rel_tolerance * history[0]
-    x = np.zeros(space.dim)
+    y = np.zeros(out_space.dim)
+    iterations = 0
     if history[0] > 0.0:
         factor = factors.get(op) if factors is not None else None
         if factor is None:
-            factor = _BandedCholesky(op, [0] if basis else [], name)
+            factor = _BandedCholesky(op, pinned, name)
             if factors is not None:
                 factors[op] = factor
         r = rhs
         while True:
-            x += _project_out(space, factor.solve(r), basis)
-            r = _project_out(space, rhs - op.apply_raw(x), basis)
+            d = _project_out(space, factor.solve(r), basis)
+            y += d if lift is None else lift(d)
+            r = _project_out(space, rhs - residual_of(y), basis)
             history.append(space.norm(r))
+            iterations += 1
             if history[-1] <= target:
                 break
-            if history[-1] >= history[-2] or len(history) > _MAX_REFINEMENT + 1:
+            if history[-1] >= history[-2] or iterations > _MAX_REFINEMENT:
                 best = min(history[1:])
-                raise ConvergenceFailure(
-                    f"{name}: refinement stopped at residual {best:.3e}, "
-                    f"target {target:.3e} (relative {best / history[0]:.3e} "
-                    f"against {cfg.rel_tolerance:.1e})",
-                    residual_history=history,
-                )
-    return KrylovResult(Field(space, x), len(history) - 1, history[-1], defect, history)
+                try:
+                    x, it, _, _ = _run_cg(op, rhs, cfg, basis, name)
+                except BizooError as exc:  # no convergence, or a breakdown
+                    raise ConvergenceFailure(
+                        f"{name}: refinement stopped at residual {best:.3e}, "
+                        f"target {target:.3e} (relative {best / history[0]:.3e} "
+                        f"against {cfg.rel_tolerance:.1e}); CG fallback: {exc}",
+                        residual_history=history,
+                    ) from None
+                y = x if lift is None else lift(x)
+                iterations += it
+                r = _project_out(space, rhs - residual_of(y), basis)
+                history.append(space.norm(r))
+                break
+    return KrylovResult(Field(out_space, y), iterations, history[-1], defect, history)
 
 
 # -- eigenpairs -----------------------------------------------------------------

@@ -305,7 +305,7 @@ def _stage_inverse(letter: str, catalog: OperatorCatalog, rhs: np.ndarray,
     if letter == "n":
         res = direct_solve(
             catalog.laplacian_neumann, Field(space, rhs), cfg,
-            constant_kernel=True, factors=factors,
+            kernel_pieces=domain.component_labels, factors=factors,
         )
         return res.field.values, res.iterations, res.compatibility_defect, 0.0
     if letter == "c":
@@ -323,11 +323,11 @@ def _stage_inverse(letter: str, catalog: OperatorCatalog, rhs: np.ndarray,
         k = catalog.interior_normal
         res = direct_solve(
             k, Field(k.domain_space, rhs[domain.ring_cells(1)]), cfg,
-            factors=factors, name="free stage",
+            range_of=catalog.interior_laplacian, factors=factors,
+            name="free stage",
         )
         lost = strip_norm(domain, rhs, 0)
-        u = catalog.interior_laplacian.apply_raw(res.field.values)
-        return u, res.iterations, 0.0, lost
+        return res.field.values, res.iterations, 0.0, lost
     raise ValueError(f"unknown stage letter {letter!r}")
 
 
@@ -358,9 +358,9 @@ def _measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
     if mid == "mean_w":
         return mean_defect(domain, w)
     if mid == "harm_u":
-        return harmonic_defect(catalog, u, cfg, factors)[0]
+        return harmonic_defect(catalog, u, cfg, factors, with_preimage=False)[0]
     if mid == "harm_w":
-        return harmonic_defect(catalog, w, cfg, factors)[0]
+        return harmonic_defect(catalog, w, cfg, factors, with_preimage=False)[0]
     if mid == "biharm_u":
         return biharmonic_defect(catalog, u, cfg)[0]
     raise ValueError(f"unknown measurement {mid!r}")
@@ -597,7 +597,9 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     fnorm = f.norm()
     factors = {}  # shared by the direct solves made here, not by solve_zoo's
 
-    defect, _, _ = harmonic_defect(catalog, f.values, cfg, factors)
+    defect, _, _ = harmonic_defect(
+        catalog, f.values, cfg, factors, with_preimage=False
+    )
     if fnorm > 0 and defect > cfg.compat_tolerance * fnorm:
         raise CompatibilityError(
             f"exchange identities need data in the interior stencil's range; "
@@ -610,9 +612,10 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     k = catalog.interior_normal
     ring = domain.ring_cells(1)
 
-    def k_inverse(values, name):
+    def k_inverse(values, name, range_of=None):
         return direct_solve(
-            k, Field(k.domain_space, values), cfg, factors=factors, name=name
+            k, Field(k.domain_space, values), cfg, range_of=range_of,
+            factors=factors, name=name,
         ).field.values
 
     def clamped_inverse(values):
@@ -622,7 +625,7 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     def neumann_type_algebraic(values):
         # A K^-2 A* applied without the range gate
         z = k_inverse(a.adjoint().apply_raw(values), "exchange inner")
-        return a.apply_raw(k_inverse(z, "exchange inner"))
+        return k_inverse(z, "exchange inner", range_of=a)
 
     def free_operator(values):
         return catalog.pad1.apply_raw(a.adjoint().apply_raw(values))
@@ -642,13 +645,14 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     devs["dirichlet_via_neumann"] = space.norm(lhs - free_operator(v))
 
     # free inverse of f, then the gated Neumann-type solve, then the free op
-    w_free = a.apply_raw(k_inverse(f.values[ring], "exchange free"))
+    w_free = k_inverse(f.values[ring], "exchange free", range_of=a)
     v = solve_zoo("c_f", catalog, Field(space, w_free), cfg).solution.values
     devs["dirichlet_via_neumann_free"] = space.norm(lhs - free_operator(v))
 
     lhs = solve_zoo("n_d", catalog, f, cfg).solution.values
     w = direct_solve(
-        catalog.laplacian_neumann, f, cfg, constant_kernel=True, factors=factors
+        catalog.laplacian_neumann, f, cfg,
+        kernel_pieces=domain.component_labels, factors=factors,
     ).field.values
     v = solve_zoo("d_d", catalog, Field(space, w), cfg).solution.values
     devs["mixed_second_order"] = space.norm(

@@ -212,6 +212,23 @@ def test_harmonic_defect_splits():
     assert d2 == pytest.approx(dom.cell_space.norm(harm), rel=1e-8)
 
 
+def test_harmonic_defect_without_preimage_refines_the_projection():
+    cat = catalog(n=16)
+    space = cat.domain.cell_space
+    values = np.random.default_rng(5).normal(size=space.dim)
+    defect, inside, x = harmonic_defect(cat, values)
+    d2, inside2, none = harmonic_defect(cat, values, with_preimage=False)
+    assert none is None
+    assert x is not None
+    assert space.norm(inside2 - inside) <= 1e-9 * space.norm(inside)
+    assert d2 == pytest.approx(defect, rel=1e-9)
+    # the projection satisfies A* inside = A* values to the solver target
+    adj = cat.interior_laplacian.adjoint()
+    rhs = adj.apply_raw(values)
+    ring = adj.codomain_space
+    assert ring.norm(adj.apply_raw(inside2) - rhs) <= 1e-10 * ring.norm(rhs)
+
+
 def test_estimate_chain_dirichlet():
     cat = catalog(n=8)
     pair = make_pair(cat.gradient_dirichlet, kernel_forward=())

@@ -21,7 +21,8 @@ from bizoo import (
     orthonormalize,
     smallest_eigenpairs,
 )
-from bizoo.grid import DofSpace
+from bizoo import linalg
+from bizoo.grid import DofSpace, GridDomain
 
 
 def rng(seed=0):
@@ -292,6 +293,10 @@ def routed_data(op, singular, seed):
     return Field(space, b)
 
 
+def pieces(cat, singular):
+    return cat.domain.component_labels if singular else None
+
+
 def mean_abs(space, x):
     ones = np.ones(space.dim)
     return abs(space.inner(x, ones)) / space.norm(ones)
@@ -300,11 +305,12 @@ def mean_abs(space, x):
 @pytest.mark.parametrize("key,neumann,singular", ROUTED, ids=ROUTED_IDS)
 def test_direct_solve_meets_target_and_agrees_with_cg(catalogs16, key, neumann,
                                                       singular):
-    op = getattr(catalogs16[neumann], key)
+    cat = catalogs16[neumann]
+    op = getattr(cat, key)
     space = op.domain_space
     b = routed_data(op, singular, 21)
     res = direct_solve(op, b, SolverConfig(rel_tolerance=1e-10),
-                       constant_kernel=singular)
+                       kernel_pieces=pieces(cat, singular))
     x = res.field.values
     assert space.norm(op.apply_raw(x) - b.values) <= 1e-10 * b.norm()
     assert res.residual_norm <= 1e-10 * b.norm()
@@ -319,37 +325,107 @@ def test_direct_solve_meets_target_and_agrees_with_cg(catalogs16, key, neumann,
     assert space.norm(x - y) <= 1e-8 * space.norm(y)
 
 
-
 @pytest.mark.parametrize("key,neumann", [("laplacian_neumann", False),
                                          ("laplacian_mixed", True)])
 def test_direct_solve_compatibility_gate(catalogs16, key, neumann):
-    op = getattr(catalogs16[neumann], key)
+    cat = catalogs16[neumann]
+    op = getattr(cat, key)
     space = op.domain_space
     b = routed_data(op, True, 22)
     shifted = Field(space, b.values + 1e-6 * b.norm() / space.norm(np.ones(space.dim)))
     with pytest.raises(CompatibilityError) as err:
-        direct_solve(op, shifted, constant_kernel=True)
+        direct_solve(op, shifted, kernel_pieces=pieces(cat, True))
     assert err.value.defect == pytest.approx(1e-6 * b.norm(), rel=1e-6)
     assert err.value.subspace == "solver kernel"
     # a component under the 1e-8 gate passes and is reported
     small = Field(space, b.values + 1e-10 * b.norm() / space.norm(np.ones(space.dim)))
-    res = direct_solve(op, small, constant_kernel=True)
+    res = direct_solve(op, small, kernel_pieces=pieces(cat, True))
     assert res.compatibility_defect == pytest.approx(1e-10 * b.norm(), rel=1e-3)
 
 
 @pytest.mark.parametrize("key,neumann,singular", ROUTED, ids=ROUTED_IDS)
 def test_direct_solve_unattainable_target_reports_residuals(catalogs16, key,
                                                             neumann, singular):
-    op = getattr(catalogs16[neumann], key)
+    cat = catalogs16[neumann]
+    op = getattr(cat, key)
     b = routed_data(op, singular, 23)
     with pytest.raises(ConvergenceFailure) as err:
         direct_solve(op, b, SolverConfig(rel_tolerance=1e-18),
-                     constant_kernel=singular)
+                     kernel_pieces=pieces(cat, singular))
     history = err.value.residual_history
     message = str(err.value)
     assert f"residual {min(history[1:]):.3e}" in message
     assert f"target {1e-18 * b.norm():.3e}" in message
+    assert "CG fallback" in message
     assert len(history) <= 12  # stops once refinement stops improving
+
+
+def test_direct_solve_range_of_agrees_with_min_norm_cg(catalogs16):
+    cat = catalogs16[False]
+    op, a = cat.interior_normal, cat.interior_laplacian
+    b = routed_data(op, False, 26)
+    res = direct_solve(op, b, SolverConfig(rel_tolerance=1e-10), range_of=a)
+    u = res.field
+    assert u.space is a.codomain_space
+    residual = op.domain_space.norm(a.adjoint().apply_raw(u.values) - b.values)
+    assert residual <= 1e-10 * b.norm()
+    assert res.residual_norm == pytest.approx(residual)
+    oracle = normal_cg_solve(a, b, "min_norm", SolverConfig(rel_tolerance=1e-13))
+    assert u.space.norm(u.values - oracle.field.values) <= 1e-8 * oracle.field.norm()
+
+
+@pytest.mark.parametrize("range_of", (False, True))
+def test_direct_solve_falls_back_to_cg_when_refinement_stalls(monkeypatch,
+                                                              range_of):
+    cat = OperatorCatalog(build_domain("lshape", 16))
+    op, a = cat.interior_normal, cat.interior_laplacian
+    solve = linalg._BandedCholesky.solve
+    # a factor that gets only half of each correction right stops
+    # refinement at the step cap, far above the target
+    monkeypatch.setattr(linalg._BandedCholesky, "solve",
+                        lambda self, r: 0.5 * solve(self, r))
+    b = routed_data(op, False, 27)
+    cfg = SolverConfig(rel_tolerance=1e-10)
+    res = direct_solve(op, b, cfg, range_of=a if range_of else None)
+    assert len(res.residual_history) == linalg._MAX_REFINEMENT + 3
+    assert res.residual_history[-2] > 1e-4 * b.norm()
+    assert res.residual_norm <= 1e-10 * b.norm()
+    assert res.iterations > linalg._MAX_REFINEMENT + 1
+    x = cg_solve(op, b, SolverConfig(rel_tolerance=1e-13)).field.values
+    expect = a.apply_raw(x) if range_of else x
+    got = res.field.values
+    assert res.field.space.norm(got - expect) <= 1e-8 * res.field.space.norm(expect)
+
+
+def test_direct_solve_pins_each_connected_piece():
+    # two separate 6x6 squares: the Neumann kernel holds both indicators
+    cells = [(i + di, j) for di in (0, 9) for i in range(6) for j in range(6)]
+    dom = GridDomain(cells, 1 / 16, labels={"all": "neumann"})
+    assert dom.n_components == 2
+    op = OperatorCatalog(dom).laplacian_neumann
+    space = op.domain_space
+    left = dom.cells[:, 0] < 6
+    b = rng(28).normal(size=space.dim)
+    for piece in (left, ~left):
+        b[piece] -= b[piece].mean()
+    data = Field(space, b)
+    factors = {}
+    res = direct_solve(op, data, SolverConfig(rel_tolerance=1e-10),
+                       kernel_pieces=dom.component_labels, factors=factors)
+    assert sorted(left[factors[op].pinned]) == [False, True]
+    x = res.field.values
+    assert res.residual_norm <= 1e-10 * data.norm()
+    assert space.norm(op.apply_raw(x) - b) <= 1e-10 * data.norm()
+    for piece in (left, ~left):
+        assert abs(x[piece].mean()) <= 1e-13 * np.abs(x).max()
+    oracle = deflated_cg_solve(op, data, [space.ones()],
+                               SolverConfig(rel_tolerance=1e-13)).field.values
+    assert space.norm(x - oracle) <= 1e-8 * space.norm(oracle)
+    # mean-free overall but not on each piece: a kernel component
+    shifted = Field(space, b + np.where(left, 1.0, -1.0))
+    with pytest.raises(CompatibilityError) as err:
+        direct_solve(op, shifted, kernel_pieces=dom.component_labels)
+    assert err.value.defect == pytest.approx(space.norm(np.ones(space.dim)))
 
 
 def test_direct_solve_reuses_a_caller_owned_factor():

@@ -5,7 +5,6 @@ import pytest
 
 from bizoo import (
     CompatibilityError,
-    ConvergenceFailure,
     Field,
     ForbiddenCompositionError,
     OperatorCatalog,
@@ -355,22 +354,14 @@ def test_biharmonic_chain(cat16):
     assert not tight.ok()
 
 
-def test_large_square_solves_within_gates_or_fails_with_residuals():
-    # n=128: the interior normal product's conditioning grows like h^-4;
-    # CG spent 155 s here before failing on d_f
+def test_large_square_solves_within_gates():
+    # n=128: the interior normal product's conditioning grows like h^-4,
+    # and CG spent 155 s here before failing on d_f
     cat = OperatorCatalog(build_domain("square", 128))
     f = compatible_data(cat, "L2", seed=128)
     fnorm = f.norm()
-    rep = solve_zoo("f_c", cat, f)
-    assert rep.pde_residual_norm <= 1e-8 * fnorm
-    for name, value in rep.constraint_norms.items():
-        assert value <= 1e-8 * fnorm, (name, value)
-    try:
-        rep = solve_zoo("d_f", cat, f)
-    except ConvergenceFailure as err:
-        assert "residual" in str(err) and "target" in str(err)
-        assert min(err.residual_history[1:]) > 1e-10 * err.residual_history[0]
-    else:
-        assert rep.pde_residual_norm <= 1e-8 * fnorm
+    for label in ("f_c", "f_f", "d_f"):
+        rep = solve_zoo(label, cat, f)
+        assert rep.pde_residual_norm <= 1e-8 * fnorm, label
         for name, value in rep.constraint_norms.items():
-            assert value <= 1e-8 * fnorm, (name, value)
+            assert value <= 1e-8 * fnorm, (label, name, value)
