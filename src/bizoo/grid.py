@@ -5,17 +5,26 @@ cell (i, j) covers [i*h, (i+1)*h] x [j*h, (j+1)*h].  All unknowns are
 cell-centered.  Boundary conditions never shrink the vector of unknowns:
 they are realized inside operators (penalty rows, stencil restrictions), so
 scalar fields for every problem share the ambient space of all cells.
+
+A domain keeps one index: an integer image of the mask's bounding box,
+indexed [j, i], holding each cell's number and -1 outside the mask.  It is
+padded by PAD = 3 cells, so every stencil offset the operators use (reach
+at most 2 along each axis) reads it without a bounds check, and the
+outside of the mask is one connected piece of the complement.  Neighbors,
+faces and vertices are shifted reads of the image; depth is its taxicab
+distance transform, and connected pieces and holes are its 4-connected
+labels (scipy.ndimage).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import ConvexHull
 
 from .errors import EmptyDomainError, SpaceMismatchError
@@ -25,6 +34,7 @@ OFFSETS = {"+x": (1, 0), "-x": (-1, 0), "+y": (0, 1), "-y": (0, -1)}
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 _SIDES = {"left": "-x", "right": "+x", "bottom": "-y", "top": "+y"}
+PAD = 3  # cells of -1 around the mask in the index image
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,152 +146,76 @@ class GridDomain:
         arr = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
         if arr.shape[0] == 0:
             raise EmptyDomainError("mask contains no cells")
-        arr = np.unique(arr, axis=0)
-        order = np.lexsort((arr[:, 0], arr[:, 1]))
-        self.cells = arr[order]
         self.h = float(h)
         if not self.h > 0:
             raise ValueError("cell width h must be positive")
+        self._origin = arr.min(axis=0) - PAD  # lattice point of image[0, 0]
+        ni, nj = arr.max(axis=0) - self._origin + PAD + 1
+        mask = np.zeros((nj, ni), dtype=bool)
+        mask[arr[:, 1] - self._origin[1], arr[:, 0] - self._origin[0]] = True
+        jj, ii = np.nonzero(mask)  # row-major, duplicates collapsed
+        self.cells = np.column_stack([ii, jj]) + self._origin
         m = self.cells.shape[0]
-        self._index = {(int(i), int(j)): k for k, (i, j) in enumerate(self.cells)}
+        self._image = np.full(mask.shape, -1, dtype=np.int64)
+        self._image[jj, ii] = np.arange(m)
 
         # neighbor index per direction, -1 where the neighbor cell is absent
-        self.neighbors = np.full((m, 4), -1, dtype=np.int64)
-        for k, (i, j) in enumerate(self.cells):
-            for d, name in enumerate(DIRECTIONS):
-                di, dj = OFFSETS[name]
-                self.neighbors[k, d] = self._index.get((int(i) + di, int(j) + dj), -1)
-
+        self.neighbors = np.column_stack(
+            [self.shifted(*OFFSETS[name]) for name in DIRECTIONS]
+        )
+        missing = self.neighbors < 0
         self.boundary_faces = [
-            (k, DIRECTIONS[d])
-            for k in range(m)
-            for d in range(4)
-            if self.neighbors[k, d] < 0
+            (k, DIRECTIONS[d]) for k, d in np.argwhere(missing).tolist()
         ]
 
-        # interior faces: owner a, neighbor b = a + e_axis, axis 0 for +x, 1 for +y
-        fa, fb, ax = [], [], []
-        for k in range(m):
-            for axis, d in ((0, 0), (1, 2)):  # DIRECTIONS[0] = +x, DIRECTIONS[2] = +y
-                nb = self.neighbors[k, d]
-                if nb >= 0:
-                    fa.append(k)
-                    fb.append(nb)
-                    ax.append(axis)
+        # interior faces: owner a, neighbor b = a + e_axis, axis 0 for +x,
+        # 1 for +y (DIRECTIONS[0] = +x, DIRECTIONS[2] = +y), owner-major
+        owners, self.face_axes = np.nonzero(~missing[:, [0, 2]])
         self.face_cells = np.column_stack(
-            [np.asarray(fa, dtype=np.int64), np.asarray(fb, dtype=np.int64)]
-        ) if fa else np.zeros((0, 2), dtype=np.int64)
-        self.face_axes = np.asarray(ax, dtype=np.int64)
+            [owners, self.neighbors[owners, 2 * self.face_axes]]
+        )
 
-        self.depth = self._compute_depth()
-        self.component_labels = self._label_components()
-        self.n_components = int(self.component_labels.max()) + 1
-        self.n_holes = self._count_holes()
+        # taxicab distance to the nearest non-mask cell, minus one
+        dist = ndimage.distance_transform_cdt(mask, metric="taxicab")
+        self.depth = dist[jj, ii].astype(np.int64) - 1
+        # ndimage.label numbers the 4-connected pieces from 1 in raster
+        # order of their first cell, which is cell order
+        pieces, self.n_components = ndimage.label(mask)
+        self.component_labels = pieces[jj, ii].astype(np.int64) - 1
+        # the pad joins everything outside the mask into one piece of the
+        # complement; every other complement piece is a hole
+        self.n_holes = ndimage.label(~mask)[1] - 1
         self.face_labels = self._resolve_labels(labels)
 
     # -- construction helpers ------------------------------------------------
-
-    def _compute_depth(self) -> np.ndarray:
-        m = self.cells.shape[0]
-        depth = np.full(m, -1, dtype=np.int64)
-        queue = deque()
-        for k in range(m):
-            if (self.neighbors[k] < 0).any():
-                depth[k] = 0
-                queue.append(k)
-        while queue:
-            k = queue.popleft()
-            for nb in self.neighbors[k]:
-                if nb >= 0 and depth[nb] < 0:
-                    depth[nb] = depth[k] + 1
-                    queue.append(nb)
-        # every finite component has boundary faces, so BFS reaches all cells
-        return depth
-
-    def _label_components(self) -> np.ndarray:
-        """Connected-piece number of each cell, pieces numbered from 0."""
-        m = self.cells.shape[0]
-        labels = np.full(m, -1, dtype=np.int64)
-        count = 0
-        for start in range(m):
-            if labels[start] >= 0:
-                continue
-            labels[start] = count
-            queue = deque([start])
-            while queue:
-                k = queue.popleft()
-                for nb in self.neighbors[k]:
-                    if nb >= 0 and labels[nb] < 0:
-                        labels[nb] = count
-                        queue.append(nb)
-            count += 1
-        return labels
-
-    def _count_holes(self) -> int:
-        # flood the complement of the mask inside a 1-cell-padded bounding
-        # box; complement components not reaching the pad are holes
-        imin, jmin = self.cells.min(axis=0) - 1
-        imax, jmax = self.cells.max(axis=0) + 1
-        ni, nj = imax - imin + 1, jmax - jmin + 1
-        solid = np.zeros((ni, nj), dtype=bool)
-        solid[self.cells[:, 0] - imin, self.cells[:, 1] - jmin] = True
-        outside = np.zeros_like(solid)
-        queue = deque([(0, 0)])
-        outside[0, 0] = True
-        while queue:
-            a, b = queue.popleft()
-            for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                na, nb = a + da, b + db
-                if 0 <= na < ni and 0 <= nb < nj and not solid[na, nb] and not outside[na, nb]:
-                    outside[na, nb] = True
-                    queue.append((na, nb))
-        holes = 0
-        visited = outside | solid
-        for a in range(ni):
-            for b in range(nj):
-                if not visited[a, b]:
-                    holes += 1
-                    visited[a, b] = True
-                    queue = deque([(a, b)])
-                    while queue:
-                        p, q = queue.popleft()
-                        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                            np_, nq = p + da, q + db
-                            if 0 <= np_ < ni and 0 <= nq < nj and not visited[np_, nq]:
-                                visited[np_, nq] = True
-                                queue.append((np_, nq))
-        return holes
 
     def _resolve_labels(self, rules) -> np.ndarray:
         labels = np.array([DIRICHLET] * len(self.boundary_faces), dtype=object)
         if rules is None:
             return labels
-        face_row = {
-            (k, d): r for r, (k, d) in enumerate(self.boundary_faces)
-        }
         if isinstance(rules, dict):
+            sides = np.array([d for _, d in self.boundary_faces])
             for side, bc in rules.items():
                 bc = _check_bc(bc)
                 if side == "all":
                     labels[:] = bc
                 elif side in _SIDES:
-                    d = _SIDES[side]
-                    for r, (k, fd) in enumerate(self.boundary_faces):
-                        if fd == d:
-                            labels[r] = bc
+                    labels[sides == _SIDES[side]] = bc
                 else:
                     raise ValueError(f"unknown side {side!r}")
             return labels
+        missing = self.neighbors < 0
+        rows = np.cumsum(missing) - 1  # flat (cell, direction) -> face row
         for rule in rules:
             if isinstance(rule, dict):
                 cell, d, bc = tuple(rule["cell"]), rule["dir"], rule["bc"]
             else:
                 cell, d, bc = rule
             bc = _check_bc(bc)
-            k = self._index.get((int(cell[0]), int(cell[1])))
-            if k is None or (k, d) not in face_row:
+            k = self._find(cell[0], cell[1])
+            if k < 0 or d not in DIRECTIONS or not missing[k, DIRECTIONS.index(d)]:
                 raise ValueError(f"label rule {cell}:{d} is not a boundary face")
-            labels[face_row[(k, d)]] = bc
+            labels[rows[4 * k + DIRECTIONS.index(d)]] = bc
         return labels
 
     # -- basic queries ---------------------------------------------------------
@@ -290,11 +224,32 @@ class GridDomain:
     def n_cells(self) -> int:
         return self.cells.shape[0]
 
+    def cell_at(self, i, j):
+        """Cell number at lattice point (i, j), -1 outside the mask.
+
+        Arrays broadcast.  Points must lie within PAD cells of the mask's
+        bounding box (any stencil offset of reach <= PAD around a cell).
+        """
+        return self._image[j - self._origin[1], i - self._origin[0]]
+
+    def shifted(self, di: int, dj: int) -> np.ndarray:
+        """Per cell, the cell number at offset (di, dj), -1 outside the mask."""
+        return self.cell_at(self.cells[:, 0] + di, self.cells[:, 1] + dj)
+
+    def _find(self, i, j) -> int:
+        a, b = int(j) - self._origin[1], int(i) - self._origin[0]
+        if 0 <= a < self._image.shape[0] and 0 <= b < self._image.shape[1]:
+            return int(self._image[a, b])
+        return -1
+
     def index_of(self, i: int, j: int) -> int:
-        return self._index[(int(i), int(j))]
+        k = self._find(i, j)
+        if k < 0:
+            raise KeyError((int(i), int(j)))
+        return k
 
     def contains(self, i: int, j: int) -> bool:
-        return (int(i), int(j)) in self._index
+        return self._find(i, j) >= 0
 
     def cell_centers(self) -> np.ndarray:
         return (self.cells + 0.5) * self.h
@@ -308,21 +263,18 @@ class GridDomain:
 
     def count_boundary_faces(self, bc=None) -> np.ndarray:
         """Per-cell count of boundary faces, optionally only those labeled bc."""
-        counts = np.zeros(self.n_cells, dtype=np.int64)
-        for r, (k, _) in enumerate(self.boundary_faces):
-            if bc is None or self.face_labels[r] == bc:
-                counts[k] += 1
-        return counts
+        hit = self.neighbors < 0
+        if bc is not None:
+            hit[hit] = self.face_labels == bc  # same (cell, direction) order
+        return hit.sum(axis=1)
 
     @cached_property
     def diameter(self) -> float:
+        # a corner shared with a depth >= 1 cell lies between two other
+        # corners, so the hull is spanned by the boundary cells' corners
+        rim = self.cells[self.depth == 0]
         corners = np.concatenate(
-            [
-                self.cells,
-                self.cells + (1, 0),
-                self.cells + (0, 1),
-                self.cells + (1, 1),
-            ]
+            [rim, rim + (1, 0), rim + (0, 1), rim + (1, 1)]
         ) * self.h
         pts = np.unique(corners, axis=0)
         hull = pts[ConvexHull(pts).vertices]
@@ -331,20 +283,15 @@ class GridDomain:
 
     @cached_property
     def interior_vertices(self) -> np.ndarray:
-        """Lattice vertices whose four incident cells are all in the mask."""
-        seen = {}
-        for i, j in self.cells:
-            seen.setdefault((int(i) + 1, int(j) + 1), None)
-        verts = [
-            (vi, vj)
-            for (vi, vj) in seen
-            if (vi - 1, vj - 1) in self._index
-            and (vi, vj - 1) in self._index
-            and (vi - 1, vj) in self._index
-            and (vi, vj) in self._index
-        ]
-        verts.sort(key=lambda v: (v[1], v[0]))
-        return np.asarray(verts, dtype=np.int64).reshape(-1, 2)
+        """Lattice vertices whose four incident cells are all in the mask.
+
+        Each is the top-right corner of its south-west cell, so they come
+        in cell order.
+        """
+        full = (self.shifted(1, 0) >= 0) & (self.shifted(0, 1) >= 0) & (
+            self.shifted(1, 1) >= 0
+        )
+        return self.cells[full] + 1
 
     # -- DOF spaces ----------------------------------------------------------
 
@@ -393,11 +340,6 @@ def _check_bc(bc: str) -> str:
     if bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"boundary label must be '{DIRICHLET}' or '{NEUMANN}', got {bc!r}")
     return bc
-
-
-def depth_ring(domain: GridDomain, k: int) -> DofSpace:
-    """DOF space of cells at depth >= k.  Empty rings are legal."""
-    return domain.ring_space(k)
 
 
 def build_domain(shape, n: int, labels=None, *, width: float = 1.0,

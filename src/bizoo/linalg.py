@@ -162,21 +162,6 @@ class SparseOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def triplets(self):
-        coo = self.matrix.tocoo()
-        return zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-
-    def dump(self, path) -> None:
-        """Coordinate-triplet text dump with a space-naming header."""
-        with open(path, "w") as fh:
-            fh.write(
-                f"# operator: {self.codomain_space.name} x {self.domain_space.name} "
-                f"({self.shape[0]} x {self.shape[1]})\n"
-            )
-            fh.write("row,col,value\n")
-            for r, c, v in self.triplets():
-                fh.write(f"{r},{c},{v:.17g}\n")
-
 
 def identity_operator(space: DofSpace) -> SparseOperator:
     return SparseOperator(sp.identity(space.dim, format="csr"), space, space)

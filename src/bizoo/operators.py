@@ -13,6 +13,8 @@ GridDomain.  Conventions:
 
 With h = 1/n all stencil coefficients are exact small integers times n^2,
 so several identities below hold to the last bit, not just to rounding.
+Every stencil is an offset/coefficient table read off the domain's index
+image for all its cells at once (_triplets).
 """
 
 from __future__ import annotations
@@ -24,13 +26,70 @@ from .errors import EmptyDomainError, StencilReachError
 from .grid import DIRICHLET, GridDomain
 from .linalg import SparseOperator
 
-# 13-point bilaplacian stencil, coefficients times h^-4
+# offset/coefficient tables; values are divided by h^2 (h^4 for the
+# 13-point bilaplacian, h for first differences) at assembly
+_LAPLACIAN_STENCIL = (
+    ((0, 0), 4.0), ((1, 0), -1.0), ((-1, 0), -1.0), ((0, 1), -1.0), ((0, -1), -1.0),
+)
 _BIHARMONIC_STENCIL = (
     ((0, 0), 20.0),
     ((1, 0), -8.0), ((-1, 0), -8.0), ((0, 1), -8.0), ((0, -1), -8.0),
     ((1, 1), 2.0), ((1, -1), 2.0), ((-1, 1), 2.0), ((-1, -1), 2.0),
     ((2, 0), 1.0), ((-2, 0), 1.0), ((0, 2), 1.0), ((0, -2), 1.0),
 )
+
+# 3-point differences along one axis in three variants: centered, forward,
+# backward.  A cell takes the first variant whose two off-center cells
+# (_RUNS) are in the mask.
+_RUNS = ((-1, 1), (1, 2), (-1, -2))
+_SECOND = (
+    ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    ((0, 1.0), (1, -2.0), (2, 1.0)),
+    ((-2, 1.0), (-1, -2.0), (0, 1.0)),
+)
+_FIRST = (
+    ((-1, -0.5), (1, 0.5)),
+    ((0, -1.5), (1, 2.0), (2, -0.5)),
+    ((-2, 0.5), (-1, -2.0), (0, 1.5)),
+)
+
+
+def _step(axis, t):
+    return (t, 0) if axis == 0 else (0, t)
+
+
+def _along(axis, table):
+    """A 1D offset table as 2D offsets along the given axis."""
+    return tuple((_step(axis, t), c) for t, c in table)
+
+
+def _mixed(first_x, first_y):
+    """Table of a first difference in x composed with one in y."""
+    return tuple(((ti, tj), ci * cj) for ti, ci in first_x for tj, cj in first_y)
+
+
+# rows xx, xy, yy of the Hessian with centered stencils everywhere
+_CENTERED_HESSIAN = (
+    _along(0, _SECOND[0]), _mixed(_FIRST[0], _FIRST[0]), _along(1, _SECOND[0]),
+)
+
+
+def _triplets(domain: GridDomain, cells, rows, table, scale: float):
+    """COO triplets of an offset/coefficient table read around cells.
+
+    Entry ((di, dj), c) of the table puts c / scale at (rows[p], the cell
+    at cells[p] + (di, dj)) for every position p; that column is -1 where
+    the offset leaves the mask.
+    """
+    at = domain.cells[cells]
+    cols = [domain.cell_at(at[:, 0] + di, at[:, 1] + dj) for (di, dj), _ in table]
+    vals = np.repeat([c for _, c in table], len(cells)) / scale
+    return np.tile(rows, len(table)), np.concatenate(cols), vals
+
+
+def _csr(parts, shape):
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 def assemble_gradient(domain: GridDomain, include_boundary: bool = False) -> SparseOperator:
@@ -42,26 +101,23 @@ def assemble_gradient(domain: GridDomain, include_boundary: bool = False) -> Spa
     -sqrt(2)/h on the owner cell, so adjoint(G) G is the Dirichlet
     Laplacian up to rounding in the penalty coefficient.
     """
-    h = domain.h
     e = domain.face_cells.shape[0]
-    rows, cols, vals = [], [], []
-    for r in range(e):
-        a, b = domain.face_cells[r]
-        rows += [r, r]
-        cols += [int(b), int(a)]
-        vals += [1.0 / h, -1.0 / h]
+    parts = []
+    for axis in (0, 1):
+        faces = np.flatnonzero(domain.face_axes == axis)
+        parts.append(_triplets(
+            domain, domain.face_cells[faces, 0], faces,
+            _along(axis, ((0, -1.0), (1, 1.0))), domain.h,
+        ))
+    codomain = domain.edge_space
     if include_boundary:
-        coeff = -np.sqrt(2.0) / h
-        for r, (k, _) in enumerate(domain.boundary_faces):
-            rows.append(e + r)
-            cols.append(k)
-            vals.append(coeff)
+        owners = np.nonzero(domain.neighbors < 0)[0]  # boundary_faces order
+        parts.append(_triplets(
+            domain, owners, e + np.arange(owners.size),
+            (((0, 0), -np.sqrt(2.0)),), domain.h,
+        ))
         codomain = domain.all_face_space
-    else:
-        codomain = domain.edge_space
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(codomain.dim, domain.n_cells)
-    )
+    mat = _csr(parts, (codomain.dim, domain.n_cells))
     return SparseOperator(mat, domain.cell_space, codomain)
 
 
@@ -89,31 +145,27 @@ def assemble_laplacian(domain: GridDomain, kind: str) -> SparseOperator:
     return SparseOperator(base.tocsr(), domain.cell_space, domain.cell_space)
 
 
+def _interior_stencil(domain: GridDomain, k: int, table, scale: float) -> SparseOperator:
+    """Zero-extension stencil from depth>=k cells to all cells.
+
+    A cell at depth >= k has every cell within taxicab distance k in the
+    mask, so a table of reach k never leaves it.
+    """
+    ring = domain.ring_cells(k)
+    if ring.size == 0:
+        raise EmptyDomainError(f"no cells of depth >= {k}: interior stencil is empty")
+    col, row, vals = _triplets(domain, ring, np.arange(ring.size), table, scale)
+    mat = sp.csr_matrix((vals, (row, col)), shape=(domain.n_cells, ring.size))
+    return SparseOperator(mat, domain.ring_space(k), domain.cell_space)
+
+
 def assemble_interior_laplacian(domain: GridDomain) -> SparseOperator:
     """Raw 5-point stencil of the zero extension: depth>=1 cells to all cells.
 
     Injective on connected masks; the weighted adjoint maps a cell field to
     its raw 5-point Laplacian sampled on the depth>=1 cells.
     """
-    ring = domain.ring_cells(1)
-    if ring.size == 0:
-        raise EmptyDomainError("no cells of depth >= 1: interior stencil is empty")
-    h2 = domain.h**2
-    rows, cols, vals = [], [], []
-    for col, k in enumerate(ring):
-        rows.append(int(k))
-        cols.append(col)
-        vals.append(4.0 / h2)
-        for nb in domain.neighbors[k]:
-            if nb < 0:
-                raise StencilReachError(
-                    "depth >= 1 cell is missing a neighbor; inconsistent mask"
-                )
-            rows.append(int(nb))
-            cols.append(col)
-            vals.append(-1.0 / h2)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(domain.n_cells, ring.size))
-    return SparseOperator(mat, domain.ring_space(1), domain.cell_space)
+    return _interior_stencil(domain, 1, _LAPLACIAN_STENCIL, domain.h**2)
 
 
 def assemble_interior_biharmonic(domain: GridDomain) -> SparseOperator:
@@ -123,31 +175,7 @@ def assemble_interior_biharmonic(domain: GridDomain) -> SparseOperator:
     exactly, because the extension's Laplacian already vanishes outside the
     mask for depth>=2 supports.
     """
-    ring = domain.ring_cells(2)
-    if ring.size == 0:
-        raise EmptyDomainError("no cells of depth >= 2: biharmonic stencil is empty")
-    h4 = domain.h**4
-    rows, cols, vals = [], [], []
-    for col, k in enumerate(ring):
-        i, j = map(int, domain.cells[k])
-        for (di, dj), c in _BIHARMONIC_STENCIL:
-            if not domain.contains(i + di, j + dj):
-                raise StencilReachError(
-                    f"cell ({i}, {j}) at depth >= 2 cannot reach offset ({di}, {dj})"
-                )
-            rows.append(domain.index_of(i + di, j + dj))
-            cols.append(col)
-            vals.append(c / h4)
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(domain.n_cells, ring.size))
-    return SparseOperator(mat, domain.ring_space(2), domain.cell_space)
-
-
-def assemble_overdetermined(domain: GridDomain, order: str) -> SparseOperator:
-    if order == "laplacian":
-        return assemble_interior_laplacian(domain)
-    if order == "biharmonic":
-        return assemble_interior_biharmonic(domain)
-    raise ValueError(f"order must be 'laplacian' or 'biharmonic', got {order!r}")
+    return _interior_stencil(domain, 2, _BIHARMONIC_STENCIL, domain.h**4)
 
 
 def assemble_pad(domain: GridDomain, k: int) -> SparseOperator:
@@ -168,61 +196,23 @@ def assemble_curl_pair(domain: GridDomain):
     1/h^2 contributions a cell sends around each vertex cancel exactly.
     """
     verts = domain.interior_vertices
-    h = domain.h
-    # face row lookup by (owner index, axis)
-    face_row = {
-        (int(domain.face_cells[r, 0]), int(domain.face_axes[r])): r
-        for r in range(domain.face_cells.shape[0])
-    }
-    rows, cols, vals = [], [], []
-    for r, (vi, vj) in enumerate(verts):
-        sw = domain.index_of(vi - 1, vj - 1)
-        se = domain.index_of(vi, vj - 1)
-        nw = domain.index_of(vi - 1, vj)
-        entries = (
-            (face_row[(sw, 0)], 1.0 / h),   # bottom x-face
-            (face_row[(nw, 0)], -1.0 / h),  # top x-face
-            (face_row[(sw, 1)], -1.0 / h),  # left y-face
-            (face_row[(se, 1)], 1.0 / h),   # right y-face
+    e = domain.face_cells.shape[0]
+    face_row = np.full((domain.n_cells, 2), -1, dtype=np.int64)
+    face_row[domain.face_cells[:, 0], domain.face_axes] = np.arange(e)
+    sw = domain.cell_at(verts[:, 0] - 1, verts[:, 1] - 1)
+    parts = []
+    for axis, table in (
+        (0, (((0, 0), 1.0), ((0, 1), -1.0))),  # bottom and top x-faces
+        (1, (((0, 0), -1.0), ((1, 0), 1.0))),  # left and right y-faces
+    ):
+        rows, owners, vals = _triplets(
+            domain, sw, np.arange(sw.size), table, domain.h
         )
-        for c, v in entries:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(verts.shape[0], domain.face_cells.shape[0])
+        parts.append((rows, face_row[owners, axis], vals))
+    curl = SparseOperator(
+        _csr(parts, (verts.shape[0], e)), domain.edge_space, domain.vertex_space
     )
-    curl = SparseOperator(mat, domain.edge_space, domain.vertex_space)
     return curl, curl.adjoint()
-
-
-def _three_point_second(domain, i, j, axis):
-    """Offsets/coefficients of a 3-point second difference along an axis."""
-    def has(t):
-        return domain.contains(i + t, j) if axis == 0 else domain.contains(i, j + t)
-
-    for shifts in ((-1, 0, 1), (0, 1, 2), (-2, -1, 0)):
-        if all(has(t) for t in shifts):
-            return tuple(zip(shifts, (1.0, -2.0, 1.0)))
-    raise StencilReachError(
-        f"cell ({i}, {j}) has no 3-cell run along axis {axis}"
-    )
-
-
-def _three_point_first(domain, i, j, axis):
-    """Offsets/coefficients (times 1/h) of a 3-point first difference."""
-    def has(t):
-        return domain.contains(i + t, j) if axis == 0 else domain.contains(i, j + t)
-
-    if has(-1) and has(1):
-        return ((-1, -0.5), (1, 0.5))
-    if has(1) and has(2):
-        return ((0, -1.5), (1, 2.0), (2, -0.5))
-    if has(-1) and has(-2):
-        return ((-2, 0.5), (-1, -2.0), (0, 1.5))
-    raise StencilReachError(
-        f"cell ({i}, {j}) has no 3-cell run along axis {axis}"
-    )
 
 
 def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> SparseOperator:
@@ -239,50 +229,46 @@ def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> Sparse
     affine functions), which is exactly the padded-subspace use.
     """
     h2 = domain.h**2
-    rows, cols, vals = [], [], []
+    cells = np.arange(domain.n_cells)
+    shape = (3 * domain.n_cells, domain.n_cells)
     if zero_extension:
-        for k in range(domain.n_cells):
-            i, j = map(int, domain.cells[k])
-            for t, c in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                if domain.contains(i + t, j):
-                    rows.append(3 * k)
-                    cols.append(domain.index_of(i + t, j))
-                    vals.append(c / h2)
-            for si in (-1, 1):
-                for sj in (-1, 1):
-                    if domain.contains(i + si, j + sj):
-                        rows.append(3 * k + 1)
-                        cols.append(domain.index_of(i + si, j + sj))
-                        vals.append(si * sj / (4.0 * h2))
-            for t, c in ((-1, 1.0), (0, -2.0), (1, 1.0)):
-                if domain.contains(i, j + t):
-                    rows.append(3 * k + 2)
-                    cols.append(domain.index_of(i, j + t))
-                    vals.append(c / h2)
-        mat = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(3 * domain.n_cells, domain.n_cells)
+        parts = [
+            (r[c >= 0], c[c >= 0], v[c >= 0])  # out-of-mask cells read as zero
+            for r, c, v in (
+                _triplets(domain, cells, 3 * cells + comp, table, h2)
+                for comp, table in enumerate(_CENTERED_HESSIAN)
+            )
+        ]
+        return SparseOperator(_csr(parts, shape), domain.cell_space, domain.hessian_space)
+    variant = [
+        np.select(
+            [(domain.shifted(*_step(axis, a)) >= 0) & (domain.shifted(*_step(axis, b)) >= 0)
+             for a, b in _RUNS],
+            [0, 1, 2], -1,
         )
-        return SparseOperator(mat, domain.cell_space, domain.hessian_space)
-    for k in range(domain.n_cells):
+        for axis in (0, 1)
+    ]
+    short = np.flatnonzero((variant[0] < 0) | (variant[1] < 0))
+    if short.size:
+        k = int(short[0])
         i, j = map(int, domain.cells[k])
-        for t, c in _three_point_second(domain, i, j, 0):
-            rows.append(3 * k)
-            cols.append(domain.index_of(i + t, j))
-            vals.append(c / h2)
-        for ti, ci in _three_point_first(domain, i, j, 0):
-            for tj, cj in _three_point_first(domain, i + ti, j, 1):
-                rows.append(3 * k + 1)
-                cols.append(domain.index_of(i + ti, j + tj))
-                vals.append(ci * cj / h2)
-        for t, c in _three_point_second(domain, i, j, 1):
-            rows.append(3 * k + 2)
-            cols.append(domain.index_of(i, j + t))
-            vals.append(c / h2)
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(3 * domain.n_cells, domain.n_cells)
-    )
-    mat.sum_duplicates()
-    return SparseOperator(mat, domain.cell_space, domain.hessian_space)
+        axis = 0 if variant[0][k] < 0 else 1
+        raise StencilReachError(f"cell ({i}, {j}) has no 3-cell run along axis {axis}")
+    parts = []
+    for v in range(3):
+        for comp, axis in ((0, 0), (2, 1)):
+            at = cells[variant[axis] == v]
+            parts.append(_triplets(domain, at, 3 * at + comp, _along(axis, _SECOND[v]), h2))
+        at = cells[variant[0] == v]
+        for ti, ci in _FIRST[v]:
+            # the y-difference is the one of the column's cell (i + ti, j)
+            column = variant[1][domain.shifted(ti, 0)[at]]
+            for w in range(3):
+                sub = at[column == w]
+                parts.append(_triplets(
+                    domain, sub, 3 * sub + 1, _mixed(((ti, ci),), _FIRST[w]), h2
+                ))
+    return SparseOperator(_csr(parts, shape), domain.cell_space, domain.hessian_space)
 
 
 class OperatorCatalog:

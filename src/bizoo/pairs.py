@@ -37,6 +37,7 @@ class DualPair:
         self._kernels = {}
         self._normals = {}
         self._constant = None
+        self._swapped = None
 
     def normal(self, side: str = "forward") -> SparseOperator:
         """adjoint(A) A for the forward side, A adjoint(A) for the other."""
@@ -59,12 +60,14 @@ class DualPair:
         return self._kernels[side]
 
     def swapped(self) -> "DualPair":
-        pair = DualPair(self.adjoint)
-        pair._kernel_hints = {
-            "forward": self._kernel_hints.get("adjoint"),
-            "adjoint": self._kernel_hints.get("forward"),
-        }
-        return pair
+        """The pair of the adjoint, built once so its kernels are found once."""
+        if self._swapped is None:
+            self._swapped = DualPair(
+                self.adjoint,
+                self._kernel_hints.get("adjoint"),
+                self._kernel_hints.get("forward"),
+            )
+        return self._swapped
 
 
 def make_pair(forward: SparseOperator, kernel_forward=None,
@@ -236,10 +239,9 @@ def helmholtz_decompose(grad_pair: DualPair, curl_pair: DualPair, g: Field,
     """Split an edge field into gradient, cohomology, and curl-adjoint parts.
 
     Requires the complex property curl after gradient = 0, which is checked
-    on entry.  The middle dimension is the nullspace of the stacked
-    operator [curl; divergence] (dense up to 600 edges; above that it falls
-    back to rank arithmetic, which is equivalent once the ranges are
-    orthogonal).
+    on entry.  That makes range(gradient) and range(curl adjoint)
+    orthogonal, so the middle dimension is edges - rank(gradient) -
+    rank(curl) exactly.
     """
     cfg = cfg or SolverConfig()
     edge_space = g.space
@@ -276,19 +278,9 @@ def helmholtz_decompose(grad_pair: DualPair, curl_pair: DualPair, g: Field,
     rank_curl = curl_pair.forward.codomain_space.dim - len(
         curl_pair.kernel_basis("adjoint")
     )
-    if n_edges <= 600:
-        stacked = np.vstack(
-            [curl_pair.forward.to_dense(), grad_pair.adjoint.to_dense()]
-        )
-        svals = np.linalg.svd(stacked, compute_uv=False)
-        smax = svals[0] if svals.size else 0.0
-        rank = int((svals > 1e-10 * max(smax, 1e-30)).sum())
-        dim_middle = n_edges - rank
-    else:
-        dim_middle = n_edges - rank_grad - rank_curl
     dims = {
         "gradient": rank_grad,
-        "cohomology": dim_middle,
+        "cohomology": n_edges - rank_grad - rank_curl,
         "curl": rank_curl,
         "edges": n_edges,
     }

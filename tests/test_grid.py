@@ -86,12 +86,33 @@ def test_hole_count_flood_fill():
         if (i, j) not in ((2, 2), (4, 4))
     ]
     assert GridDomain(cells, 1 / 7).n_holes == 2
+    # the missing centre touches the missing corner (2, 2), which lies
+    # outside, only diagonally: still a hole under 4-connectivity
+    ring = [
+        (i, j) for j in range(3) for i in range(3)
+        if (i, j) not in ((1, 1), (2, 2))
+    ]
+    assert GridDomain(ring, 1 / 3).n_holes == 1
+    # negative coordinates: a 3x3 ring around (-5, -5)
+    ring = [
+        (i, j) for j in range(-6, -3) for i in range(-6, -3) if (i, j) != (-5, -5)
+    ]
+    assert GridDomain(ring, 1 / 3).n_holes == 1
 
 
 def test_components():
     two = GridDomain([(0, 0), (5, 5)], 0.1)
     assert two.n_components == 2
     assert build_domain("annulus", 8).n_components == 1
+    # cells touching only at a corner are separate pieces
+    corner = GridDomain([(0, 0), (1, 1)], 0.5)
+    assert corner.n_components == 2
+    assert list(corner.component_labels) == [0, 1]
+    # negative coordinates; pieces are numbered by their first cell
+    neg = GridDomain([(3, -1), (-4, -3), (-3, -3), (-4, -2), (4, -1)], 0.25)
+    assert neg.n_components == 2
+    assert list(neg.component_labels) == [0, 0, 0, 1, 1]
+    assert neg.cells.tolist() == [[-4, -3], [-3, -3], [-4, -2], [3, -1], [4, -1]]
 
 
 def test_diameter_against_corner_scan():

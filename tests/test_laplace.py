@@ -190,6 +190,10 @@ def test_helper_measurements():
     assert strip_norm(dom, inner, 0) == 0.0
     assert normal_difference_norm(dom, inner) == 0.0
     assert normal_difference_norm(dom, v) > 0
+    # face-by-face sum of h^2 (2 v_k / h)^2 as the reference
+    w = np.random.default_rng(5).normal(size=dom.n_cells)
+    faces = sum(dom.h**2 * (2.0 * w[k] / dom.h) ** 2 for k, _ in dom.boundary_faces)
+    assert normal_difference_norm(dom, w) == pytest.approx(np.sqrt(faces), rel=1e-14)
     ones = np.ones(dom.n_cells)
     assert mean_defect(dom, ones) == pytest.approx(dom.cell_space.norm(ones))
     assert mean_defect(dom, ones - ones.mean()) < 1e-15

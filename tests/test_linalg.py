@@ -249,18 +249,6 @@ def test_eigenpairs_kernel_filter_and_sign():
         smallest_eigenpairs(op, dom.n_cells, kernel_basis=[ones])
 
 
-def test_operator_dump_and_triplets(tmp_path):
-    dom = build_domain("square", 2)
-    op = identity_operator(dom.cell_space)
-    trips = list(op.triplets())
-    assert trips == [(k, k, 1.0) for k in range(4)]
-    path = tmp_path / "op.txt"
-    op.dump(path)
-    lines = path.read_text().splitlines()
-    assert lines[1] == "row,col,value"
-    assert len(lines) == 2 + 4
-
-
 # -- direct solves, checked against CG as the oracle ---------------------------
 
 # (catalog key, Neumann-labeled boundary, operator kernel is the constants)

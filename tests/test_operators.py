@@ -15,7 +15,6 @@ from bizoo.operators import (
     assemble_interior_biharmonic,
     assemble_interior_laplacian,
     assemble_laplacian,
-    assemble_overdetermined,
     assemble_pad,
 )
 
@@ -136,14 +135,6 @@ def test_biharmonic_stencil_coefficients():
     vals = sorted(B.matrix.getcol(col).toarray().ravel() * h4)
     nonzero = [v for v in vals if v != 0.0]
     assert sorted(nonzero) == [-8.0] * 4 + [1.0] * 4 + [2.0] * 4 + [20.0]
-
-
-def test_overdetermined_dispatch():
-    dom = build_domain("square", 6)
-    assert assemble_overdetermined(dom, "laplacian").shape == (36, 16)
-    assert assemble_overdetermined(dom, "biharmonic").shape == (36, 4)
-    with pytest.raises(ValueError):
-        assemble_overdetermined(dom, "cubic")
 
 
 def test_pad_adjoint_is_restriction():

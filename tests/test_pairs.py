@@ -105,6 +105,7 @@ def test_swapped_pair_shares_hints():
     pair = make_pair(cat.gradient, kernel_forward=[np.ones(dom.n_cells)])
     sw = pair.swapped()
     assert len(sw.kernel_basis("adjoint")) == 1
+    assert pair.swapped() is sw  # built once, kernels found once
 
 
 def test_project_range_reproduces_dense_svd_projector():
@@ -217,7 +218,8 @@ def test_helmholtz_requires_complex_property():
 
 
 def test_helmholtz_dims_match_rank_arithmetic():
-    # dense-SVD middle dimension equals the rank-arithmetic fallback
+    # rank-arithmetic middle dimension equals the nullity of the stacked
+    # operator [curl; divergence], found by a dense SVD
     for shape, n in (("square", 6), ("annulus", 8)):
         dom = build_domain(shape, n)
         cat = OperatorCatalog(dom)
@@ -225,8 +227,8 @@ def test_helmholtz_dims_match_rank_arithmetic():
         curl = make_pair(cat.curl)
         g = Field(dom.edge_space, rng(8).normal(size=dom.edge_space.dim))
         split = helmholtz_decompose(grad, curl, g)
-        fallback = (
-            split.dims["edges"] - split.dims["gradient"] - split.dims["curl"]
-        )
-        assert split.dims["cohomology"] == fallback
+        stacked = np.vstack([curl.forward.to_dense(), grad.adjoint.to_dense()])
+        svals = np.linalg.svd(stacked, compute_uv=False)
+        rank = int((svals > 1e-10 * svals[0]).sum())
+        assert split.dims["cohomology"] == split.dims["edges"] - rank
         assert split.dims["cohomology"] == dom.n_holes
