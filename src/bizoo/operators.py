@@ -154,8 +154,9 @@ def _interior_stencil(domain: GridDomain, k: int, table, scale: float) -> Sparse
     ring = domain.ring_cells(k)
     if ring.size == 0:
         raise EmptyDomainError(f"no cells of depth >= {k}: interior stencil is empty")
-    col, row, vals = _triplets(domain, ring, np.arange(ring.size), table, scale)
-    mat = sp.csr_matrix((vals, (row, col)), shape=(domain.n_cells, ring.size))
+    # the table is read around each ring cell; that cell's position is the column
+    pos, nb, vals = _triplets(domain, ring, np.arange(ring.size), table, scale)
+    mat = sp.csr_matrix((vals, (nb, pos)), shape=(domain.n_cells, ring.size))
     return SparseOperator(mat, domain.ring_space(k), domain.cell_space)
 
 
