@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import ConvexHull
 
 from .errors import EmptyDomainError, SpaceMismatchError
 
@@ -270,15 +269,17 @@ class GridDomain:
 
     @cached_property
     def diameter(self) -> float:
-        # a corner shared with a depth >= 1 cell lies between two other
-        # corners, so the hull is spanned by the boundary cells' corners
-        rim = self.cells[self.depth == 0]
-        corners = np.concatenate(
-            [rim, rim + (1, 0), rim + (0, 1), rim + (1, 1)]
-        ) * self.h
-        pts = np.unique(corners, axis=0)
-        hull = pts[ConvexHull(pts).vertices]
-        diff = hull[:, None, :] - hull[None, :, :]
+        # every hull vertex is the leftmost or rightmost corner on its
+        # lattice row, and the cells of row j have corners on rows j and j + 1
+        i, j = self.cells[:, 0], self.cells[:, 1] - self.cells[:, 1].min()
+        left = np.full(j.max() + 2, np.inf)
+        right = np.full(j.max() + 2, -np.inf)
+        for s in (0, 1):
+            np.minimum.at(left, j + s, i)
+            np.maximum.at(right, j + s, i + 1)
+        y = np.flatnonzero(left <= right)
+        pts = np.column_stack([np.r_[left[y], right[y]], np.r_[y, y]]) * self.h
+        diff = pts[:, None, :] - pts[None, :, :]
         return float(np.sqrt((diff**2).sum(axis=2)).max())
 
     @cached_property

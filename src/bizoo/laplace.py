@@ -10,8 +10,9 @@ product; the underdetermined one refines its answer against the
 interior stencil's adjoint rather than the normal product, and shares
 its factor with the harmonic-defect measurement of the same call.
 Mixed interpolates between Dirichlet and Neumann through the face
-labels.  The 13-point biharmonic defect stays on CG: its normal product
-is too ill conditioned for a factor to reach the tolerance.
+labels.  The 13-point biharmonic defect solves the augmented system of
+the interior bilaplacian rather than its normal product, whose
+conditioning is that of the stencil squared.
 
 Every report recomputes its residual and constraint norms from the
 returned solution; nothing is copied out of solver internals.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import CompatibilityError, SpaceMismatchError
 from .grid import DIRICHLET, Field, GridDomain
-from .linalg import SolverConfig, direct_solve, _run_cg
+from .linalg import SolverConfig, augmented_solve, direct_solve
 from .operators import OperatorCatalog
 
 
@@ -118,14 +119,16 @@ def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
 
 
 def biharmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
-                      cfg: SolverConfig | None = None):
-    """Same as harmonic_defect for the 13-point interior stencil."""
-    cfg = cfg or SolverConfig()
+                      cfg: SolverConfig | None = None, factors: dict | None = None):
+    """Same as harmonic_defect for the 13-point interior stencil, through
+    the augmented-system factor; `factors` is passed on to augmented_solve."""
     a = catalog.interior_biharmonic
-    rhs = a.adjoint().apply_raw(values)
-    x, _, _, _ = _run_cg(catalog.biharmonic_normal, rhs, cfg, [], "biharmonic defect")
-    inside = a.apply_raw(x)
-    return catalog.domain.cell_space.norm(values - inside), inside, x
+    _, x, _, _ = augmented_solve(
+        a, Field(a.codomain_space, values), cfg=cfg, factors=factors,
+        name="biharmonic defect",
+    )
+    inside = a.apply_raw(x.values)
+    return catalog.domain.cell_space.norm(values - inside), inside, x.values
 
 
 def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,

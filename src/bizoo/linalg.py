@@ -7,13 +7,17 @@ plain Euclidean ones.
 `direct_solve` inverts a selfadjoint positive (semi)definite operator by a
 banded Cholesky factor of its lower band (cells are numbered row by row, so
 a stencil of reach k has a band of about k grid rows) followed by
-iterative refinement, with CG as the fallback where refinement stalls;
-a caller-owned dict lets several solves of one operator share its
-factor.  For a normal product B* B it can return B x and refine that
-against B* u = b instead.  `cg_solve` and `deflated_cg_solve` are
-conjugate gradients; `normal_cg_solve` runs them on the normal equations.
-Dense eigensolvers take over below 400 unknowns; above that ARPACK
-shift-invert is used.
+iterative refinement, with CG as the fallback where refinement stalls; a
+known kernel (the constants or the affine functions on each connected
+piece) is pinned out at a few cells and gated.  For a normal product
+B* B it can return B x and refine that against B* u = b instead.
+`augmented_solve` handles the least-squares and minimum-norm problems of
+an injective B through a sparse LU factor of [[I, B], [B*, 0]], whose
+conditioning follows B's rather than B* B's.  A caller-owned dict lets
+several solves share a factor.  `cg_solve` and `deflated_cg_solve` are
+conjugate gradients, stopped when the true residual stagnates;
+`normal_cg_solve` runs them on the normal equations.  Dense eigensolvers
+take over below 400 unknowns; above that ARPACK shift-invert is used.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .grid import DofSpace, Field
 DENSE_EIG_LIMIT = 400
 _REORTH_THRESHOLD = 1e-8
 _MAX_REFINEMENT = 10
+_STAGNATION_RESTARTS = 3
 
 
 def default_tolerance() -> float:
@@ -204,6 +209,8 @@ def _run_cg(op: SparseOperator, b: np.ndarray, cfg: SolverConfig, basis, name: s
     Returns (x, iterations, history, residual_norm).  The recurrence
     residual is re-checked against the true one before accepting
     convergence; on drift the recursion restarts from the current iterate.
+    After _STAGNATION_RESTARTS restarts in a row that do not lower the
+    best true residual, ConvergenceFailure reports it against the target.
     """
     space = op.domain_space
     w = space.weights
@@ -221,6 +228,7 @@ def _run_cg(op: SparseOperator, b: np.ndarray, cfg: SolverConfig, basis, name: s
     p = r.copy()
     budget = cfg.iteration_budget(space.dim)
     iterations = 0
+    best, stalls = math.inf, 0  # best true residual, restarts since it fell
     while math.sqrt(rs) > target:
         if iterations >= budget:
             raise ConvergenceFailure(
@@ -253,6 +261,19 @@ def _run_cg(op: SparseOperator, b: np.ndarray, cfg: SolverConfig, basis, name: s
                 r, rs = true_r, true_rs
                 history[-1] = math.sqrt(true_rs)
                 break
+            # the recurrence keeps reaching the target while the true
+            # residual sits at its attainable-accuracy floor
+            if math.sqrt(true_rs) < best:
+                best, stalls = math.sqrt(true_rs), 0
+            else:
+                stalls += 1
+                if stalls >= _STAGNATION_RESTARTS:
+                    raise ConvergenceFailure(
+                        f"{name}: stagnated at true residual {best:.3e}, "
+                        f"target {target:.3e} ({stalls} restarts without "
+                        f"improvement after {iterations} iterations)",
+                        residual_history=history,
+                    )
             r, rs = true_r, true_rs
             p = r.copy()
             continue
@@ -394,9 +415,19 @@ class _BandedCholesky:
         )
 
 
+def _factor(factors: dict | None, key, build):
+    """The factor stored under key in a caller-owned dict, built and stored
+    on first use; without a dict, a fresh one."""
+    if factors is None:
+        return build()
+    if key not in factors:
+        factors[key] = build()
+    return factors[key]
+
+
 def _piecewise_constants(space: DofSpace, labels: np.ndarray):
-    """Orthonormal indicators of the labelled pieces, and the first cell of
-    each piece."""
+    """Kernel of the constants on each labelled piece: orthonormal
+    indicators of the pieces, and the first cell of each piece to pin."""
     first = np.unique(labels, return_index=True)[1]
     basis = []
     for k in labels[first]:
@@ -405,23 +436,55 @@ def _piecewise_constants(space: DofSpace, labels: np.ndarray):
     return basis, first
 
 
+def piecewise_affine(space: DofSpace, labels: np.ndarray, centers: np.ndarray):
+    """Kernel of the affine functions on each labelled piece.
+
+    Returns an orthonormal basis (1, x, y on every piece) and three pinned
+    cells per piece: its first cell, the cell farthest from it, and the
+    cell farthest from the line through those two.  An affine function
+    vanishing at three non-collinear points is zero, so pinning them
+    removes the kernel.
+    """
+    basis, pinned = [], []
+    for k in np.unique(labels):
+        on = np.flatnonzero(labels == k)
+        pts = centers[on]
+        a = 0
+        b = int(np.argmax(((pts - pts[a]) ** 2).sum(axis=1)))
+        d = pts[b] - pts[a]
+        c = int(np.argmax(np.abs(d[0] * (pts[:, 1] - pts[a, 1])
+                                 - d[1] * (pts[:, 0] - pts[a, 0]))))
+        pinned += [on[a], on[b], on[c]]
+        vecs = np.zeros((3, space.dim))
+        vecs[0, on] = 1.0
+        vecs[1:, on] = (pts - pts.mean(axis=0)).T
+        basis += orthonormalize(vecs, space)
+    return basis, np.array(pinned, dtype=np.int64)
+
+
 def direct_solve(
     op: SparseOperator,
     b: Field,
     cfg: SolverConfig | None = None,
     *,
+    kernel: tuple | None = None,
     kernel_pieces: np.ndarray | None = None,
     range_of: SparseOperator | None = None,
     factors: dict | None = None,
     name: str = "direct solve",
 ) -> KrylovResult:
-    """Banded Cholesky solve of a selfadjoint positive definite operator.
+    """Banded Cholesky solve of a selfadjoint positive (semi)definite
+    operator.
 
-    kernel_pieces, when given, numbers the connected pieces of the
-    operator's stencil graph cell by cell, and the kernel is the
-    constants on each piece: the data is gated and projected as in
-    deflated_cg_solve, one cell per piece is pinned for the factorization
-    and the solution comes back orthogonal to the kernel.
+    kernel, when given, is (orthonormal basis, pinned cells) of the
+    operator's kernel, with pinned cells on which no nonzero kernel
+    vector vanishes everywhere, as many as the kernel has dimensions
+    (piecewise_affine builds one).  The data is gated and projected as in
+    deflated_cg_solve, the pinned cells are held at zero for the
+    factorization and the solution comes back orthogonal to the kernel.
+    kernel_pieces is short for the constants on each connected piece of
+    the operator's stencil graph, numbered cell by cell, with one pinned
+    cell per piece.
 
     With range_of=B, where op is the normal product B* B, the result is
     u = B x, the minimum-norm solution of B* u = b, and refinement
@@ -447,9 +510,9 @@ def direct_solve(
     if range_of is not None and not range_of.domain_space.compatible(space):
         raise SpaceMismatchError("range_of must map out of the operator's space")
     cfg = cfg or SolverConfig()
-    basis, pinned = [], []
     if kernel_pieces is not None:
-        basis, pinned = _piecewise_constants(space, kernel_pieces)
+        kernel = _piecewise_constants(space, kernel_pieces)
+    basis, pinned = kernel or ([], [])
     rhs, defect = _gate_kernel(space, b, basis, cfg)
     if range_of is None:
         out_space, lift, residual_of = space, None, op.apply_raw
@@ -461,11 +524,7 @@ def direct_solve(
     y = np.zeros(out_space.dim)
     iterations = 0
     if history[0] > 0.0:
-        factor = factors.get(op) if factors is not None else None
-        if factor is None:
-            factor = _BandedCholesky(op, pinned, name)
-            if factors is not None:
-                factors[op] = factor
+        factor = _factor(factors, op, lambda: _BandedCholesky(op, pinned, name))
         r = rhs
         while True:
             d = _project_out(space, factor.solve(r), basis)
@@ -492,6 +551,100 @@ def direct_solve(
                 history.append(space.norm(r))
                 break
     return KrylovResult(Field(out_space, y), iterations, history[-1], defect, history)
+
+
+class _AugmentedLU:
+    """Sparse LU factor of the augmented matrix [[I, B], [B*, 0]].
+
+    It is nonsingular exactly when B is injective, and its conditioning
+    follows B's rather than that of the normal product B* B (Arioli, Duff
+    & de Rijk 1989).
+    """
+
+    def __init__(self, op: SparseOperator, name: str):
+        self.matrix = sp.bmat(
+            [[sp.identity(op.shape[0]), op.matrix], [op.adjoint().matrix, None]],
+            format="csc",
+        )
+        try:
+            self.lu = spla.splu(self.matrix)
+        except RuntimeError as exc:  # exactly singular
+            raise BizooError(f"{name}: operator is not injective ({exc})") from None
+        # sqrt(|B|_1 |B|_inf) bounds the weighted operator norm of B
+        scaled = abs(
+            sp.diags(np.sqrt(op.codomain_space.weights)) @ op.matrix
+            @ sp.diags(1.0 / np.sqrt(op.domain_space.weights))
+        )
+        self.norm_bound = math.sqrt(
+            np.asarray(scaled.sum(axis=0)).max(initial=0.0)
+            * np.asarray(scaled.sum(axis=1)).max(initial=0.0)
+        )
+
+
+def augmented_solve(
+    op: SparseOperator,
+    f: Field | None = None,
+    g: Field | None = None,
+    cfg: SolverConfig | None = None,
+    *,
+    factors: dict | None = None,
+    name: str = "augmented solve",
+):
+    """Solve [[I, B], [B*, 0]] [r; x] = [f; g] for an injective B = op.
+
+    f lives in B's codomain and g in its domain; a missing one is zero.
+    With [f; 0], x is the least-squares solution of B x = f and r = f - B x
+    its residual.  With [0; g], r is the minimum-norm solution of
+    B* r = g, which lies in B's range.  Returns (r, x, iterations,
+    history) with r and x as fields.
+
+    The sparse LU factor is refined on the augmented residual until its
+    relative size, the larger of
+        |f - r - B x| / (|f| + |r|)   and   |g - B* r| / (|g| + |B| |f|),
+    meets cfg.rel_tolerance, with |B| bounded by sqrt(|B|_1 |B|_inf) in
+    the weighted norms.  For [0; g] the second ratio is the relative
+    residual of B* r = g and the first says that r lies in B's range; for
+    [f; 0] the second says that r is orthogonal to that range.  If
+    refinement stops improving first, ConvergenceFailure states the
+    attained and target values.  `history` holds the relative size after
+    each solve with the factor, and `iterations` counts those solves.
+    Given a `factors` dict, the factor is looked up there and stored on
+    first use, as in direct_solve.
+    """
+    cod, dom = op.codomain_space, op.domain_space
+    cfg = cfg or SolverConfig()
+    for data, space, which in ((f, cod, "f"), (g, dom, "g")):
+        if data is not None and not data.space.compatible(space):
+            raise SpaceMismatchError(f"{which} lives in the wrong space")
+    fv = np.zeros(cod.dim) if f is None else f.values
+    gv = np.zeros(dom.dim) if g is None else g.values
+    rhs = np.concatenate([fv, gv])
+    sol = np.zeros_like(rhs)
+    history = []
+    if rhs.any():
+        factor = _factor(factors, ("augmented", op), lambda: _AugmentedLU(op, name))
+        fnorm = cod.norm(fv)
+        second_scale = dom.norm(gv) + factor.norm_bound * fnorm
+        residual = rhs
+        while True:
+            sol += factor.lu.solve(residual)
+            residual = rhs - factor.matrix @ sol
+            history.append(max(
+                cod.norm(residual[: cod.dim]) / (fnorm + cod.norm(sol[: cod.dim])),
+                dom.norm(residual[cod.dim :]) / second_scale,
+            ))
+            if history[-1] <= cfg.rel_tolerance:
+                break
+            stalled = len(history) > 1 and history[-1] >= history[-2]
+            if stalled or len(history) > _MAX_REFINEMENT:
+                raise ConvergenceFailure(
+                    f"{name}: refinement of the augmented system stopped at "
+                    f"relative residual {min(history):.3e}, target "
+                    f"{cfg.rel_tolerance:.1e}",
+                    residual_history=history,
+                )
+    r, x = Field(cod, sol[: cod.dim]), Field(dom, sol[cod.dim :])
+    return r, x, len(history), history
 
 
 # -- eigenpairs -----------------------------------------------------------------

@@ -139,3 +139,17 @@ def test_check_battery(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 13
     assert all(line.startswith("ok: ") for line in lines)
+
+
+@pytest.mark.parametrize("problem,code", [("over", 2), ("under", 0)])
+def test_one_sided_smooth_data_verdicts(problem, code, capsys):
+    # smooth data is far from the deep-interior range: over refuses it as
+    # incompatible, under solves it
+    rc = main(["solve", "--problem", problem, "--rhs", "exp(x)*cos(3*y)+x*y",
+               "--n", "32"])
+    assert rc == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert "compatibility error" in captured.err
+    else:
+        assert json.loads(captured.out)["residuals"]["pde"] <= 1e-8

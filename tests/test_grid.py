@@ -239,3 +239,23 @@ def test_ring_space_dims():
     assert dom.ring_space(2).dim == 4
     with pytest.raises(ValueError):
         dom.ring_space(3)
+
+
+@pytest.mark.parametrize("shape,n", [
+    (shape, n) for shape in ("square", "lshape", "annulus") for n in (8, 64, 256)
+] + [("two_holes", 7)])
+def test_diameter_matches_convex_hull(shape, n):
+    from scipy.spatial import ConvexHull
+
+    if shape == "two_holes":
+        dom = GridDomain([(i, j) for j in range(n) for i in range(n)
+                          if (i, j) not in ((2, 2), (4, 4))], 1 / n)
+    else:
+        dom = build_domain(shape, n)
+    corners = np.unique(np.concatenate(
+        [dom.cells + s for s in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    ), axis=0) * dom.h
+    hull = corners[ConvexHull(corners).vertices]
+    diff = hull[:, None, :] - hull[None, :, :]
+    expect = np.sqrt((diff**2).sum(axis=2)).max()
+    assert dom.diameter == pytest.approx(expect, rel=1e-14)

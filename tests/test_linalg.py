@@ -443,3 +443,75 @@ def test_direct_solve_guards():
         direct_solve(indefinite, Field(other, np.ones(2)))
     with pytest.raises(BizooError, match="not positive definite"):
         direct_solve(indefinite, Field(space, np.ones(3)))
+
+
+def test_cg_stops_on_stagnation_long_before_its_budget():
+    dom = build_domain("square", 8)
+    op = OperatorCatalog(dom).laplacian_dirichlet
+    b = Field(dom.cell_space, rng(29).normal(size=dom.n_cells))
+    cfg = SolverConfig(rel_tolerance=1e-18)  # under the rounding floor
+    with pytest.raises(ConvergenceFailure) as err:
+        cg_solve(op, b, cfg)
+    message = str(err.value)
+    assert "stagnated at true residual" in message
+    assert f"target {1e-18 * b.norm():.3e}" in message
+    assert len(err.value.residual_history) < cfg.iteration_budget(dom.n_cells) // 10
+
+
+def weighted_injective(seed):
+    """A sparse injective map between spaces with nonuniform weights."""
+    g = rng(seed)
+    dom = DofSpace("d", 6, g.uniform(0.5, 2.0, size=6))
+    cod = DofSpace("c", 10, g.uniform(0.5, 2.0, size=10))
+    mat = sp.random(10, 6, density=0.5, random_state=seed) + sp.eye(10, 6)
+    return SparseOperator(mat, dom, cod), g
+
+
+def test_augmented_solve_least_squares_and_min_norm():
+    op, g = weighted_injective(30)
+    cod, dom = op.codomain_space, op.domain_space
+    s = np.sqrt(cod.weights)
+    mat = op.to_dense()
+    f = Field(cod, g.normal(size=cod.dim))
+    r, x, iterations, history = linalg.augmented_solve(
+        op, f, cfg=SolverConfig(rel_tolerance=1e-12)
+    )
+    expect = np.linalg.lstsq(s[:, None] * mat, s * f.values, rcond=None)[0]
+    assert np.allclose(x.values, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+    assert np.allclose(r.values, f.values - mat @ x.values, atol=1e-13)
+    assert iterations == len(history) >= 1
+    # r is orthogonal to the range in the weighted inner product
+    norm = np.linalg.norm(s[:, None] * mat / np.sqrt(dom.weights), 2)
+    assert dom.norm(op.adjoint().apply_raw(r.values)) <= 1e-12 * norm * f.norm()
+
+    b = Field(dom, g.normal(size=dom.dim))
+    u, _, _, _ = linalg.augmented_solve(op, g=b, cfg=SolverConfig(rel_tolerance=1e-12))
+    assert u.space is cod
+    assert dom.norm(op.adjoint().apply_raw(u.values) - b.values) <= 1e-12 * b.norm()
+    oracle = normal_cg_solve(op, b, "min_norm", SolverConfig(rel_tolerance=1e-14))
+    assert cod.norm(u.values - oracle.field.values) <= 1e-10 * oracle.field.norm()
+
+
+def test_augmented_solve_reuses_factor_and_guards():
+    op, g = weighted_injective(31)
+    factors = {}
+    f = Field(op.codomain_space, g.normal(size=10))
+    first = linalg.augmented_solve(op, f, factors=factors)
+    assert list(factors) == [("augmented", op)]
+    held = factors[("augmented", op)]
+    again = linalg.augmented_solve(op, f, factors=factors)
+    assert factors[("augmented", op)] is held
+    assert np.array_equal(first[1].values, again[1].values)
+    zero = linalg.augmented_solve(op)
+    assert zero[2] == 0 and not zero[0].values.any() and not zero[1].values.any()
+    with pytest.raises(SpaceMismatchError):
+        linalg.augmented_solve(op, Field(op.domain_space, np.ones(6)))
+    with pytest.raises(ConvergenceFailure) as err:
+        linalg.augmented_solve(op, g=Field(op.domain_space, np.ones(6)),
+                               cfg=SolverConfig(rel_tolerance=1e-18))
+    assert "target" in str(err.value)
+    assert len(err.value.residual_history) <= linalg._MAX_REFINEMENT + 1
+    dependent = SparseOperator(sp.csr_matrix(np.ones((3, 2))),
+                               uniform_space("a", 2), uniform_space("b", 3))
+    with pytest.raises(BizooError, match="not injective"):
+        linalg.augmented_solve(dependent, Field(dependent.codomain_space, np.ones(3)))

@@ -5,8 +5,10 @@ import pytest
 
 from bizoo import (
     CompatibilityError,
+    ConvergenceFailure,
     Field,
     ForbiddenCompositionError,
+    GridDomain,
     OperatorCatalog,
     SolverConfig,
     SpaceMismatchError,
@@ -14,14 +16,17 @@ from bizoo import (
     biharmonic_chain_check,
     build_domain,
     classify_zoo,
+    deflated_cg_solve,
     dense_solution_operator,
     exchange_identity_check,
     make_pair,
+    orthonormalize,
     resolve_problem,
     solve_hessian,
     solve_regularized,
     solve_zoo,
 )
+from bizoo.linalg import piecewise_affine
 
 WELL_POSED = (
     "f_c", "c_f", "f_f", "d_f", "n_f", "f_n", "n_n",
@@ -365,3 +370,110 @@ def test_large_square_solves_within_gates():
         assert rep.pde_residual_norm <= 1e-8 * fnorm, label
         for name, value in rep.constraint_norms.items():
             assert value <= 1e-8 * fnorm, (label, name, value)
+
+
+ONE_SIDED_GRIDS = [(shape, n) for shape in ("square", "lshape", "annulus")
+                   for n in (32, 64)] + [("square", 128)]
+
+
+@pytest.mark.parametrize("shape,n", ONE_SIDED_GRIDS)
+def test_one_sided_problems_recover_their_preimage(shape, n):
+    cat = OperatorCatalog(build_domain(shape, n))
+    dom = cat.domain
+    space = dom.cell_space
+    b = cat.interior_biharmonic
+    rng = np.random.default_rng(n)
+    # over: data B y comes back as pad2 y
+    y = rng.normal(size=b.domain_space.dim)
+    f = Field(space, b.apply_raw(y))
+    rep = solve_zoo("over", cat, f)
+    expect = cat.pad2.apply_raw(y)
+    assert space.norm(rep.solution.values - expect) <= 1e-8 * space.norm(expect)
+    assert rep.compatibility_defect <= 1e-8 * f.norm()
+    for name, value in rep.constraint_norms.items():
+        assert value <= 1e-8 * f.norm(), (name, value)
+    # under: every field is data; the answer meets the target on the deep
+    # cells and has no discrete-biharmonic component
+    g = Field(space, rng.normal(size=dom.n_cells))
+    rep = solve_zoo("under", cat, g)
+    u = rep.solution.values
+    assert rep.pde_residual_norm <= 1e-10 * g.norm()
+    assert rep.constraint_norms["u has no discrete-biharmonic component"] \
+        <= 1e-10 * space.norm(u)
+
+
+def test_one_sided_problems_match_dense_operators():
+    cat = OperatorCatalog(build_domain("square", 16))
+    f = compatible_data(cat, "L2_no_biharmonic", seed=51)
+    g = compatible_data(cat, "L2", seed=52)
+    space = cat.domain.cell_space
+    for label, data in (("over", f), ("under", g)):
+        dense = dense_solution_operator(cat, label) @ data.values
+        live = solve_zoo(label, cat, data).solution.values
+        assert space.norm(live - dense) <= 1e-10 * space.norm(dense), label
+
+
+@pytest.mark.parametrize("shape", ("square", "lshape", "annulus"))
+def test_hessian_neumann_factor_agrees_with_deflated_cg(shape):
+    cat = OperatorCatalog(build_domain(shape, 16))
+    dom = cat.domain
+    space = dom.cell_space
+    centers = dom.cell_centers()
+    linears = [np.ones(dom.n_cells), centers[:, 0], centers[:, 1]]
+    vals = np.random.default_rng(53).normal(size=dom.n_cells)
+    for v in orthonormalize(linears, space):
+        vals -= space.inner(v, vals) * v
+    f = Field(space, vals)
+    rep = solve_hessian("neumann", cat, f)
+    op = cat.hessian.adjoint() @ cat.hessian
+    oracle = deflated_cg_solve(op, f, linears, SolverConfig(rel_tolerance=1e-13))
+    x = oracle.field.values
+    assert space.norm(rep.solution.values - x) <= 1e-8 * space.norm(x)
+    assert rep.pde_residual_norm <= 1e-10 * f.norm()
+    # a linear component is incompatible data
+    with pytest.raises(CompatibilityError):
+        solve_hessian("neumann", cat,
+                      Field(space, vals + 1e-6 * f.norm() * centers[:, 0]))
+
+
+def test_hessian_neumann_pins_three_cells_per_piece():
+    # two separate 6x6 squares: the kernel holds the affine functions of each
+    cells = [(i + di, j) for di in (0, 9) for i in range(6) for j in range(6)]
+    dom = GridDomain(cells, 1 / 16)
+    cat = OperatorCatalog(dom)
+    space = dom.cell_space
+    centers = dom.cell_centers()
+    left = dom.cells[:, 0] < 6
+    pieces = [np.where(p, 1.0, 0.0) for p in (left, ~left)]
+    affine = [p * c for p in pieces for c in
+              (np.ones(dom.n_cells), centers[:, 0], centers[:, 1])]
+    vals = np.random.default_rng(54).normal(size=dom.n_cells)
+    for v in orthonormalize(affine, space):
+        vals -= space.inner(v, vals) * v
+    f = Field(space, vals)
+    kernel = piecewise_affine(space, dom.component_labels, centers)
+    assert len(kernel[0]) == 6
+    assert sorted(left[kernel[1]]) == [False] * 3 + [True] * 3
+    rep = solve_hessian("neumann", cat, f)
+    u = rep.solution.values
+    assert rep.pde_residual_norm <= 1e-10 * f.norm()
+    for v in affine:
+        assert abs(space.inner(u, v)) <= 1e-12 * space.norm(u) * space.norm(v)
+    # a kernel component with zero mean over the whole mask
+    shifted = Field(space, vals + 1e-6 * f.norm() * (pieces[0] - pieces[1]))
+    with pytest.raises(CompatibilityError):
+        solve_hessian("neumann", cat, shifted)
+
+
+def test_regularized_fails_fast_at_its_rounding_floor():
+    cat = OperatorCatalog(build_domain("square", 32))
+    dom = cat.domain
+    f = Field(dom.cell_space, np.random.default_rng(55).normal(size=dom.n_cells))
+    with pytest.raises(ConvergenceFailure) as err:
+        solve_regularized(cat, f)
+    message = str(err.value)
+    target = f"target {1e-10 * f.norm():.3e}"
+    assert "refinement stopped at residual" in message and target in message
+    assert "CG fallback" in message and "stagnated at true residual" in message
+    assert message.count(target) == 2
+    assert len(err.value.residual_history) < 20 * dom.n_cells / 1000
