@@ -30,6 +30,10 @@ from .zoo import _BY_NAME, _EXTRAS, classify_zoo, solve_zoo
 
 _LEVELS_ALLOWED = (8, 16, 32, 64, 128)
 
+# built by the first main() call and reused for the rest of the process;
+# not at import, which a one-shot process would pay for before its call
+_PARSER = None
+
 
 class _UsageError(Exception):
     pass
@@ -129,6 +133,13 @@ def _build_parser() -> _Parser:
     p_check.add_argument("--verbose", action="store_true")
 
     return parser
+
+
+def _parser() -> _Parser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
 
 
 def _cmd_domain_make(args) -> int:
@@ -246,7 +257,7 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "domain":
             return _cmd_domain_make(args)
         if args.command == "solve":

@@ -419,17 +419,32 @@ def load_domain(path) -> GridDomain:
 
 
 def write_field_csv(domain: GridDomain, field: Field, path) -> None:
-    """Dump a cell field as i,j,x,y,value rows, value round-trip exact."""
+    """Dump a cell field as i,j,x,y,value rows, value round-trip exact.
+
+    Every float is written with %.17g.  A cell center's x depends on its
+    column i alone and y on its row j alone, so each distinct index and
+    coordinate is formatted once and looked up per row.
+    """
     if not field.space.compatible(domain.cell_space):
         raise SpaceMismatchError("CSV export expects a field on the cell space")
+    fmt = "{:.17g}".format
     centers = domain.cell_centers()
+    index, coord, slot = [], [], []
+    for axis in (0, 1):
+        _, first, inverse = np.unique(
+            domain.cells[:, axis], return_index=True, return_inverse=True
+        )
+        index.append([str(a) for a in domain.cells[first, axis].tolist()])
+        coord.append([fmt(c) for c in centers[first, axis].tolist()])
+        slot.append(inverse.tolist())
+    (si, sj), (sx, sy) = index, coord
+    values = map(fmt, field.values.tolist())
     with open(path, "w") as fh:
         fh.write("i,j,x,y,value\n")
-        for k, (i, j) in enumerate(domain.cells):
-            fh.write(
-                f"{i},{j},{centers[k, 0]:.17g},{centers[k, 1]:.17g},"
-                f"{field.values[k]:.17g}\n"
-            )
+        fh.writelines(
+            f"{si[a]},{sj[b]},{sx[a]},{sy[b]},{v}\n"
+            for a, b, v in zip(*slot, values)
+        )
 
 
 def read_field_csv(path):

@@ -12,7 +12,7 @@ known kernel (the constants or the affine functions on each connected
 piece) is pinned out at a few cells and gated.  For a normal product
 B* B it can return B x and refine that against B* u = b instead.
 `augmented_solve` handles the least-squares and minimum-norm problems of
-an injective B through a sparse LU factor of [[I, B], [B*, 0]], whose
+an injective B through a sparse LU factor of [[a I, B], [B*, 0]], whose
 conditioning follows B's rather than B* B's.  A caller-owned dict lets
 several solves share a factor.  `cg_solve` and `deflated_cg_solve` are
 conjugate gradients, stopped when the true residual stagnates;
@@ -384,27 +384,17 @@ class _BandedCholesky:
     """
 
     def __init__(self, op: SparseOperator, pinned, name: str):
-        w = op.domain_space.weights
-        lower = sp.tril(op.matrix, format="coo")
-        lower.sum_duplicates()
-        rows, cols = lower.row, lower.col
-        vals = w[rows] * lower.data
         pinned = np.asarray(pinned, dtype=np.int64)
-        if pinned.size:
-            keep = ~(np.isin(rows, pinned) | np.isin(cols, pinned))
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        band = np.zeros((int((rows - cols).max(initial=0)) + 1, w.size), order="F")
-        band[rows - cols, cols] = vals
-        band[0, pinned] = 1.0
         try:
             self.band = cholesky_banded(
-                band, overwrite_ab=True, lower=True, check_finite=False
+                _lower_band(op, pinned), overwrite_ab=True, lower=True,
+                check_finite=False,
             )
         except np.linalg.LinAlgError as exc:
             raise BizooError(
                 f"{name}: operator is not positive definite ({exc})"
             ) from None
-        self.weights = w
+        self.weights = op.domain_space.weights
         self.pinned = pinned
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -413,6 +403,35 @@ class _BandedCholesky:
         return cho_solve_banded(
             (self.band, True), b, overwrite_b=True, check_finite=False
         )
+
+
+def _lower_band(op: SparseOperator, pinned: np.ndarray) -> np.ndarray:
+    """Lower band of W A in LAPACK's lower banded layout, read straight
+    off the CSR arrays, with each pinned cell's row and column replaced
+    by the identity's."""
+    w = op.domain_space.weights
+    mat = op.matrix
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    cols = mat.indices
+    free = np.ones(w.size, dtype=bool)
+    free[pinned] = False
+    keep = (cols <= rows) & free[rows] & free[cols]
+    rows, cols = rows[keep], cols[keep]
+    diag = rows - cols
+    shape = (int(diag.max(initial=0)) + 1, w.size)
+    seen = np.zeros(shape, dtype=bool)
+    seen[diag, cols] = True
+    if np.count_nonzero(seen) < diag.size:
+        # duplicate entries, which only a hand-built CSR matrix holds
+        canonical = mat.copy()
+        canonical.sum_duplicates()
+        return _lower_band(
+            SparseOperator(canonical, op.domain_space, op.codomain_space), pinned
+        )
+    band = np.zeros(shape, order="F")
+    band[diag, cols] = w[rows] * mat.data[keep]
+    band[0, pinned] = 1.0
+    return band
 
 
 def _factor(factors: dict | None, key, build):
@@ -554,22 +573,17 @@ def direct_solve(
 
 
 class _AugmentedLU:
-    """Sparse LU factor of the augmented matrix [[I, B], [B*, 0]].
+    """Sparse LU factor of the augmented matrix [[a I, B], [B*, 0]].
 
     It is nonsingular exactly when B is injective, and its conditioning
     follows B's rather than that of the normal product B* B (Arioli, Duff
-    & de Rijk 1989).
+    & de Rijk 1989).  The scale a is the power of two nearest
+    sqrt(|B|): with the unscaled identity the range block of the first
+    solve misses by a relative error growing like |B|, and a power of two
+    rescales the data and the residual block exactly.
     """
 
     def __init__(self, op: SparseOperator, name: str):
-        self.matrix = sp.bmat(
-            [[sp.identity(op.shape[0]), op.matrix], [op.adjoint().matrix, None]],
-            format="csc",
-        )
-        try:
-            self.lu = spla.splu(self.matrix)
-        except RuntimeError as exc:  # exactly singular
-            raise BizooError(f"{name}: operator is not injective ({exc})") from None
         # sqrt(|B|_1 |B|_inf) bounds the weighted operator norm of B
         scaled = abs(
             sp.diags(np.sqrt(op.codomain_space.weights)) @ op.matrix
@@ -579,6 +593,19 @@ class _AugmentedLU:
             np.asarray(scaled.sum(axis=0)).max(initial=0.0)
             * np.asarray(scaled.sum(axis=1)).max(initial=0.0)
         )
+        self.scale = (
+            2.0 ** round(0.5 * math.log2(self.norm_bound))
+            if self.norm_bound > 0 else 1.0
+        )
+        self.matrix = sp.bmat(
+            [[self.scale * sp.identity(op.shape[0]), op.matrix],
+             [op.adjoint().matrix, None]],
+            format="csc",
+        )
+        try:
+            self.lu = spla.splu(self.matrix)
+        except RuntimeError as exc:  # exactly singular
+            raise BizooError(f"{name}: operator is not injective ({exc})") from None
 
 
 def augmented_solve(
@@ -598,8 +625,10 @@ def augmented_solve(
     B* r = g, which lies in B's range.  Returns (r, x, iterations,
     history) with r and x as fields.
 
-    The sparse LU factor is refined on the augmented residual until its
-    relative size, the larger of
+    The factor is that of the scaled system [[a I, B], [B*, 0]], solved
+    for [r / a; x] with data [f; g / a] (see _AugmentedLU for a).  It is
+    refined on the augmented residual until its relative size, the larger
+    of
         |f - r - B x| / (|f| + |r|)   and   |g - B* r| / (|g| + |B| |f|),
     meets cfg.rel_tolerance, with |B| bounded by sqrt(|B|_1 |B|_inf) in
     the weighted norms.  For [0; g] the second ratio is the relative
@@ -618,11 +647,14 @@ def augmented_solve(
             raise SpaceMismatchError(f"{which} lives in the wrong space")
     fv = np.zeros(cod.dim) if f is None else f.values
     gv = np.zeros(dom.dim) if g is None else g.values
-    rhs = np.concatenate([fv, gv])
-    sol = np.zeros_like(rhs)
+    sol = np.zeros(cod.dim + dom.dim)
     history = []
-    if rhs.any():
+    a = 1.0
+    if fv.any() or gv.any():
         factor = _factor(factors, ("augmented", op), lambda: _AugmentedLU(op, name))
+        # the factor solves for [r / a; x], with data [f; g / a]
+        a = factor.scale
+        rhs = np.concatenate([fv, gv / a])
         fnorm = cod.norm(fv)
         second_scale = dom.norm(gv) + factor.norm_bound * fnorm
         residual = rhs
@@ -630,8 +662,9 @@ def augmented_solve(
             sol += factor.lu.solve(residual)
             residual = rhs - factor.matrix @ sol
             history.append(max(
-                cod.norm(residual[: cod.dim]) / (fnorm + cod.norm(sol[: cod.dim])),
-                dom.norm(residual[cod.dim :]) / second_scale,
+                cod.norm(residual[: cod.dim])
+                / (fnorm + a * cod.norm(sol[: cod.dim])),
+                a * dom.norm(residual[cod.dim :]) / second_scale,
             ))
             if history[-1] <= cfg.rel_tolerance:
                 break
@@ -643,7 +676,7 @@ def augmented_solve(
                     f"{cfg.rel_tolerance:.1e}",
                     residual_history=history,
                 )
-    r, x = Field(cod, sol[: cod.dim]), Field(dom, sol[cod.dim :])
+    r, x = Field(cod, a * sol[: cod.dim]), Field(dom, sol[cod.dim :])
     return r, x, len(history), history
 
 

@@ -121,16 +121,18 @@ def assemble_gradient(domain: GridDomain, include_boundary: bool = False) -> Spa
     return SparseOperator(mat, domain.cell_space, codomain)
 
 
-def assemble_laplacian(domain: GridDomain, kind: str) -> SparseOperator:
+def assemble_laplacian(domain: GridDomain, kind: str,
+                       gradient: SparseOperator | None = None) -> SparseOperator:
     """Cell-centered Laplacian: "neumann", "dirichlet", or "mixed".
 
     All three share the interior stencil; they differ only in the 2/h^2
     diagonal penalty (none, every boundary face, Dirichlet-labeled faces).
     The mixed kind with no Dirichlet-labeled face equals the Neumann one
     entrywise, and with all faces labeled Dirichlet equals the Dirichlet
-    one entrywise.
+    one entrywise.  `gradient` is the domain's interior gradient when the
+    caller already holds it; otherwise it is assembled here.
     """
-    grad = assemble_gradient(domain)
+    grad = gradient if gradient is not None else assemble_gradient(domain)
     base = (grad.adjoint() @ grad).matrix
     if kind == "neumann":
         counts = None
@@ -297,19 +299,22 @@ class OperatorCatalog:
     @property
     def laplacian_neumann(self) -> SparseOperator:
         return self._get(
-            "laplacian_neumann", lambda: assemble_laplacian(self.domain, "neumann")
+            "laplacian_neumann",
+            lambda: assemble_laplacian(self.domain, "neumann", self.gradient),
         )
 
     @property
     def laplacian_dirichlet(self) -> SparseOperator:
         return self._get(
-            "laplacian_dirichlet", lambda: assemble_laplacian(self.domain, "dirichlet")
+            "laplacian_dirichlet",
+            lambda: assemble_laplacian(self.domain, "dirichlet", self.gradient),
         )
 
     @property
     def laplacian_mixed(self) -> SparseOperator:
         return self._get(
-            "laplacian_mixed", lambda: assemble_laplacian(self.domain, "mixed")
+            "laplacian_mixed",
+            lambda: assemble_laplacian(self.domain, "mixed", self.gradient),
         )
 
     @property

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bizoo import build_domain, read_field_csv, solve_zoo
+import bizoo
+from bizoo import build_domain, cli, read_field_csv, solve_zoo
 from bizoo.cli import main
 from bizoo.expressions import Expression
 
@@ -153,3 +160,60 @@ def test_one_sided_smooth_data_verdicts(problem, code, capsys):
         assert "compatibility error" in captured.err
     else:
         assert json.loads(captured.out)["residuals"]["pde"] <= 1e-8
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter on this checkout's package."""
+    src = Path(bizoo.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=False)
+
+
+def test_import_leaves_the_parser_unbuilt():
+    probe = fresh_python("-c", "import sys, bizoo.cli as cli; "
+                               "sys.exit(0 if cli._PARSER is None else 1)")
+    assert probe.returncode == 0, probe.stderr
+
+
+def test_one_process_reuses_the_parser_across_calls(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    first = tmp_path / "first.csv"
+    assert main(["solve", "--problem", "navier", "--rhs", "x*y", "--n", "8",
+                 "--dump", str(first)]) == 0
+    parser = cli._PARSER
+    assert parser is not None
+    out, err = capsys.readouterr()
+    assert json.loads(out)["problem"] == "d_d" and err == ""
+
+    assert main(["solve", "--problem", "navier", "--n", "8"]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "the following arguments are required: --rhs" in err
+    assert "factor" in err  # grammar reminder
+
+    assert main(["solve", "--problem", "d_n", "--rhs", "x", "--n", "8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "forbidden composition" in err
+
+    # the cached parser writes to the stream in place at each call
+    redirected = io.StringIO()
+    with contextlib.redirect_stderr(redirected):
+        assert main(["solve", "--problem", "bogus", "--rhs", "x"]) == 64
+    assert "invalid choice: 'bogus'" in redirected.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+    argv = ["solve", "--problem", "under", "--rhs", "exp(x)*cos(3*y)",
+            "--shape", "lshape", "--n", "12"]
+    second = tmp_path / "second.csv"
+    assert main(argv + ["--dump", str(second)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["problem"] == "under" and err == ""
+    assert cli._PARSER is parser
+
+    alone = tmp_path / "alone.csv"
+    lone = fresh_python("-m", "bizoo", *argv, "--dump", str(alone))
+    assert lone.returncode == 0, lone.stderr
+    assert second.read_bytes() == alone.read_bytes()
+    assert first.read_bytes() != second.read_bytes()

@@ -14,6 +14,7 @@ from bizoo import (
     save_domain,
     write_field_csv,
 )
+from test_operator_golden import golden_domains
 
 
 def bfs_depth(cells):
@@ -230,6 +231,46 @@ def test_field_csv_round_trip_is_bitwise(tmp_path):
     bad = Field(dom.ring_space(1), np.zeros(dom.ring_cells(1).size))
     with pytest.raises(SpaceMismatchError):
         write_field_csv(dom, bad, path)
+
+
+def old_write_field_csv(domain, field, path):
+    """The per-row writer the one-pass writer replaced."""
+    centers = domain.cell_centers()
+    with open(path, "w") as fh:
+        fh.write("i,j,x,y,value\n")
+        for k, (i, j) in enumerate(domain.cells):
+            fh.write(
+                f"{i},{j},{centers[k, 0]:.17g},{centers[k, 1]:.17g},"
+                f"{field.values[k]:.17g}\n"
+            )
+
+
+CSV_DOMAINS = {
+    "square16": lambda: build_domain("square", 16),
+    "lshape32": lambda: build_domain("lshape", 32),
+    "annulus32": lambda: build_domain("annulus", 32),
+    "rectangle7w3": lambda: build_domain("rectangle", 7, width=3.0),
+    "two_piece_negative": lambda: golden_domains()["two_piece_negative"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_DOMAINS))
+def test_field_csv_bytes_match_the_per_row_writer(tmp_path, name):
+    dom = CSV_DOMAINS[name]()
+    special = [0.0, -0.0, 1.0, 1e-300, -1e300, 5e-324, 0.1, -2.5]
+    vals = np.random.default_rng(len(name)).normal(size=dom.n_cells)
+    vals[: len(special)] = special
+    field = Field(dom.cell_space, vals)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_field_csv(dom, field, new)
+    old_write_field_csv(dom, field, old)
+    assert new.read_bytes() == old.read_bytes()
+    lines = new.read_text().splitlines()
+    assert len(lines) == dom.n_cells + 1
+    assert lines[2].endswith(",-0")  # the sign of -0.0 survives
+    _, centers, values = read_field_csv(new)
+    assert np.array_equal(values, vals)
+    assert np.array_equal(centers, dom.cell_centers())
 
 
 def test_ring_space_dims():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
 
 from bizoo import (
     BizooError,
@@ -23,6 +24,7 @@ from bizoo import (
 )
 from bizoo import linalg
 from bizoo.grid import DofSpace, GridDomain
+from test_operator_golden import golden_domains
 
 
 def rng(seed=0):
@@ -430,6 +432,89 @@ def test_direct_solve_reuses_a_caller_owned_factor():
     assert first.iterations >= 1
     zero = direct_solve(op, Field(op.domain_space, np.zeros(op.domain_space.dim)))
     assert zero.iterations == 0 and not zero.field.values.any()
+
+
+def old_lower_band(op, pinned):
+    """The band as the COO construction before the CSR one built it."""
+    w = op.domain_space.weights
+    lower = sp.tril(op.matrix, format="coo")
+    lower.sum_duplicates()
+    rows, cols = lower.row, lower.col
+    vals = w[rows] * lower.data
+    if pinned.size:
+        keep = ~(np.isin(rows, pinned) | np.isin(cols, pinned))
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    band = np.zeros((int((rows - cols).max(initial=0)) + 1, w.size), order="F")
+    band[rows - cols, cols] = vals
+    band[0, pinned] = 1.0
+    return band
+
+
+def factored_operators(cat):
+    """(name, operator, pinned cells) of every kind direct_solve factors
+    that the catalog's domain admits."""
+    dom = cat.domain
+    space = dom.cell_space
+    none = np.zeros(0, dtype=np.int64)
+    pieces = linalg._piecewise_constants(space, dom.component_labels)[1]
+
+    def hessian_neumann():
+        return cat.hessian.adjoint() @ cat.hessian
+
+    def regularized():
+        return (cat.interior_laplacian @ cat.free_laplacian
+                + identity_operator(space))
+
+    for key, build, pinned in (
+        ("laplacian_neumann", lambda: cat.laplacian_neumann, pieces),
+        ("laplacian_dirichlet", lambda: cat.laplacian_dirichlet, none),
+        ("laplacian_dirichlet pinned", lambda: cat.laplacian_dirichlet, pieces),
+        ("interior_normal", lambda: cat.interior_normal, none),
+        ("biharmonic_normal", lambda: cat.biharmonic_normal, none),
+        ("regularized", regularized, none),
+        ("hessian_neumann", hessian_neumann, None),
+        ("hessian_dirichlet", lambda: cat.hessian_dirichlet_normal, none),
+    ):
+        try:
+            op = build()
+        except BizooError:  # no deep cells, or a cell without a 3-cell run
+            continue
+        if pinned is None:
+            pinned = linalg.piecewise_affine(space, dom.component_labels,
+                                             dom.cell_centers())[1]
+        yield key, op, pinned
+
+
+@pytest.mark.parametrize("name", sorted(golden_domains()))
+def test_band_and_factor_match_the_coo_construction(name):
+    cat = OperatorCatalog(golden_domains()[name])
+    seen = []
+    for key, op, pinned in factored_operators(cat):
+        seen.append(key)
+        expect = old_lower_band(op, pinned)
+        band = linalg._lower_band(op, pinned)
+        assert band.shape == expect.shape, key
+        assert band.flags.f_contiguous, key
+        assert band.tobytes() == expect.tobytes(), key
+        factor = cholesky_banded(expect, lower=True, check_finite=False)
+        got = linalg._BandedCholesky(op, pinned, key).band
+        assert got.tobytes() == factor.tobytes(), key
+    assert {"laplacian_neumann", "interior_normal"} <= set(seen)
+
+
+def test_band_sums_duplicate_entries_of_a_hand_built_matrix():
+    space = uniform_space("s", 3, 0.5)
+    # (1, 0) and (2, 2) are stored twice; the COO construction sums them
+    data = np.array([4.0, 1.0, 0.5, 0.25, 5.0, 2.0, 1.0, 3.0])
+    indices = np.array([0, 0, 1, 0, 1, 2, 1, 2])
+    indptr = np.array([0, 1, 5, 8])
+    mat = sp.csr_matrix((data, indices, indptr), shape=(3, 3))
+    op = SparseOperator(mat, space, space)
+    assert op.matrix.nnz == 8
+    for pinned in (np.zeros(0, dtype=np.int64), np.array([1])):
+        band = linalg._lower_band(op, pinned)
+        assert band.tobytes() == old_lower_band(op, pinned).tobytes()
+    assert op.matrix.nnz == 8  # the operator's own matrix is left as it is
 
 
 def test_direct_solve_guards():

@@ -26,6 +26,7 @@ from bizoo import (
     solve_regularized,
     solve_zoo,
 )
+from bizoo.expressions import Expression
 from bizoo.linalg import piecewise_affine
 
 WELL_POSED = (
@@ -400,6 +401,21 @@ def test_one_sided_problems_recover_their_preimage(shape, n):
     assert rep.pde_residual_norm <= 1e-10 * g.norm()
     assert rep.constraint_norms["u has no discrete-biharmonic component"] \
         <= 1e-10 * space.norm(u)
+
+
+@pytest.mark.parametrize("shape,n", ONE_SIDED_GRIDS[:-1])
+def test_under_meets_its_target_with_one_solve(shape, n):
+    # the scaled identity block leaves the first augmented solve within
+    # the target, so no refinement step follows
+    cat = OperatorCatalog(build_domain(shape, n))
+    dom = cat.domain
+    smooth = Expression("exp(x)*cos(3*y)+x*y").on_domain(dom)
+    noise = Field(dom.cell_space,
+                  np.random.default_rng(n + 1).normal(size=dom.n_cells))
+    for g in (smooth, noise):
+        rep = solve_zoo("under", cat, g)
+        assert rep.iterations == 1
+        assert rep.pde_residual_norm <= 1e-10 * g.norm()
 
 
 def test_one_sided_problems_match_dense_operators():
