@@ -24,8 +24,7 @@ rng = np.random.default_rng(7)
 for shape in ("square", "annulus"):
     domain = build_domain(shape, 16)
     catalog = OperatorCatalog(domain)
-    grad_pair = make_pair(catalog.gradient,
-                          kernel_forward=[domain.cell_space.ones()])
+    grad_pair = make_pair(catalog.gradient)
     curl_pair = make_pair(catalog.curl)
     g = Field(domain.edge_space, rng.normal(size=domain.edge_space.dim))
     split = helmholtz_decompose(grad_pair, curl_pair, g)
@@ -44,7 +43,7 @@ for shape, kw in (("square", {}), ("rectangle", {"width": 3.0}),
 
 domain = build_domain("square", 16)
 catalog = OperatorCatalog(domain)
-audit = constants_audit(domain)
+audit = constants_audit(catalog)
 for kind, c in (("dirichlet", audit["c_f_h"]), ("neumann", audit["c_p_h"])):
     rep = estimate_chain_check(kind, catalog, c, samples=50)
     print(f"\n{kind} chain with its measured constant: ok={rep.ok()}, "
@@ -53,6 +52,6 @@ for kind, c in (("dirichlet", audit["c_f_h"]), ("neumann", audit["c_p_h"])):
 # swap the pair on a dense-sized grid so the big adjoint-side kernel is
 # discovered by SVD rather than needing an explicit basis
 small = OperatorCatalog(build_domain("square", 10))
-pair = make_pair(small.gradient_dirichlet, kernel_forward=())
+pair = make_pair(small.gradient_dirichlet)
 print(f"\nswap symmetry at n=10: {best_constant(pair):.10f} vs "
       f"{best_constant(pair.swapped()):.10f}")

@@ -211,8 +211,7 @@ def _cmd_helmholtz(args) -> int:
     vals = np.where(domain.face_axes == 0, ex(x, y), ey(x, y))
     vals = np.broadcast_to(np.asarray(vals, dtype=float), x.shape).copy()
     g = Field(domain.edge_space, vals)
-    grad_pair = make_pair(catalog.gradient,
-                          kernel_forward=[domain.cell_space.ones()])
+    grad_pair = make_pair(catalog.gradient)
     curl_pair = make_pair(catalog.curl)
     split = helmholtz_decompose(grad_pair, curl_pair, g)
     _emit(

@@ -16,17 +16,26 @@ an injective B through a sparse LU factor of [[a I, B], [B*, 0]], whose
 conditioning follows B's rather than B* B's.  A caller-owned dict lets
 several solves share a factor.  `cg_solve` and `deflated_cg_solve` are
 conjugate gradients, stopped when the true residual stagnates;
-`normal_cg_solve` runs them on the normal equations.  Dense eigensolvers
-take over below 400 unknowns; above that ARPACK shift-invert is used.
+`normal_cg_solve` runs them on the normal equations.
+
+`smallest_eigenpairs` is dense up to 400 unknowns, deflated exactly on the
+complement of a known kernel.  Above that, with a known kernel, Lanczos
+runs on the operator's pseudo-inverse, applied through the same pinned
+banded Cholesky factor `direct_solve` uses (Lehoucq, Sorensen & Yang 1998,
+ARPACK Users' Guide, section 4); only an operator whose kernel is unknown
+takes ARPACK shift-invert.  `pivoted_pins` picks the pinned cells of any
+kernel basis by a column-pivoted QR (Businger & Golub 1965).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -86,7 +95,13 @@ class SparseOperator:
 
     adjoint() returns the weighted transpose M* with
     <M u, v>_cod = <u, M* v>_dom for all u, v; adjoint is an involution
-    (the back link is cached so adjoint(adjoint(M)) is M itself).
+    (M* keeps a weak link back, so adjoint(adjoint(M)) is M itself while
+    M lives, and the two form no reference cycle that only the garbage
+    collector could free).
+
+    `kernel` is None when the kernel is unknown, else (weighted-orthonormal
+    basis, pinned cells) as direct_solve takes it; the operator catalog
+    sets it where the domain's topology determines the kernel.
     """
 
     def __init__(self, matrix, domain_space: DofSpace, codomain_space: DofSpace):
@@ -100,7 +115,9 @@ class SparseOperator:
         self.matrix = m
         self.domain_space = domain_space
         self.codomain_space = codomain_space
+        self.kernel = None
         self._adjoint = None
+        self._adjoint_of = None
 
     @property
     def shape(self):
@@ -119,6 +136,9 @@ class SparseOperator:
 
     def adjoint(self) -> "SparseOperator":
         if self._adjoint is None:
+            origin = self._adjoint_of() if self._adjoint_of is not None else None
+            if origin is not None:
+                return origin
             wd = self.domain_space.weights
             wc = self.codomain_space.weights
             du = wd[0] if wd.size and np.all(wd == wd[0]) else None
@@ -130,7 +150,7 @@ class SparseOperator:
             else:
                 mat = sp.diags(1.0 / wd) @ self.matrix.T @ sp.diags(wc)
             adj = SparseOperator(mat.tocsr(), self.codomain_space, self.domain_space)
-            adj._adjoint = self
+            adj._adjoint_of = weakref.ref(self)
             self._adjoint = adj
         return self._adjoint
 
@@ -444,6 +464,19 @@ def _factor(factors: dict | None, key, build):
     return factors[key]
 
 
+def pivoted_pins(basis) -> np.ndarray:
+    """One cell per kernel vector to pin, by a column-pivoted QR of the
+    basis (Businger & Golub 1965).
+
+    The pivots are cells on which the basis restricted is nonsingular, so
+    no nonzero kernel vector vanishes on all of them.
+    """
+    if not len(basis):
+        return np.empty(0, dtype=np.int64)
+    _, piv = sla.qr(np.asarray(basis), mode="r", pivoting=True)
+    return np.sort(piv[: len(basis)]).astype(np.int64)
+
+
 def _piecewise_constants(space: DofSpace, labels: np.ndarray):
     """Kernel of the constants on each labelled piece: orthonormal
     indicators of the pieces, and the first cell of each piece to pin."""
@@ -498,9 +531,10 @@ def direct_solve(
     kernel, when given, is (orthonormal basis, pinned cells) of the
     operator's kernel, with pinned cells on which no nonzero kernel
     vector vanishes everywhere, as many as the kernel has dimensions
-    (piecewise_affine builds one).  The data is gated and projected as in
-    deflated_cg_solve, the pinned cells are held at zero for the
-    factorization and the solution comes back orthogonal to the kernel.
+    (piecewise_affine builds one; pivoted_pins pins any basis).  The data
+    is gated and projected as in deflated_cg_solve, the pinned cells are
+    held at zero for the factorization and the solution comes back
+    orthogonal to the kernel.
     kernel_pieces is short for the constants on each connected piece of
     the operator's stencil graph, numbered cell by cell, with one pinned
     cell per piece.
@@ -702,65 +736,85 @@ def smallest_eigenpairs(
     count: int,
     kernel_basis=None,
     cfg: SolverConfig | None = None,
+    *,
+    kernel: tuple | None = None,
+    factors: dict | None = None,
 ):
     """Smallest eigenpairs of a selfadjoint PSD endomorphism.
 
-    With a kernel basis supplied, eigenpairs aligned with the kernel are
-    filtered out and the count refers to the remaining spectrum.
-    Eigenvectors come back weighted-orthonormal with the
-    largest-magnitude entry positive; each satisfies
-    |op v - lambda v| <= tol * max(lambda, eps-floor).
+    A kernel is given as kernel=(orthonormal basis, pinned cells), as
+    direct_solve takes it, or as a kernel_basis whose cells to pin
+    pivoted_pins picks.  The eigenpairs are then those of op restricted to
+    the kernel's orthogonal complement, and the count refers to that
+    spectrum.  The kernel must be complete: an eigenvalue on the
+    complement that the residual gate cannot tell from zero raises
+    BizooError.  Without a kernel the whole spectrum counts, zeros too.
+
+    Up to DENSE_EIG_LIMIT unknowns the eigenproblem is dense.  Above it,
+    with a kernel, Lanczos finds the largest eigenvalues 1 / lambda of the
+    pseudo-inverse, applied through the pinned banded Cholesky factor
+    (stored in `factors` as direct_solve stores it) between projections
+    off the kernel; without one, ARPACK runs in shift-invert mode.
+    Eigenvectors come back weighted-orthonormal with the largest-magnitude
+    entry positive; each satisfies
+    |op v - lambda v| <= max(tol * lambda, 1e-11 * max |diag op|).
     """
     if not op.domain_space.compatible(op.codomain_space):
         raise SpaceMismatchError("eigensolve needs an endomorphism")
     cfg = cfg or SolverConfig()
     space = op.domain_space
     dim = space.dim
-    basis = orthonormalize(kernel_basis or [], space)
+    if kernel is None and kernel_basis is not None:
+        basis = orthonormalize(kernel_basis, space)
+        kernel = (basis, pivoted_pins(basis))
+    basis = kernel[0] if kernel is not None else []
     if count + len(basis) > dim:
         raise ValueError(
             f"requested {count} eigenpairs plus {len(basis)} kernel vectors "
             f"exceeds dimension {dim}"
         )
     s = np.sqrt(space.weights)
-    kernel_t = [s * b for b in basis]  # plain-orthonormal in the similar problem
+    # the kernel as plain-orthonormal columns of the similar problem
+    kt = np.array([s * b for b in basis]).reshape(len(basis), dim).T
+    # deterministic generic start vector; ARPACK's default is random
+    v0 = np.random.default_rng(180).standard_normal(dim)
 
     if dim <= DENSE_EIG_LIMIT:
         sym = _sym_dense(op)
-        vals, vecs = np.linalg.eigh(sym)
-        order = np.argsort(vals)
-        pairs = []
-        for idx in order:
-            q = vecs[:, idx]
-            if kernel_t and sum(float(np.dot(k, q)) ** 2 for k in kernel_t) > 0.25:
-                continue
-            pairs.append((float(vals[idx]), q))
-            if len(pairs) == count:
-                break
-    else:
+        if basis:
+            # restrict to an orthonormal basis of the kernel's complement
+            comp = sla.qr(kt)[0][:, len(basis):]
+            vals, vecs = np.linalg.eigh(comp.T @ sym @ comp)
+            vecs = comp @ vecs
+        else:
+            vals, vecs = np.linalg.eigh(sym)
+        lams, qs = vals[:count], vecs[:, :count].T
+    elif kernel is None:
         sym = _sym_sparse(op)
-        k = count + len(kernel_t)
-        # deterministic generic start vector; ARPACK default is random
-        rng = np.random.default_rng(180)
-        v0 = rng.standard_normal(dim)
         sigma = -max(1e-3 * float(sym.diagonal().mean()), 1e-12)
-        vals, vecs = spla.eigsh(sym, k=k, sigma=sigma, which="LM", v0=v0)
+        vals, vecs = spla.eigsh(sym, k=count, sigma=sigma, which="LM", v0=v0)
         order = np.argsort(vals)
-        pairs = []
-        for idx in order:
-            q = vecs[:, idx]
-            q = q / np.linalg.norm(q)
-            if kernel_t and sum(float(np.dot(kv, q)) ** 2 for kv in kernel_t) > 0.25:
-                continue
-            pairs.append((float(vals[idx]), q))
-            if len(pairs) == count:
-                break
-    if len(pairs) < count:
-        raise BizooError("eigensolver returned fewer usable pairs than requested")
+        lams, qs = vals[order], vecs[:, order].T
+    else:
+        pinned = kernel[1]
+        factor = _factor(factors, op, lambda: _BandedCholesky(op, pinned, "eigensolve"))
 
-    scale = float(np.abs(sym.diagonal()).max()) if dim else 1.0
+        def deflate(v):
+            return v - kt @ (kt.T @ v)
+
+        def pseudo_inverse(v):
+            return deflate(s * factor.solve(deflate(np.ravel(v)) / s))
+
+        inverse = spla.LinearOperator((dim, dim), matvec=pseudo_inverse, dtype=float)
+        mus, vecs = spla.eigsh(inverse, k=count, which="LA", v0=deflate(v0))
+        if mus.min() <= 0.0:
+            raise BizooError("eigensolve: pseudo-inverse is not positive definite")
+        order = np.argsort(-mus)
+        lams, qs = 1.0 / mus[order], vecs[:, order].T
+
+    scale = float(np.abs(op.matrix.diagonal()).max()) if dim else 1.0
     results = []
-    for lam, q in pairs:
+    for lam, q in zip(lams.tolist(), qs):
         v = q / s
         v = v / space.norm(v)
         peak = int(np.argmax(np.abs(v)))
@@ -772,6 +826,11 @@ def smallest_eigenpairs(
             raise BizooError(
                 f"eigenpair residual {residual:.3e} exceeds gate {gate:.3e} "
                 f"for eigenvalue {lam:.6e}"
+            )
+        if kernel is not None and lam <= 1e-11 * scale:
+            raise BizooError(
+                f"eigenvalue {lam:.3e} off the kernel is zero to the residual "
+                f"gate's resolution {1e-11 * scale:.1e}: the kernel is incomplete"
             )
         results.append((max(lam, 0.0), Field(space, v)))
     return results

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .errors import EmptyDomainError, StencilReachError
 from .grid import DIRICHLET, GridDomain
-from .linalg import SparseOperator
+from .linalg import SparseOperator, _piecewise_constants
 
 # offset/coefficient tables; values are divided by h^2 (h^4 for the
 # 13-point bilaplacian, h for first differences) at assembly
@@ -165,8 +165,11 @@ def _interior_stencil(domain: GridDomain, k: int, table, scale: float) -> Sparse
 def assemble_interior_laplacian(domain: GridDomain) -> SparseOperator:
     """Raw 5-point stencil of the zero extension: depth>=1 cells to all cells.
 
-    Injective on connected masks; the weighted adjoint maps a cell field to
-    its raw 5-point Laplacian sampled on the depth>=1 cells.
+    Injective on every mask, connected or not: centred one cell right of
+    a support cell in the support's rightmost column, the stencil sees
+    that one support cell alone, so a field in the kernel vanishes there,
+    and column by column everywhere.  The weighted adjoint maps a cell
+    field to its raw 5-point Laplacian sampled on the depth>=1 cells.
     """
     return _interior_stencil(domain, 1, _LAPLACIAN_STENCIL, domain.h**2)
 
@@ -274,8 +277,20 @@ def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> Sparse
     return SparseOperator(_csr(parts, shape), domain.cell_space, domain.hessian_space)
 
 
+def _with_kernel(op: SparseOperator, kernel=None) -> SparseOperator:
+    """op with its kernel set; without one given, the trivial kernel."""
+    op.kernel = kernel if kernel is not None else ([], np.empty(0, dtype=np.int64))
+    return op
+
+
 class OperatorCatalog:
-    """Caching facade over the assembly routines for one domain."""
+    """Caching facade over the assembly routines for one domain.
+
+    Operators whose kernel the domain's topology determines carry it
+    (SparseOperator.kernel): the gradient's is the constants on each
+    4-connected piece, with one pinned cell per piece; the Dirichlet
+    gradient, the interior Laplacian and the curl adjoint are injective.
+    """
 
     def __init__(self, domain: GridDomain):
         self.domain = domain
@@ -288,12 +303,16 @@ class OperatorCatalog:
 
     @property
     def gradient(self) -> SparseOperator:
-        return self._get("gradient", lambda: assemble_gradient(self.domain))
+        return self._get("gradient", lambda: _with_kernel(
+            assemble_gradient(self.domain),
+            _piecewise_constants(self.domain.cell_space, self.domain.component_labels),
+        ))
 
     @property
     def gradient_dirichlet(self) -> SparseOperator:
         return self._get(
-            "gradient_dirichlet", lambda: assemble_gradient(self.domain, True)
+            "gradient_dirichlet",
+            lambda: _with_kernel(assemble_gradient(self.domain, True)),
         )
 
     @property
@@ -320,7 +339,8 @@ class OperatorCatalog:
     @property
     def interior_laplacian(self) -> SparseOperator:
         return self._get(
-            "interior_laplacian", lambda: assemble_interior_laplacian(self.domain)
+            "interior_laplacian",
+            lambda: _with_kernel(assemble_interior_laplacian(self.domain)),
         )
 
     @property
@@ -336,7 +356,12 @@ class OperatorCatalog:
 
     @property
     def curl(self) -> SparseOperator:
-        return self._get("curl", lambda: assemble_curl_pair(self.domain)[0])
+        def build():
+            curl, adjoint = assemble_curl_pair(self.domain)
+            _with_kernel(adjoint)
+            return curl
+
+        return self._get("curl", build)
 
     @property
     def hessian(self) -> SparseOperator:
@@ -368,8 +393,7 @@ class OperatorCatalog:
     @property
     def hessian_dirichlet_normal(self) -> SparseOperator:
         """adjoint(Hp) Hp on depth>=1 cells, Hp the zero-extension Hessian
-        of the padded field; built once, since Hp and its cached adjoint
-        form a reference cycle."""
+        of the padded field; built once."""
         def build():
             hp = self.hessian_zero_extension @ self.pad1
             return hp.adjoint() @ hp

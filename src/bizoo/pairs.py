@@ -1,9 +1,18 @@
 """Adjoint pairs of sparse operators: kernels, projections, best constants.
 
-A DualPair bundles an operator with its weighted adjoint and lazily
-discovered kernel bases.  Laziness matters: several pairs in this package
-have one huge kernel (for example the divergence side of the gradient
-pair), and the solves routed through a pair only ever touch the small one.
+A DualPair bundles an operator with its weighted adjoint and lazily found
+kernels.  An operator from the catalog carries its kernel, which the
+domain's topology determines (the constants on each piece for the
+gradient, nothing for the injective operators); only other operators have
+theirs discovered, by a dense SVD or ARPACK.  Laziness matters: several
+pairs in this package have one huge kernel (for example the divergence
+side of the gradient pair), and the solves routed through a pair only ever
+touch the small one.
+
+Every inverse here, the range projections, the reduced solves and the best
+constants, goes through one pinned banded Cholesky factor of the normal
+operator (linalg.direct_solve and linalg.smallest_eigenpairs), held in the
+pair's `factors` dict; a pair and its swap share kernels and factors.
 """
 
 from __future__ import annotations
@@ -17,56 +26,73 @@ from .linalg import (
     KrylovResult,
     SolverConfig,
     SparseOperator,
+    direct_solve,
     orthonormalize,
+    pivoted_pins,
     smallest_eigenpairs,
     _project_out,
-    _run_cg,
 )
 
 _KERNEL_BATCH = 8
 
 
 class DualPair:
-    """An operator, its adjoint, and the four-subspace bookkeeping."""
+    """An operator, its adjoint, and the four-subspace bookkeeping.
+
+    Hints, kernels, normal operators and factors are keyed by the operator
+    they belong to, in dicts the swapped pair shares.
+    """
 
     def __init__(self, forward: SparseOperator, kernel_forward=None,
                  kernel_adjoint=None):
         self.forward = forward
         self.adjoint = forward.adjoint()
-        self._kernel_hints = {"forward": kernel_forward, "adjoint": kernel_adjoint}
+        self._hints = {forward: kernel_forward, self.adjoint: kernel_adjoint}
         self._kernels = {}
         self._normals = {}
+        self.factors = {}
         self._constant = None
         self._swapped = None
 
+    def _side(self, side: str) -> SparseOperator:
+        if side == "forward":
+            return self.forward
+        if side == "adjoint":
+            return self.adjoint
+        raise ValueError(f"side must be 'forward' or 'adjoint', got {side!r}")
+
     def normal(self, side: str = "forward") -> SparseOperator:
         """adjoint(A) A for the forward side, A adjoint(A) for the other."""
-        if side not in self._normals:
-            if side == "forward":
-                self._normals[side] = self.adjoint @ self.forward
-            elif side == "adjoint":
-                self._normals[side] = self.forward @ self.adjoint
-            else:
-                raise ValueError(f"side must be 'forward' or 'adjoint', got {side!r}")
-        return self._normals[side]
+        op = self._side(side)
+        if op not in self._normals:
+            self._normals[op] = op.adjoint() @ op
+        return self._normals[op]
 
     def kernel_basis(self, side: str = "forward"):
         """Weighted-orthonormal kernel basis of the given side, lazy."""
-        if side not in self._kernels:
-            op = self.forward if side == "forward" else self.adjoint
-            self._kernels[side] = _discover_kernel(
-                op, self.normal(side), self._kernel_hints.get(side)
+        op = self._side(side)
+        if op not in self._kernels:
+            self._kernels[op] = _find_kernel(
+                op, self._hints[op], lambda: self.normal(side)
             )
-        return self._kernels[side]
+        return self._kernels[op][0]
+
+    def kernel(self, side: str = "forward"):
+        """(basis, pinned cells) of the given side's kernel, as
+        direct_solve takes it."""
+        self.kernel_basis(side)
+        return self._kernels[self._side(side)]
 
     def swapped(self) -> "DualPair":
-        """The pair of the adjoint, built once so its kernels are found once."""
+        """The pair of the adjoint, built once; it shares this pair's
+        hints, kernels, normal operators and factors.  It holds no link
+        back, so the two form no reference cycle that would keep their
+        factors alive until a full garbage collection."""
         if self._swapped is None:
-            self._swapped = DualPair(
-                self.adjoint,
-                self._kernel_hints.get("adjoint"),
-                self._kernel_hints.get("forward"),
-            )
+            other = DualPair(self.adjoint)
+            other._hints, other._kernels = self._hints, self._kernels
+            other._normals, other.factors = self._normals, self.factors
+            self._swapped = other
         return self._swapped
 
 
@@ -94,15 +120,36 @@ def _gershgorin_bound(op: SparseOperator) -> float:
     return float(np.abs(m).sum(axis=1).max()) if m.shape[0] else 0.0
 
 
-def _discover_kernel(op: SparseOperator, normal: SparseOperator, hint):
+def _find_kernel(op: SparseOperator, hint, normal):
+    """(basis, pinned cells) of op's kernel.
+
+    The operator's own kernel when it carries one; a supplied hint must
+    then be annihilated and lie in its span.  Otherwise the hint's span,
+    or a kernel discovered from `normal()`, pinned by pivoted_pins.
+    """
     space = op.domain_space
+    hinted = None
     if hint is not None:
-        basis = orthonormalize(hint, space)
+        hinted = orthonormalize(hint, space)
         gate = 1e-8 * max(_gershgorin_bound(op), 1e-30)
-        for b in basis:
+        for b in hinted:
             if op.codomain_space.norm(op.apply_raw(b)) > gate:
                 raise BizooError("supplied kernel hint is not annihilated")
-        return basis
+    if op.kernel is not None:
+        for b in hinted or ():
+            if space.norm(_project_out(space, b, op.kernel[0])) > 1e-8:
+                raise BizooError(
+                    "supplied kernel hint lies outside the operator's kernel"
+                )
+        return op.kernel
+    basis = hinted if hinted is not None else _discover_kernel(op, normal())
+    return basis, pivoted_pins(basis)
+
+
+def _discover_kernel(op: SparseOperator, normal: SparseOperator):
+    """Orthonormal kernel basis of op by a dense SVD, or among the lowest
+    eigenpairs of its normal operator on large spaces."""
+    space = op.domain_space
     if space.dim <= DENSE_EIG_LIMIT:
         dense = op.to_dense() * np.sqrt(op.codomain_space.weights)[:, None]
         dense = dense / np.sqrt(space.weights)[None, :]
@@ -114,8 +161,8 @@ def _discover_kernel(op: SparseOperator, normal: SparseOperator, hint):
             if r >= svals.size or svals[r] <= 1e-10 * max(smax, 1e-30)
         ]
         return orthonormalize(null, space)
-    # large space, no hint: look for a small kernel among the lowest
-    # eigenpairs of the normal operator
+    # large space: look for a small kernel among the lowest eigenpairs of
+    # the normal operator
     bound = _gershgorin_bound(normal)
     batch = min(_KERNEL_BATCH, space.dim - 1)
     pairs = smallest_eigenpairs(normal, batch)
@@ -133,13 +180,17 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
     """1 / sqrt of the smallest nonzero eigenvalue of the normal operator.
 
     This is the best constant c in |u| <= c |A u| for u orthogonal to the
-    kernel.  With check_swapped=True the same number is recomputed from
-    the swapped pair and both must agree to 1e-8 relative; that route
-    materializes the adjoint-side kernel, so keep it to modest sizes.
+    kernel.  The eigenvalue is found on the kernel's complement, through
+    the pair's factor of the normal operator above DENSE_EIG_LIMIT.  With
+    check_swapped=True the same number is recomputed from the swapped
+    pair and both must agree to 1e-8 relative; that route materializes
+    the adjoint-side kernel, so keep it to modest sizes.
     """
     if pair._constant is None:
-        kernel = pair.kernel_basis("forward")
-        lam = smallest_eigenpairs(pair.normal("forward"), 1, kernel, cfg)[0][0]
+        lam = smallest_eigenpairs(
+            pair.normal("forward"), 1, cfg=cfg, kernel=pair.kernel("forward"),
+            factors=pair.factors,
+        )[0][0]
         if lam <= 0:
             raise BizooError("normal operator has no positive spectrum")
         pair._constant = 1.0 / np.sqrt(lam)
@@ -153,14 +204,25 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
     return pair._constant
 
 
+def _normal_solve(pair: DualPair, rhs: np.ndarray, cfg: SolverConfig, name: str,
+                  range_of: SparseOperator | None = None) -> KrylovResult:
+    """direct_solve of (A* A) x = rhs on the pair's factor and kernel; the
+    data is projected off the kernel first, where it lies up to rounding."""
+    space = pair.forward.domain_space
+    kernel = pair.kernel("forward")
+    return direct_solve(
+        pair.normal("forward"), Field(space, _project_out(space, rhs, kernel[0])),
+        cfg, kernel=kernel, range_of=range_of, factors=pair.factors, name=name,
+    )
+
+
 def project_range(pair: DualPair, g: Field, cfg: SolverConfig | None = None):
     """Split g into its range(A) component and the orthogonal remainder."""
     cfg = cfg or SolverConfig()
     if not g.space.compatible(pair.forward.codomain_space):
         raise BizooError("projection data must live in the codomain")
     rhs = pair.adjoint.apply_raw(g.values)
-    kernel = pair.kernel_basis("forward")
-    x, _, _, _ = _run_cg(pair.normal("forward"), rhs, cfg, kernel, "range projection")
+    x = _normal_solve(pair, rhs, cfg, "range projection").field.values
     inside = Field(g.space, pair.forward.apply_raw(x))
     return inside, g - inside
 
@@ -179,22 +241,21 @@ def reduced_solve(pair: DualPair, task: str, rhs: Field,
     callers can verify it against best_constant.
     """
     cfg = cfg or SolverConfig()
-    kernel = pair.kernel_basis("forward")
     space = pair.forward.domain_space
     if task == "least_squares":
         if not rhs.space.compatible(pair.forward.codomain_space):
             raise BizooError("least_squares data must live in the codomain")
-        b = pair.adjoint.apply_raw(rhs.values)
-        x, it, hist, _ = _run_cg(pair.normal("forward"), b, cfg, kernel, "reduced lsq")
-        res = pair.forward.codomain_space.norm(
-            pair.forward.apply_raw(x) - rhs.values
+        res = _normal_solve(pair, pair.adjoint.apply_raw(rhs.values), cfg,
+                            "reduced lsq")
+        res.residual_norm = pair.forward.codomain_space.norm(
+            pair.forward.apply_raw(res.field.values) - rhs.values
         )
-        return KrylovResult(Field(space, x), it, res, 0.0, hist)
+        return res
     if task in ("min_norm", "normal"):
         if not rhs.space.compatible(space):
             raise BizooError(f"{task} data must live in the domain space")
         bnorm = rhs.norm()
-        projected = _project_out(space, rhs.values.copy(), kernel)
+        projected = _project_out(space, rhs.values.copy(), pair.kernel_basis())
         defect = space.norm(rhs.values - projected)
         if bnorm > 0 and defect > cfg.compat_tolerance * bnorm:
             raise CompatibilityError(
@@ -203,15 +264,15 @@ def reduced_solve(pair: DualPair, task: str, rhs: Field,
                 defect=defect,
                 subspace="ker(forward)",
             )
-        x, it, hist, res = _run_cg(
-            pair.normal("forward"), projected, cfg, kernel, f"reduced {task}"
-        )
-        if task == "normal":
-            return KrylovResult(Field(space, x), it, res, defect, hist)
-        y = pair.forward.apply_raw(x)
-        out = Field(pair.forward.codomain_space, y)
-        res = space.norm(pair.adjoint.apply_raw(y) - rhs.values)
-        return KrylovResult(out, it, res, defect, hist)
+        # min_norm returns y = A x, refined against A* y = rhs
+        lift = pair.forward if task == "min_norm" else None
+        res = _normal_solve(pair, projected, cfg, f"reduced {task}", lift)
+        res.compatibility_defect = defect
+        if lift is not None:
+            res.residual_norm = space.norm(
+                pair.adjoint.apply_raw(res.field.values) - rhs.values
+            )
+        return res
     raise ValueError(f"unknown reduced task {task!r}")
 
 
@@ -257,16 +318,9 @@ def helmholtz_decompose(grad_pair: DualPair, curl_pair: DualPair, g: Field,
         raise BizooError("curl after gradient does not vanish on this mesh")
 
     inside, _ = project_range(grad_pair, g, cfg)
-    co_pair = curl_pair.swapped()  # forward = curl adjoint, vertices side
-    rhs = Field(
-        curl_pair.forward.codomain_space, curl_pair.forward.apply_raw(g.values)
-    )
-    # conormal solve: (curl curl*) y = curl g, then curl* y
-    kernel = co_pair.kernel_basis("forward")
-    y, _, _, _ = _run_cg(
-        co_pair.normal("forward"), rhs.values, cfg, kernel, "curl corange"
-    )
-    curl_part = Field(edge_space, co_pair.forward.apply_raw(y))
+    # the swapped pair's forward operator is curl*: its range projection
+    # is the conormal solve (curl curl*) y = curl g, then curl* y
+    curl_part, _ = project_range(curl_pair.swapped(), g, cfg)
     middle = Field(
         edge_space, g.values - inside.values - curl_part.values
     )

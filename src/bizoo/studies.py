@@ -14,6 +14,7 @@ from .linalg import SolverConfig
 from .operators import OperatorCatalog
 from .pairs import best_constant, helmholtz_decompose, make_pair
 from .zoo import (
+    _as_catalog,
     biharmonic_chain_check,
     classify_zoo,
     dense_solution_operator,
@@ -122,13 +123,13 @@ def run_convergence(case, ns=(8, 16, 32),
     return ConvergenceTable(case.name, tuple(ns), tuple(l2), tuple(mx))
 
 
-def constants_audit(domain, cfg: SolverConfig | None = None) -> dict:
-    """Best constants of the two gradient pairs against the diameter bound."""
-    catalog = OperatorCatalog(domain)
-    dirichlet_pair = make_pair(catalog.gradient_dirichlet, kernel_forward=())
-    neumann_pair = make_pair(
-        catalog.gradient, kernel_forward=[domain.cell_space.ones()]
-    )
+def constants_audit(catalog_or_domain, cfg: SolverConfig | None = None) -> dict:
+    """Best constants of the two gradient pairs against the diameter bound,
+    on a catalog or on a domain (given a domain, a fresh catalog)."""
+    catalog = _as_catalog(catalog_or_domain)
+    domain = catalog.domain
+    dirichlet_pair = make_pair(catalog.gradient_dirichlet)
+    neumann_pair = make_pair(catalog.gradient)
     c_f = float(best_constant(dirichlet_pair, cfg=cfg))
     c_p = float(best_constant(neumann_pair, cfg=cfg))
     d = float(domain.diameter)
@@ -148,8 +149,8 @@ def constants_audit(domain, cfg: SolverConfig | None = None) -> dict:
 def _check_gradient_adjoint():
     domain = build_domain("square", 6)
     catalog = OperatorCatalog(domain)
-    make_pair(catalog.gradient, kernel_forward=[domain.cell_space.ones()])
-    make_pair(catalog.gradient_dirichlet, kernel_forward=())
+    make_pair(catalog.gradient)
+    make_pair(catalog.gradient_dirichlet)
     return "probed both gradient pairs"
 
 
@@ -262,12 +263,12 @@ def _check_dense_agreement():
 def _check_estimate_chains():
     domain = build_domain("square", 10)
     catalog = OperatorCatalog(domain)
-    audit = constants_audit(domain)
+    audit = constants_audit(catalog)
     rep_d = estimate_chain_check("dirichlet", catalog, audit["c_f_h"], samples=10)
     rep_n = estimate_chain_check("neumann", catalog, audit["c_p_h"], samples=10)
     assert rep_d.ok(), f"dirichlet chain ratio {max(rep_d.worst_first, rep_d.worst_second)}"
     assert rep_n.ok(), f"neumann chain ratio {max(rep_n.worst_first, rep_n.worst_second)}"
-    interior = make_pair(catalog.interior_laplacian, kernel_forward=())
+    interior = make_pair(catalog.interior_laplacian)
     rep_b = biharmonic_chain_check(
         catalog, audit["c_f_h"], best_constant(interior), samples=10
     )
@@ -289,8 +290,7 @@ def _check_expressions():
 def _check_helmholtz():
     domain = build_domain("square", 6)
     catalog = OperatorCatalog(domain)
-    grad_pair = make_pair(catalog.gradient,
-                          kernel_forward=[domain.cell_space.ones()])
+    grad_pair = make_pair(catalog.gradient)
     curl_pair = make_pair(catalog.curl)
     rng = np.random.default_rng(3)
     g = Field(catalog.gradient.codomain_space,
@@ -300,7 +300,7 @@ def _check_helmholtz():
     assert split.dims["cohomology"] == 0, f"square cohomology {split.dims}"
     ann = build_domain("annulus", 8)
     cat2 = OperatorCatalog(ann)
-    gp = make_pair(cat2.gradient, kernel_forward=[ann.cell_space.ones()])
+    gp = make_pair(cat2.gradient)
     cp = make_pair(cat2.curl)
     g2 = Field(cat2.gradient.codomain_space,
                rng.standard_normal(cat2.gradient.codomain_space.dim))

@@ -13,6 +13,7 @@ import bizoo
 from bizoo import build_domain, cli, read_field_csv, solve_zoo
 from bizoo.cli import main
 from bizoo.expressions import Expression
+from test_linalg import two_piece_mask
 
 
 def test_zoo_list(capsys):
@@ -139,6 +140,21 @@ def test_constants_audit_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["bound_ok"] is True
     assert doc["c_f_h"] < doc["d_over_pi"]
+
+
+@pytest.mark.parametrize("sizes", [(10, 2), (5, 5)], ids=["10+2", "5+5"])
+def test_first_order_commands_on_a_two_piece_domain(sizes, tmp_path, capsys):
+    dom = two_piece_mask(*sizes)
+    path = tmp_path / "pieces.json"
+    bizoo.save_domain(dom, path)
+    assert main(["helmholtz", "--field", "y,x", "--domain", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dims"]["gradient"] == dom.n_cells - 2
+    assert doc["dims"]["cohomology"] == 0
+    assert doc["reconstruction_error"] <= 1e-10 * doc["norms"]["input"]
+    assert main(["constants", "--domain", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bound_ok"] is True
 
 
 def test_check_battery(capsys):

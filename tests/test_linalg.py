@@ -66,6 +66,28 @@ def test_adjoint_is_cached_involution():
     assert op.adjoint().adjoint() is op
 
 
+def test_adjoint_link_forms_no_reference_cycle():
+    import gc
+    import weakref
+
+    a, b = uniform_space("a", 4), uniform_space("b", 3)
+    mat = sp.csr_matrix(np.arange(12.0).reshape(3, 4))
+    gc.disable()
+    try:
+        op = SparseOperator(mat, a, b)
+        adj = op.adjoint()
+        assert adj.adjoint() is op
+        dead = weakref.ref(adj)
+        del op, adj  # freed by reference counting alone
+        assert dead() is None
+        # an adjoint outliving its operator rebuilds an equal one
+        adj = SparseOperator(mat, a, b).adjoint()
+        assert (adj.adjoint().matrix != mat).nnz == 0
+        assert adj.adjoint() is adj.adjoint()
+    finally:
+        gc.enable()
+
+
 def test_shape_guard():
     a = uniform_space("a", 4)
     b = uniform_space("b", 3)
@@ -249,6 +271,53 @@ def test_eigenpairs_kernel_filter_and_sign():
     assert vec.values[int(np.argmax(np.abs(vec.values)))] > 0
     with pytest.raises(ValueError):
         smallest_eigenpairs(op, dom.n_cells, kernel_basis=[ones])
+
+
+def two_piece_mask(big, small):
+    """A big x big block and a separate small x small block."""
+    cells = [(i, j) for j in range(big) for i in range(big)]
+    cells += [(i, j) for j in range(big + 2, big + 2 + small)
+              for i in range(big + 2, big + 2 + small)]
+    return GridDomain(cells, 1 / (big + small + 2))
+
+
+# 104 and 50 cells take the dense branch, 409 the factored one
+TWO_PIECES = {"10+2": (10, 2), "5+5": (5, 5), "20+3": (20, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_PIECES))
+def test_eigenpairs_off_a_complete_kernel_match_eigh(name):
+    dom = two_piece_mask(*TWO_PIECES[name])
+    cat = OperatorCatalog(dom)
+    op = cat.laplacian_neumann
+    vals = np.linalg.eigvalsh(op.to_dense())  # uniform weights: symmetric
+    pairs = smallest_eigenpairs(op, 3, kernel=cat.gradient.kernel)
+    assert [lam for lam, _ in pairs] == pytest.approx(vals[2:5], rel=1e-10)
+    for _, vec in pairs:
+        for b in cat.gradient.kernel[0]:
+            assert abs(dom.cell_space.inner(b, vec.values)) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(TWO_PIECES))
+def test_eigenpairs_off_an_incomplete_kernel_are_refused(name):
+    # the global constant alone leaves one piece constant in the complement
+    dom = two_piece_mask(*TWO_PIECES[name])
+    op = OperatorCatalog(dom).laplacian_neumann
+    vals = np.linalg.eigvalsh(op.to_dense())
+    assert vals[1] < 1e-10 * vals[-1]
+    with pytest.raises(BizooError):
+        smallest_eigenpairs(op, 1, kernel_basis=[dom.cell_space.ones()])
+
+
+def test_pivoted_pins_pin_every_kernel_vector():
+    dom = two_piece_mask(10, 2)
+    space = dom.cell_space
+    centers = dom.cell_centers()
+    basis = linalg.piecewise_affine(space, dom.component_labels, centers)[0]
+    pins = linalg.pivoted_pins(basis)
+    assert pins.size == len(basis) == 6
+    assert np.linalg.cond(np.array(basis)[:, pins]) < 1e6
+    assert linalg.pivoted_pins([]).size == 0
 
 
 # -- direct solves, checked against CG as the oracle ---------------------------

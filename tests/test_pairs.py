@@ -17,7 +17,11 @@ from bizoo import (
     project_range,
     reduced_solve,
 )
+from bizoo import pairs as pairs_module
 from bizoo.grid import DofSpace
+from bizoo.pairs import _discover_kernel
+from test_linalg import two_piece_mask
+from test_operator_golden import golden_domains
 
 
 def rng(seed=0):
@@ -99,13 +103,27 @@ def test_best_constant_swap_symmetry():
     assert swapped == pytest.approx(c, rel=1e-8)
 
 
-def test_swapped_pair_shares_hints():
+def test_swapped_pair_shares_hints(monkeypatch):
     dom = build_domain("square", 5)
     cat = OperatorCatalog(dom)
     pair = make_pair(cat.gradient, kernel_forward=[np.ones(dom.n_cells)])
     sw = pair.swapped()
     assert len(sw.kernel_basis("adjoint")) == 1
     assert pair.swapped() is sw  # built once, kernels found once
+    assert sw.kernel_basis("adjoint") is pair.kernel_basis("forward")
+    assert sw.kernel_basis("forward") is pair.kernel_basis("adjoint")
+    # an operator without a catalog kernel is discovered once for both
+    calls = []
+
+    def counting(op, normal):
+        calls.append(op)
+        return _discover_kernel(op, normal)
+
+    monkeypatch.setattr(pairs_module, "_discover_kernel", counting)
+    hess = make_pair(cat.hessian)
+    assert hess.kernel_basis("forward") is hess.swapped().kernel_basis("adjoint")
+    assert hess.swapped().kernel_basis("forward") is hess.kernel_basis("adjoint")
+    assert calls == [hess.forward, hess.adjoint]
 
 
 def test_project_range_reproduces_dense_svd_projector():
@@ -232,3 +250,108 @@ def test_helmholtz_dims_match_rank_arithmetic():
         rank = int((svals > 1e-10 * svals[0]).sum())
         assert split.dims["cohomology"] == split.dims["edges"] - rank
         assert split.dims["cohomology"] == dom.n_holes
+
+
+def multi_piece_domains():
+    return {"two_blocks": two_piece_mask(10, 2),
+            "two_piece_negative": golden_domains()["two_piece_negative"]}
+
+
+@pytest.mark.parametrize("name", sorted(multi_piece_domains()))
+@pytest.mark.parametrize("hint", [None, "ones"])
+def test_multi_piece_helmholtz_counts_every_piece(name, hint):
+    dom = multi_piece_domains()[name]
+    assert dom.n_components == 2
+    cat = OperatorCatalog(dom)
+    grad = make_pair(cat.gradient, kernel_forward=(
+        None if hint is None else [dom.cell_space.ones()]))
+    curl = make_pair(cat.curl)
+    assert len(grad.kernel_basis("forward")) == 2
+    g = Field(dom.edge_space, rng(9).normal(size=dom.edge_space.dim))
+    split = helmholtz_decompose(grad, curl, g)
+    assert split.dims == {
+        "gradient": dom.n_cells - 2,
+        "cohomology": dom.n_holes,
+        "curl": dom.vertex_space.dim,
+        "edges": dom.edge_space.dim,
+    }
+    assert split.reconstruction_error() < 1e-10 * g.norm()
+    # the curl part is divergence-free on every piece
+    div = cat.gradient.adjoint()
+    assert dom.cell_space.norm(div.apply_raw(split.curl_part.values)) < 1e-8 * g.norm()
+
+
+@pytest.mark.parametrize("name", sorted(multi_piece_domains()))
+def test_multi_piece_poincare_constant_against_dense_oracle(name):
+    dom = multi_piece_domains()[name]
+    cat = OperatorCatalog(dom)
+    # uniform weights: the Neumann Laplacian is plain symmetric
+    vals = np.linalg.eigvalsh(cat.laplacian_neumann.to_dense())
+    assert vals[1] < 1e-10 * vals[-1] < vals[2]  # one constant per piece
+    c_p = best_constant(make_pair(cat.gradient))
+    assert c_p == pytest.approx(1 / np.sqrt(vals[2]), rel=1e-10)
+
+
+def test_kernel_hint_must_lie_in_the_operator_kernel():
+    dom = two_piece_mask(10, 2)
+    cat = OperatorCatalog(dom)
+    op = SparseOperator(cat.gradient.matrix, dom.cell_space, dom.edge_space)
+    basis, pinned = cat.gradient.kernel
+    op.kernel = (basis[:1], pinned[:1])  # the big block's constant only
+    with pytest.raises(BizooError, match="outside the operator's kernel"):
+        make_pair(op, kernel_forward=[dom.cell_space.ones()]).kernel_basis()
+    assert make_pair(op, kernel_forward=[basis[0]]).kernel_basis() is op.kernel[0]
+
+
+@pytest.mark.parametrize("name", sorted(multi_piece_domains()) + ["five_by_five_twice"])
+def test_incomplete_kernel_is_refused_by_best_constant(name):
+    # a user operator hinted with the global constant misses one piece's
+    # constant; whatever the piece sizes, the constant is refused
+    if name == "five_by_five_twice":
+        dom = two_piece_mask(5, 5)
+    else:
+        dom = multi_piece_domains()[name]
+    grad = OperatorCatalog(dom).gradient
+    bare = SparseOperator(grad.matrix, dom.cell_space, dom.edge_space)
+    pair = make_pair(bare, kernel_forward=[dom.cell_space.ones()])
+    assert len(pair.kernel_basis()) == 1
+    with pytest.raises(BizooError, match="incomplete"):
+        best_constant(pair)
+
+
+CROSS_CHECK_KEYS = ("gradient", "gradient_dirichlet", "interior_laplacian", "curl*")
+
+
+def cross_check_domains():
+    doms = {f"golden_{k}": (lambda k=k: golden_domains()[k]) for k in golden_domains()}
+    for shape in ("square", "lshape", "annulus"):
+        for n in (8, 16, 48):
+            doms[f"{shape}{n}"] = lambda shape=shape, n=n: build_domain(shape, n)
+    return doms
+
+
+@pytest.mark.parametrize("name", sorted(cross_check_domains()))
+def test_catalog_kernels_match_discovered_ones(name):
+    dom = cross_check_domains()[name]()
+    cat = OperatorCatalog(dom)
+    ops = dict(zip(CROSS_CHECK_KEYS, (cat.gradient, cat.gradient_dirichlet,
+                                      cat.interior_laplacian, cat.curl.adjoint())))
+    for key, op in ops.items():
+        basis, pinned = op.kernel
+        found = _discover_kernel(op, op.adjoint() @ op)
+        assert len(found) == len(basis) == len(pinned), key
+        space = op.domain_space
+        for v in found:
+            rest = v.copy()
+            for b in basis:
+                rest -= space.inner(b, rest) * b
+            assert space.norm(rest) < 1e-8, key
+        if basis:
+            # no kernel vector vanishes on every pinned cell
+            restricted = np.array(basis)[:, pinned]
+            assert np.linalg.cond(restricted) < 1e8, key
+    assert len(ops["gradient"].kernel[0]) == dom.n_components
+    # Euler count: the harmonic edge fields are the holes
+    rank_grad = dom.n_cells - len(ops["gradient"].kernel[0])
+    rank_curl = dom.vertex_space.dim - len(ops["curl*"].kernel[0])
+    assert dom.edge_space.dim - rank_grad - rank_curl == dom.n_holes

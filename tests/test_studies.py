@@ -4,8 +4,11 @@ import pytest
 from bizoo import (
     MANUFACTURED,
     ConvergenceTable,
+    OperatorCatalog,
+    best_constant,
     build_domain,
     constants_audit,
+    make_pair,
     run_check,
     run_convergence,
 )
@@ -91,6 +94,30 @@ def test_constants_richardson_to_continuum():
     assert c32 < c16  # O(h^2) from above
     extrapolated = (4 * c32 - c16) / 3
     assert extrapolated == pytest.approx(1 / (np.sqrt(2) * np.pi), abs=1e-6)
+
+
+def test_constants_audit_takes_a_catalog_on_the_factored_route():
+    # 576 cells: both constants come from Lanczos on the pinned factor
+    n = 24
+    catalog = OperatorCatalog(build_domain("square", n))
+    audit = constants_audit(catalog)
+    assert "gradient_dirichlet" in catalog._cache and "gradient" in catalog._cache
+    assert audit["c_f_h"] == pytest.approx(
+        1 / np.sqrt(2 * dirichlet_ground(n)), rel=1e-10
+    )
+    assert audit["c_p_h"] == pytest.approx(
+        1 / np.sqrt(neumann_ground(n, 1 / n)), rel=1e-10
+    )
+    assert audit == constants_audit(catalog.domain)
+
+
+def test_interior_constant_on_the_factor_matches_dense():
+    # 484 depth>=1 cells: the factored route, against a dense eigvalsh
+    catalog = OperatorCatalog(build_domain("square", 24))
+    a = catalog.interior_laplacian.to_dense()
+    lam = np.linalg.eigvalsh(a.T @ a)[0]  # uniform weights
+    c = best_constant(make_pair(catalog.interior_laplacian))
+    assert c == pytest.approx(1 / np.sqrt(lam), rel=1e-9)
 
 
 def test_constants_audit_rectangle_analytic():
