@@ -168,7 +168,7 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
     if kind is LaplacianKind.NEUMANN:
         res = direct_solve(
             catalog.laplacian_neumann, f, cfg,
-            kernel_pieces=domain.component_labels,
+            kernel=catalog.gradient.kernel,
         )
         u = res.field
         return LaplaceSolveReport(
@@ -190,8 +190,8 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         # solve silently becomes the Neumann one
         res = direct_solve(
             catalog.laplacian_mixed, f, cfg,
-            kernel_pieces=None if domain.count_boundary_faces(DIRICHLET).any()
-            else domain.component_labels,
+            kernel=None if domain.count_boundary_faces(DIRICHLET).any()
+            else catalog.gradient.kernel,
         )
         u = res.field
         return LaplaceSolveReport(

@@ -20,10 +20,11 @@ conjugate gradients, stopped when the true residual stagnates;
 
 `smallest_eigenpairs` is dense up to 400 unknowns, deflated exactly on the
 complement of a known kernel.  Above that, with a known kernel, Lanczos
-runs on the operator's pseudo-inverse, applied through the same pinned
-banded Cholesky factor `direct_solve` uses (Lehoucq, Sorensen & Yang 1998,
+runs on the operator's pseudo-inverse, applied through a pinned banded
+Cholesky factor as in `direct_solve` (Lehoucq, Sorensen & Yang 1998,
 ARPACK Users' Guide, section 4); only an operator whose kernel is unknown
-takes ARPACK shift-invert.  `pivoted_pins` picks the pinned cells of any
+takes ARPACK shift-invert.  A kernel that leaves the pinned factor
+singular is refused as incomplete.  `pivoted_pins` picks the pinned cells of any
 kernel basis by a column-pivoted QR (Businger & Golub 1965).
 """
 
@@ -52,6 +53,12 @@ DENSE_EIG_LIMIT = 400
 _REORTH_THRESHOLD = 1e-8
 _MAX_REFINEMENT = 10
 _STAGNATION_RESTARTS = 3
+# squared Cholesky pivot, relative to the largest diagonal entry, below
+# which a factor is taken as singular.  Rounding leaves 1e-15 to 1e-13 on
+# a piece whose kernel vector is not pinned (two-piece masks up to 10^4
+# cells); the smallest genuine pivot is 1 / max diag of L* L + 1, which
+# stays above it up to n = 400.
+_PIVOT_FLOOR = 1e-12
 
 
 def default_tolerance() -> float:
@@ -400,20 +407,33 @@ class _BandedCholesky:
 
     W A is plain-symmetric when A is selfadjoint in the W-weighted inner
     product.  Each pinned cell's row and column become the identity, which
-    removes a kernel vector that is nonzero there.
+    removes a kernel vector that is nonzero there.  A kernel vector that
+    no pinned cell removes leaves a pivot at rounding level, or a negative
+    one, and the factor is refused: the kernel is incomplete.
     """
 
     def __init__(self, op: SparseOperator, pinned, name: str):
         pinned = np.asarray(pinned, dtype=np.int64)
+        band = _lower_band(op, pinned)
+        free = np.ones(band.shape[1], dtype=bool)
+        free[pinned] = False
+        scale = float(np.abs(band[0, free]).max(initial=0.0))
         try:
             self.band = cholesky_banded(
-                _lower_band(op, pinned), overwrite_ab=True, lower=True,
-                check_finite=False,
+                band, overwrite_ab=True, lower=True, check_finite=False
             )
         except np.linalg.LinAlgError as exc:
             raise BizooError(
-                f"{name}: operator is not positive definite ({exc})"
+                f"{name}: operator is not positive definite off the pinned "
+                f"cells ({exc}): it is indefinite, or the kernel is incomplete"
             ) from None
+        pivot = float(np.min(self.band[0, free] ** 2, initial=np.inf))
+        if pivot <= _PIVOT_FLOOR * scale:
+            raise BizooError(
+                f"{name}: operator is singular off the pinned cells (smallest "
+                f"squared pivot {pivot:.1e}, largest diagonal entry "
+                f"{scale:.1e}): the kernel is incomplete"
+            )
         self.weights = op.domain_space.weights
         self.pinned = pinned
 
@@ -520,7 +540,6 @@ def direct_solve(
     cfg: SolverConfig | None = None,
     *,
     kernel: tuple | None = None,
-    kernel_pieces: np.ndarray | None = None,
     range_of: SparseOperator | None = None,
     factors: dict | None = None,
     name: str = "direct solve",
@@ -531,13 +550,12 @@ def direct_solve(
     kernel, when given, is (orthonormal basis, pinned cells) of the
     operator's kernel, with pinned cells on which no nonzero kernel
     vector vanishes everywhere, as many as the kernel has dimensions
-    (piecewise_affine builds one; pivoted_pins pins any basis).  The data
-    is gated and projected as in deflated_cg_solve, the pinned cells are
-    held at zero for the factorization and the solution comes back
-    orthogonal to the kernel.
-    kernel_pieces is short for the constants on each connected piece of
-    the operator's stencil graph, numbered cell by cell, with one pinned
-    cell per piece.
+    (the catalog gradient's kernel holds the constants on each piece;
+    piecewise_affine builds the affine functions; pivoted_pins pins any
+    basis).  The data is gated and projected as in deflated_cg_solve, the
+    pinned cells are held at zero for the factorization and the solution
+    comes back orthogonal to the kernel.  A kernel the pinned cells leave
+    incomplete makes the factor singular and raises BizooError.
 
     With range_of=B, where op is the normal product B* B, the result is
     u = B x, the minimum-norm solution of B* u = b, and refinement
@@ -563,8 +581,6 @@ def direct_solve(
     if range_of is not None and not range_of.domain_space.compatible(space):
         raise SpaceMismatchError("range_of must map out of the operator's space")
     cfg = cfg or SolverConfig()
-    if kernel_pieces is not None:
-        kernel = _piecewise_constants(space, kernel_pieces)
     basis, pinned = kernel or ([], [])
     rhs, defect = _gate_kernel(space, b, basis, cfg)
     if range_of is None:
@@ -734,27 +750,24 @@ def _sym_sparse(op: SparseOperator) -> sp.csr_matrix:
 def smallest_eigenpairs(
     op: SparseOperator,
     count: int,
-    kernel_basis=None,
-    cfg: SolverConfig | None = None,
-    *,
     kernel: tuple | None = None,
-    factors: dict | None = None,
+    cfg: SolverConfig | None = None,
 ):
     """Smallest eigenpairs of a selfadjoint PSD endomorphism.
 
-    A kernel is given as kernel=(orthonormal basis, pinned cells), as
-    direct_solve takes it, or as a kernel_basis whose cells to pin
-    pivoted_pins picks.  The eigenpairs are then those of op restricted to
-    the kernel's orthogonal complement, and the count refers to that
-    spectrum.  The kernel must be complete: an eigenvalue on the
-    complement that the residual gate cannot tell from zero raises
-    BizooError.  Without a kernel the whole spectrum counts, zeros too.
+    A kernel is given as (orthonormal basis, pinned cells), as
+    direct_solve takes it; pivoted_pins pins any basis.  The eigenpairs
+    are then those of op restricted to the kernel's orthogonal
+    complement, and the count refers to that spectrum.  The kernel must
+    be complete: an eigenvalue on the complement that the residual gate
+    cannot tell from zero, or a singular factor, raises BizooError.
+    Without a kernel the whole spectrum counts, zeros too.
 
     Up to DENSE_EIG_LIMIT unknowns the eigenproblem is dense.  Above it,
     with a kernel, Lanczos finds the largest eigenvalues 1 / lambda of the
-    pseudo-inverse, applied through the pinned banded Cholesky factor
-    (stored in `factors` as direct_solve stores it) between projections
-    off the kernel; without one, ARPACK runs in shift-invert mode.
+    pseudo-inverse, applied through a pinned banded Cholesky factor
+    between projections off the kernel; without one, ARPACK runs in
+    shift-invert mode.
     Eigenvectors come back weighted-orthonormal with the largest-magnitude
     entry positive; each satisfies
     |op v - lambda v| <= max(tol * lambda, 1e-11 * max |diag op|).
@@ -764,9 +777,6 @@ def smallest_eigenpairs(
     cfg = cfg or SolverConfig()
     space = op.domain_space
     dim = space.dim
-    if kernel is None and kernel_basis is not None:
-        basis = orthonormalize(kernel_basis, space)
-        kernel = (basis, pivoted_pins(basis))
     basis = kernel[0] if kernel is not None else []
     if count + len(basis) > dim:
         raise ValueError(
@@ -796,8 +806,7 @@ def smallest_eigenpairs(
         order = np.argsort(vals)
         lams, qs = vals[order], vecs[:, order].T
     else:
-        pinned = kernel[1]
-        factor = _factor(factors, op, lambda: _BandedCholesky(op, pinned, "eigensolve"))
+        factor = _BandedCholesky(op, kernel[1], "eigensolve")
 
         def deflate(v):
             return v - kt @ (kt.T @ v)

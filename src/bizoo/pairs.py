@@ -9,10 +9,13 @@ pairs in this package have one huge kernel (for example the divergence
 side of the gradient pair), and the solves routed through a pair only ever
 touch the small one.
 
-Every inverse here, the range projections, the reduced solves and the best
-constants, goes through one pinned banded Cholesky factor of the normal
-operator (linalg.direct_solve and linalg.smallest_eigenpairs), held in the
-pair's `factors` dict; a pair and its swap share kernels and factors.
+The range projections and the reduced solves go through one pinned banded
+Cholesky factor of the normal operator (linalg.direct_solve), held in the
+pair's `factors` dict; a pair and its swap share kernels and factors.  The
+best constants come from linalg.smallest_eigenpairs on the kernel's
+complement, which above DENSE_EIG_LIMIT factors the normal operator the
+same way.  A kernel hint that misses part of the kernel leaves that factor
+singular and is refused as incomplete.
 """
 
 from __future__ import annotations
@@ -181,15 +184,14 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
 
     This is the best constant c in |u| <= c |A u| for u orthogonal to the
     kernel.  The eigenvalue is found on the kernel's complement, through
-    the pair's factor of the normal operator above DENSE_EIG_LIMIT.  With
+    a factor of the normal operator above DENSE_EIG_LIMIT.  With
     check_swapped=True the same number is recomputed from the swapped
     pair and both must agree to 1e-8 relative; that route materializes
     the adjoint-side kernel, so keep it to modest sizes.
     """
     if pair._constant is None:
         lam = smallest_eigenpairs(
-            pair.normal("forward"), 1, cfg=cfg, kernel=pair.kernel("forward"),
-            factors=pair.factors,
+            pair.normal("forward"), 1, pair.kernel("forward"), cfg
         )[0][0]
         if lam <= 0:
             raise BizooError("normal operator has no positive spectrum")

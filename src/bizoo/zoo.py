@@ -305,7 +305,7 @@ def _stage_inverse(letter: str, catalog: OperatorCatalog, rhs: np.ndarray,
     if letter == "n":
         res = direct_solve(
             catalog.laplacian_neumann, Field(space, rhs), cfg,
-            kernel_pieces=domain.component_labels, factors=factors,
+            kernel=catalog.gradient.kernel, factors=factors,
         )
         return res.field.values, res.iterations, res.compatibility_defect, 0.0
     if letter == "c":
@@ -639,7 +639,7 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     lhs = solve_zoo("n_d", catalog, f, cfg).solution.values
     w = direct_solve(
         catalog.laplacian_neumann, f, cfg,
-        kernel_pieces=domain.component_labels, factors=factors,
+        kernel=catalog.gradient.kernel, factors=factors,
     ).field.values
     v = solve_zoo("d_d", catalog, Field(space, w), cfg).solution.values
     devs["mixed_second_order"] = space.norm(

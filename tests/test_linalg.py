@@ -262,7 +262,9 @@ def test_eigenpairs_kernel_filter_and_sign():
     dom = build_domain("square", n)
     op = OperatorCatalog(dom).laplacian_neumann
     ones = dom.cell_space.ones()
-    pairs = smallest_eigenpairs(op, 1, kernel_basis=[ones])
+    basis = orthonormalize([ones], dom.cell_space)
+    ones_kernel = (basis, linalg.pivoted_pins(basis))
+    pairs = smallest_eigenpairs(op, 1, ones_kernel)
     lam, vec = pairs[0]
     # first nonzero Neumann eigenvalue: 1D mode (1, 0)
     h = 1.0 / n
@@ -270,7 +272,7 @@ def test_eigenpairs_kernel_filter_and_sign():
     assert abs(dom.cell_space.inner(vec.values, ones.values)) < 1e-12
     assert vec.values[int(np.argmax(np.abs(vec.values)))] > 0
     with pytest.raises(ValueError):
-        smallest_eigenpairs(op, dom.n_cells, kernel_basis=[ones])
+        smallest_eigenpairs(op, dom.n_cells, ones_kernel)
 
 
 def two_piece_mask(big, small):
@@ -291,7 +293,7 @@ def test_eigenpairs_off_a_complete_kernel_match_eigh(name):
     cat = OperatorCatalog(dom)
     op = cat.laplacian_neumann
     vals = np.linalg.eigvalsh(op.to_dense())  # uniform weights: symmetric
-    pairs = smallest_eigenpairs(op, 3, kernel=cat.gradient.kernel)
+    pairs = smallest_eigenpairs(op, 3, cat.gradient.kernel)
     assert [lam for lam, _ in pairs] == pytest.approx(vals[2:5], rel=1e-10)
     for _, vec in pairs:
         for b in cat.gradient.kernel[0]:
@@ -305,8 +307,9 @@ def test_eigenpairs_off_an_incomplete_kernel_are_refused(name):
     op = OperatorCatalog(dom).laplacian_neumann
     vals = np.linalg.eigvalsh(op.to_dense())
     assert vals[1] < 1e-10 * vals[-1]
-    with pytest.raises(BizooError):
-        smallest_eigenpairs(op, 1, kernel_basis=[dom.cell_space.ones()])
+    basis = orthonormalize([dom.cell_space.ones()], dom.cell_space)
+    with pytest.raises(BizooError, match="the kernel is incomplete"):
+        smallest_eigenpairs(op, 1, (basis, linalg.pivoted_pins(basis)))
 
 
 def test_pivoted_pins_pin_every_kernel_vector():
@@ -353,7 +356,7 @@ def routed_data(op, singular, seed):
 
 
 def pieces(cat, singular):
-    return cat.domain.component_labels if singular else None
+    return cat.gradient.kernel if singular else None
 
 
 def mean_abs(space, x):
@@ -369,7 +372,7 @@ def test_direct_solve_meets_target_and_agrees_with_cg(catalogs16, key, neumann,
     space = op.domain_space
     b = routed_data(op, singular, 21)
     res = direct_solve(op, b, SolverConfig(rel_tolerance=1e-10),
-                       kernel_pieces=pieces(cat, singular))
+                       kernel=pieces(cat, singular))
     x = res.field.values
     assert space.norm(op.apply_raw(x) - b.values) <= 1e-10 * b.norm()
     assert res.residual_norm <= 1e-10 * b.norm()
@@ -393,12 +396,12 @@ def test_direct_solve_compatibility_gate(catalogs16, key, neumann):
     b = routed_data(op, True, 22)
     shifted = Field(space, b.values + 1e-6 * b.norm() / space.norm(np.ones(space.dim)))
     with pytest.raises(CompatibilityError) as err:
-        direct_solve(op, shifted, kernel_pieces=pieces(cat, True))
+        direct_solve(op, shifted, kernel=pieces(cat, True))
     assert err.value.defect == pytest.approx(1e-6 * b.norm(), rel=1e-6)
     assert err.value.subspace == "solver kernel"
     # a component under the 1e-8 gate passes and is reported
     small = Field(space, b.values + 1e-10 * b.norm() / space.norm(np.ones(space.dim)))
-    res = direct_solve(op, small, kernel_pieces=pieces(cat, True))
+    res = direct_solve(op, small, kernel=pieces(cat, True))
     assert res.compatibility_defect == pytest.approx(1e-10 * b.norm(), rel=1e-3)
 
 
@@ -410,7 +413,7 @@ def test_direct_solve_unattainable_target_reports_residuals(catalogs16, key,
     b = routed_data(op, singular, 23)
     with pytest.raises(ConvergenceFailure) as err:
         direct_solve(op, b, SolverConfig(rel_tolerance=1e-18),
-                     kernel_pieces=pieces(cat, singular))
+                     kernel=pieces(cat, singular))
     history = err.value.residual_history
     message = str(err.value)
     assert f"residual {min(history[1:]):.3e}" in message
@@ -469,8 +472,9 @@ def test_direct_solve_pins_each_connected_piece():
         b[piece] -= b[piece].mean()
     data = Field(space, b)
     factors = {}
+    kernel = OperatorCatalog(dom).gradient.kernel
     res = direct_solve(op, data, SolverConfig(rel_tolerance=1e-10),
-                       kernel_pieces=dom.component_labels, factors=factors)
+                       kernel=kernel, factors=factors)
     assert sorted(left[factors[op].pinned]) == [False, True]
     x = res.field.values
     assert res.residual_norm <= 1e-10 * data.norm()
@@ -483,7 +487,7 @@ def test_direct_solve_pins_each_connected_piece():
     # mean-free overall but not on each piece: a kernel component
     shifted = Field(space, b + np.where(left, 1.0, -1.0))
     with pytest.raises(CompatibilityError) as err:
-        direct_solve(op, shifted, kernel_pieces=dom.component_labels)
+        direct_solve(op, shifted, kernel=kernel)
     assert err.value.defect == pytest.approx(space.norm(np.ones(space.dim)))
 
 
