@@ -9,11 +9,15 @@ scalar fields for every problem share the ambient space of all cells.
 A domain keeps one index: an integer image of the mask's bounding box,
 indexed [j, i], holding each cell's number and -1 outside the mask.  It is
 padded by PAD = 3 cells, so every stencil offset the operators use (reach
-at most 2 along each axis) reads it without a bounds check, and the
-outside of the mask is one connected piece of the complement.  Neighbors,
-faces and vertices are shifted reads of the image; depth is its taxicab
-distance transform, and connected pieces and holes are its 4-connected
-labels (scipy.ndimage).
+at most 2 along each axis) reads it without a bounds check, and every
+row of the image starts and ends outside the mask.  Neighbors, faces and
+vertices are shifted reads of the image.  Depth is its taxicab distance
+transform (forward and backward running minima along each axis), and the
+connected pieces are its 4-connected labels (horizontal runs joined
+through their vertical contacts): the sequential picture operations of
+Rosenfeld & Pfaltz (1966, J. ACM 13:471), written as whole-image numpy
+passes.  The holes follow from the Euler count of faces, cells and
+vertices.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyDomainError, SpaceMismatchError
 
@@ -175,15 +178,8 @@ class GridDomain:
         )
 
         # taxicab distance to the nearest non-mask cell, minus one
-        dist = ndimage.distance_transform_cdt(mask, metric="taxicab")
-        self.depth = dist[jj, ii].astype(np.int64) - 1
-        # ndimage.label numbers the 4-connected pieces from 1 in raster
-        # order of their first cell, which is cell order
-        pieces, self.n_components = ndimage.label(mask)
-        self.component_labels = pieces[jj, ii].astype(np.int64) - 1
-        # the pad joins everything outside the mask into one piece of the
-        # complement; every other complement piece is a hole
-        self.n_holes = ndimage.label(~mask)[1] - 1
+        self.depth = _taxicab_distance(mask)[jj, ii] - 1
+        self.component_labels, self.n_components = _label_pieces(mask)
         self.face_labels = self._resolve_labels(labels)
 
     # -- construction helpers ------------------------------------------------
@@ -283,6 +279,20 @@ class GridDomain:
         return float(np.sqrt((diff**2).sum(axis=2)).max())
 
     @cached_property
+    def n_holes(self) -> int:
+        """Holes of the mask: the dimension of its harmonic edge fields.
+
+        By the Euler count, faces - cells - vertices + pieces, which is
+        E - rank(grad) - rank(curl): the gradient's kernel is the constants
+        on each piece, and the curl is injective on interior-vertex fields.
+        Missing cells that touch at a corner are joined (the 8-connected
+        dual of the 4-connected pieces), so a missing cell that touches
+        the outside only at a corner makes no hole.
+        """
+        return (len(self.face_cells) - self.n_cells
+                - len(self.interior_vertices) + self.n_components)
+
+    @cached_property
     def interior_vertices(self) -> np.ndarray:
         """Lattice vertices whose four incident cells are all in the mask.
 
@@ -335,6 +345,50 @@ class GridDomain:
         # per cell: xx, xy, yy rows; the mixed entry is counted twice
         w = np.tile(np.array([1.0, 2.0, 1.0]) * self.h**2, self.n_cells)
         return DofSpace("Hess", 3 * self.n_cells, w)
+
+
+def _taxicab_distance(mask: np.ndarray) -> np.ndarray:
+    """Per pixel, the taxicab distance to the nearest False pixel.
+
+    The metric separates by axis, so each axis takes one pass of the 1D
+    transform d(y) = min over z of |y - z| + f(z), split into the running
+    minima from either end.  The mask must hold a False pixel.
+    """
+    dist = np.where(mask, mask.size, 0)  # mask.size exceeds every distance
+    for _ in range(2):  # rows, then (transposed) columns
+        y = np.arange(dist.shape[1])
+        ahead = np.minimum.accumulate(dist - y, axis=1) + y
+        behind = np.minimum.accumulate((dist + y)[:, ::-1], axis=1)[:, ::-1] - y
+        dist = np.minimum(ahead, behind).T
+    return dist
+
+
+def _label_pieces(mask: np.ndarray):
+    """Label the 4-connected pieces of a mask whose border is False.
+
+    Returns each True pixel's piece, in raster order, and the piece count.
+    Pixels join into horizontal runs, and runs into pieces through their
+    vertical contacts by hooking each root onto the smaller one and
+    compressing paths until every contact joins two equal roots.  A
+    piece's root is then its first run, so pieces are numbered in raster
+    order of their first pixel.
+    """
+    flat = mask.ravel()
+    start = flat.copy()
+    start[1:] &= ~flat[:-1]  # the False border keeps runs within rows
+    run = np.cumsum(start) - 1
+    below = np.flatnonzero(mask[:-1].ravel() & mask[1:].ravel())
+    upper, lower = run[below], run[below + mask.shape[1]]
+    root = np.arange(run[-1] + 1)
+    while True:
+        a, b = root[upper], root[lower]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+    first = root == np.arange(root.size)
+    return (np.cumsum(first) - 1)[root[run[flat]]], int(first.sum())
 
 
 def _check_bc(bc: str) -> str:

@@ -192,6 +192,22 @@ def test_import_leaves_the_parser_unbuilt():
     assert probe.returncode == 0, probe.stderr
 
 
+def test_solving_loads_neither_ndimage_nor_special(tmp_path):
+    # Neumann stages take their kernel from the domain's pieces, and a
+    # two-piece domain takes the first-order path that labels them
+    path = tmp_path / "pieces.json"
+    bizoo.save_domain(two_piece_mask(5, 3), path)
+    probe = fresh_python("-c", f"""
+import sys
+from bizoo.cli import main
+assert main(["solve", "--problem", "n_n", "--rhs", "cos(pi*x)", "--n", "8"]) == 0
+assert main(["helmholtz", "--field", "y,x", "--domain", {str(path)!r}]) == 0
+loaded = sorted(m for m in ("scipy.ndimage", "scipy.special") if m in sys.modules)
+sys.exit(f"loaded: {{loaded}}" if loaded else 0)
+""")
+    assert probe.returncode == 0, probe.stderr
+
+
 def test_one_process_reuses_the_parser_across_calls(tmp_path, capsys,
                                                     monkeypatch):
     monkeypatch.setattr(cli, "_PARSER", None)

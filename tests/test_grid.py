@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from bizoo import (
     EmptyDomainError,
     Field,
     GridDomain,
+    OperatorCatalog,
     SpaceMismatchError,
     build_domain,
     load_domain,
@@ -87,18 +89,95 @@ def test_hole_count_flood_fill():
         if (i, j) not in ((2, 2), (4, 4))
     ]
     assert GridDomain(cells, 1 / 7).n_holes == 2
-    # the missing centre touches the missing corner (2, 2), which lies
-    # outside, only diagonally: still a hole under 4-connectivity
+    # the missing centre meets the missing corner (2, 2), which lies
+    # outside, at a corner: the cells do not close round the centre, so it
+    # is no hole and no harmonic edge field circulates about it
     ring = [
         (i, j) for j in range(3) for i in range(3)
         if (i, j) not in ((1, 1), (2, 2))
     ]
-    assert GridDomain(ring, 1 / 3).n_holes == 1
+    assert GridDomain(ring, 1 / 3).n_holes == 0
     # negative coordinates: a 3x3 ring around (-5, -5)
     ring = [
         (i, j) for j in range(-6, -3) for i in range(-6, -3) if (i, j) != (-5, -5)
     ]
     assert GridDomain(ring, 1 / 3).n_holes == 1
+
+
+def dense_rank(op) -> int:
+    m = op.matrix.toarray()
+    return int(np.linalg.matrix_rank(m)) if m.size else 0
+
+
+def test_hole_count_is_the_dimension_of_the_harmonic_edge_fields():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        side = rng.integers(2, 6)
+        mask = rng.random((side, side)) < rng.uniform(0.5, 0.9)
+        cells = np.argwhere(mask)
+        if not len(cells):
+            continue
+        dom = GridDomain(cells, 1 / side)
+        cat = OperatorCatalog(dom)
+        harmonic = (dom.edge_space.dim - dense_rank(cat.gradient)
+                    - dense_rank(cat.curl))
+        assert dom.n_holes == harmonic, cells.tolist()
+
+
+def ndimage_depth_and_pieces(cells):
+    """Depth, piece labels and piece count of a cell set by scipy.ndimage."""
+    ij = cells - cells.min(axis=0) + 1
+    mask = np.zeros(ij.max(axis=0)[::-1] + 2, dtype=bool)
+    mask[ij[:, 1], ij[:, 0]] = True
+    dist = ndimage.distance_transform_cdt(mask, metric="taxicab")
+    pieces, count = ndimage.label(mask)
+    return dist[ij[:, 1], ij[:, 0]] - 1, pieces[ij[:, 1], ij[:, 0]] - 1, count
+
+
+def assert_matches_ndimage(dom):
+    depth, pieces, count = ndimage_depth_and_pieces(dom.cells)
+    assert np.array_equal(dom.depth, depth)
+    assert dom.component_labels.dtype == np.int64
+    assert np.array_equal(dom.component_labels, pieces)
+    assert dom.n_components == count
+
+
+def _spiral(n):
+    """A one-cell-wide path winding inwards from (0, 0), one cell between turns."""
+    cells, (i, j), (di, dj) = [(0, 0)], (0, 0), (1, 0)
+    for length in [n - 1] + [k for k in range(n - 1, 0, -2) for _ in (0, 1)]:
+        for _ in range(length):
+            i, j = i + di, j + dj
+            cells.append((i, j))
+        di, dj = -dj, di
+    return cells
+
+
+NDIMAGE_CASES = {
+    "spiral": lambda: GridDomain(_spiral(15), 1 / 15),
+    "comb": lambda: GridDomain([(i, j) for j in range(16) for i in range(16)
+                                if j == 15 or i % 2 == 0], 1 / 16),
+    "single_cell": lambda: GridDomain([(-3, 7)], 1.0),
+    "corner_touching": lambda: GridDomain(
+        [(i, j) for j in range(-4, 4) for i in range(-2, 6) if (i + j) % 2 == 0],
+        1 / 8),
+    **{f"golden_{k}": (lambda k=k: golden_domains()[k]) for k in golden_domains()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NDIMAGE_CASES))
+def test_depth_and_pieces_match_ndimage(name):
+    assert_matches_ndimage(NDIMAGE_CASES[name]())
+
+
+def test_depth_and_pieces_match_ndimage_on_random_masks():
+    rng = np.random.default_rng(17)
+    for _ in range(400):
+        shape = rng.integers(1, 17, size=2)
+        mask = rng.random(shape) < rng.uniform(0.3, 0.95)
+        mask.flat[rng.integers(mask.size)] = True
+        cells = np.argwhere(mask) + rng.integers(-40, 0, size=2)
+        assert_matches_ndimage(GridDomain(cells, 1 / 16))
 
 
 def test_components():
