@@ -1,11 +1,15 @@
 """The five scalar Laplacian solves on the ambient cell space.
 
-Dirichlet, Neumann and mixed are direct solves by banded Cholesky
-factors, the Neumann one with a pinned cell and mean-free output.  The
-overdetermined solve imposes both boundary conditions and only accepts
-data in the range of the interior stencil; the underdetermined solve
-imposes none, returns the minimum-norm preimage, and reports the boundary
-ring data it never looks at.  Both solve with the interior normal
+`invert_laplacian` is the one table of the five inverses; `solve_laplace`
+measures its answers, and the stages of the biharmonic family compose
+them.  Dirichlet, Neumann and mixed are direct solves by banded Cholesky
+factors with the kernel their catalog operator carries: none, or the
+constants on each piece (for mixed, on each piece with no
+Dirichlet-labelled face), pinned out, with output orthogonal to them.
+The overdetermined solve imposes both boundary conditions and only
+accepts data in the range of the interior stencil; the underdetermined
+solve imposes none, returns the minimum-norm preimage, and reports the
+boundary ring data it never looks at.  Both solve with the interior normal
 product; the underdetermined one refines its answer against the
 interior stencil's adjoint rather than the normal product, and shares
 its factor with the harmonic-defect measurement of the same call.
@@ -27,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CompatibilityError, SpaceMismatchError
-from .grid import DIRICHLET, Field, GridDomain
+from .grid import Field, GridDomain
 from .linalg import SolverConfig, augmented_solve, direct_solve
 from .operators import OperatorCatalog
 
@@ -142,6 +146,47 @@ def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
 
 # -- solves ---------------------------------------------------------------------
 
+def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
+                     cfg: SolverConfig, factors: dict | None = None):
+    """Apply one of the five Laplacian inverses to a cell field.
+
+    Returns (values, iterations, compatibility defect, discarded mass).
+    The overdetermined inverse gates its data on the harmonic defect and
+    pads the preimage; the underdetermined one returns the minimum-norm
+    preimage and discards the boundary ring data.  The penalized kinds
+    solve with the kernel their catalog operator carries.  `factors` is
+    passed on to direct_solve.
+    """
+    kind = LaplacianKind(kind)
+    domain = catalog.domain
+    if kind is LaplacianKind.OVERDETERMINED:
+        defect, _, x = harmonic_defect(catalog, values, cfg, factors)
+        nrm = domain.cell_space.norm(values)
+        if nrm > 0 and defect > cfg.compat_tolerance * nrm:
+            raise CompatibilityError(
+                f"data has a discrete-harmonic component of relative size "
+                f"{defect / nrm:.3e}; the doubly constrained solve needs "
+                f"data in the interior stencil's range",
+                defect=defect,
+                subspace="discrete harmonics",
+            )
+        return catalog.pad1.apply_raw(x), 0, defect, 0.0
+    if kind is LaplacianKind.UNDERDETERMINED:
+        k = catalog.interior_normal
+        res = direct_solve(
+            k, Field(k.domain_space, values[domain.ring_cells(1)]), cfg,
+            range_of=catalog.interior_laplacian, factors=factors,
+            name="minimum-norm laplacian",
+        )
+        return res.field.values, res.iterations, 0.0, strip_norm(domain, values, 0)
+    op = getattr(catalog, f"laplacian_{kind.value}")
+    res = direct_solve(
+        op, Field(domain.cell_space, values), cfg, kernel=op.kernel,
+        factors=factors, name=f"{kind.value} laplacian",
+    )
+    return res.field.values, res.iterations, res.compatibility_defect, 0.0
+
+
 def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
                   cfg: SolverConfig | None = None) -> LaplaceSolveReport:
     kind = LaplacianKind(kind)
@@ -149,115 +194,46 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
     domain = catalog.domain
     if not f.space.compatible(domain.cell_space):
         raise SpaceMismatchError("Laplacian data must live on the cell space")
+    factors = {}  # the harmonic-defect measurement reuses the solve's factor
+    u, iterations, defect, lost = invert_laplacian(
+        kind, catalog, f.values, cfg, factors
+    )
+    if kind is LaplacianKind.OVERDETERMINED:
+        x = u[domain.ring_cells(1)]
+        pde = domain.cell_space.norm(
+            catalog.interior_laplacian.apply_raw(x) - f.values
+        )
+    else:
+        pde = interior_residual_norm(catalog, u, f.values)
+
+    def rows(op):
+        return boundary_row_residual(domain, op, u, f.values)
 
     if kind is LaplacianKind.DIRICHLET:
-        res = direct_solve(catalog.laplacian_dirichlet, f, cfg)
-        u = res.field
-        return LaplaceSolveReport(
-            kind,
-            u,
-            interior_residual_norm(catalog, u.values, f.values),
-            {
-                "zero trace on boundary faces": boundary_row_residual(
-                    domain, catalog.laplacian_dirichlet, u.values, f.values
-                )
-            },
-            iterations=res.iterations,
-        )
-
-    if kind is LaplacianKind.NEUMANN:
-        res = direct_solve(
-            catalog.laplacian_neumann, f, cfg,
-            kernel=catalog.gradient.kernel,
-        )
-        u = res.field
-        return LaplaceSolveReport(
-            kind,
-            u,
-            interior_residual_norm(catalog, u.values, f.values),
-            {
-                "zero flux on boundary faces": boundary_row_residual(
-                    domain, catalog.laplacian_neumann, u.values, f.values
-                ),
-                "mean-free solution": mean_defect(domain, u.values),
-            },
-            compatibility_defect=res.compatibility_defect,
-            iterations=res.iterations,
-        )
-
-    if kind is LaplacianKind.MIXED:
-        # with no Dirichlet-labeled face the operator is singular and the
-        # solve silently becomes the Neumann one
-        res = direct_solve(
-            catalog.laplacian_mixed, f, cfg,
-            kernel=None if domain.count_boundary_faces(DIRICHLET).any()
-            else catalog.gradient.kernel,
-        )
-        u = res.field
-        return LaplaceSolveReport(
-            kind,
-            u,
-            interior_residual_norm(catalog, u.values, f.values),
-            {
-                "labeled boundary rows": boundary_row_residual(
-                    domain, catalog.laplacian_mixed, u.values, f.values
-                )
-            },
-            compatibility_defect=res.compatibility_defect,
-            iterations=res.iterations,
-        )
-
-    if kind is LaplacianKind.OVERDETERMINED:
-        defect, _, x = harmonic_defect(catalog, f.values, cfg)
-        fnorm = f.norm()
-        if fnorm > 0 and defect > cfg.compat_tolerance * fnorm:
-            raise CompatibilityError(
-                f"data has a discrete-harmonic component of relative size "
-                f"{defect / fnorm:.3e}; the doubly constrained solve needs "
-                f"data in the interior stencil's range",
-                defect=defect,
-                subspace="discrete harmonics",
-            )
-        u = catalog.pad1.apply_raw(x)
-        uf = Field(domain.cell_space, u)
-        return LaplaceSolveReport(
-            kind,
-            uf,
-            domain.cell_space.norm(
-                catalog.interior_laplacian.apply_raw(x) - f.values
-            ),
-            {
-                "zero trace on boundary ring": strip_norm(domain, u, 0),
-                "zero normal difference on boundary": normal_difference_norm(
-                    domain, u
-                ),
-            },
-            compatibility_defect=defect,
-        )
-
-    if kind is LaplacianKind.UNDERDETERMINED:
-        k = catalog.interior_normal
-        factors = {}  # the defect measurement below reuses the solve's factor
-        res = direct_solve(
-            k, Field(k.domain_space, f.values[domain.ring_cells(1)]), cfg,
-            range_of=catalog.interior_laplacian, factors=factors,
-            name="minimum-norm laplacian",
-        )
-        uf = res.field
-        u = uf.values
-        defect, _, _ = harmonic_defect(
+        constraints = {
+            "zero trace on boundary faces": rows(catalog.laplacian_dirichlet)
+        }
+    elif kind is LaplacianKind.NEUMANN:
+        constraints = {
+            "zero flux on boundary faces": rows(catalog.laplacian_neumann),
+            "mean-free solution": mean_defect(domain, u),
+        }
+    elif kind is LaplacianKind.MIXED:
+        constraints = {"labeled boundary rows": rows(catalog.laplacian_mixed)}
+    elif kind is LaplacianKind.OVERDETERMINED:
+        constraints = {
+            "zero trace on boundary ring": strip_norm(domain, u, 0),
+            "zero normal difference on boundary": normal_difference_norm(domain, u),
+        }
+    else:
+        constraints = {"no discrete-harmonic component": harmonic_defect(
             catalog, u, cfg, factors, with_preimage=False
-        )
-        return LaplaceSolveReport(
-            kind,
-            uf,
-            interior_residual_norm(catalog, u, f.values),
-            {"no discrete-harmonic component": defect},
-            discarded_ring_mass=strip_norm(domain, f.values, 0),
-            iterations=res.iterations,
-        )
-
-    raise ValueError(f"unhandled Laplacian kind {kind}")
+        )[0]}
+    return LaplaceSolveReport(
+        kind, Field(domain.cell_space, u), pde, constraints,
+        compatibility_defect=defect, discarded_ring_mass=lost,
+        iterations=iterations,
+    )
 
 
 # -- first-order estimate chains -------------------------------------------------
@@ -282,11 +258,11 @@ def estimate_chain_check(kind, catalog: OperatorCatalog, constant: float,
     """Check |phi| <= c |grad phi| and |grad phi| <= c |L phi| on random fields.
 
     Both inequalities are spectral facts of the gradient pair, so they must
-    hold with no slack beyond rounding.  For the Neumann kind the constant
-    component of every sample is projected out first; all-constant samples
-    are rejected and counted.  Passing the ground mode as an extra sample
-    makes the first inequality tight, which guards against an accidentally
-    oversized constant.
+    hold with no slack beyond rounding.  Every sample is first projected
+    off the gradient's kernel (for the Neumann kind, the constants on each
+    piece); samples that vanish then are rejected and counted.  Passing
+    the ground mode as an extra sample makes the first inequality tight,
+    which guards against an accidentally oversized constant.
     """
     kind = LaplacianKind(kind)
     domain = catalog.domain
@@ -294,12 +270,9 @@ def estimate_chain_check(kind, catalog: OperatorCatalog, constant: float,
     if kind is LaplacianKind.DIRICHLET:
         grad = catalog.gradient_dirichlet
         lap = catalog.laplacian_dirichlet
-        deflate = None
     elif kind is LaplacianKind.NEUMANN:
         grad = catalog.gradient
         lap = catalog.laplacian_neumann
-        ones = np.ones(space.dim)
-        deflate = ones / space.norm(ones)
     else:
         raise ValueError("estimate chains are defined for dirichlet and neumann")
 
@@ -310,8 +283,8 @@ def estimate_chain_check(kind, catalog: OperatorCatalog, constant: float,
     worst1 = worst2 = 0.0
     rejected = 0
     for phi in fields:
-        if deflate is not None:
-            phi = phi - space.inner(deflate, phi) * deflate
+        for b in grad.kernel[0]:
+            phi = phi - space.inner(b, phi) * b
         nrm = space.norm(phi)
         if nrm <= 1e-14:
             rejected += 1

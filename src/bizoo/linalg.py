@@ -53,6 +53,7 @@ DENSE_EIG_LIMIT = 400
 _REORTH_THRESHOLD = 1e-8
 _MAX_REFINEMENT = 10
 _STAGNATION_RESTARTS = 3
+_CG_ITERATIONS_PER_UNKNOWN = 20  # CG's budget, per unknown of the operator
 # squared Cholesky pivot, relative to the largest diagonal entry, below
 # which a factor is taken as singular.  Rounding leaves 1e-15 to 1e-13 on
 # a piece whose kernel vector is not pinned (two-piece masks up to 10^4
@@ -71,7 +72,6 @@ def default_tolerance() -> float:
 @dataclass
 class SolverConfig:
     rel_tolerance: float | None = None
-    max_iterations: int | None = None
     compat_tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -81,11 +81,6 @@ class SolverConfig:
             raise ValueError("rel_tolerance must lie in (0, 1)")
         if not 0 < self.compat_tolerance < 1:
             raise ValueError("compat_tolerance must lie in (0, 1)")
-
-    def iteration_budget(self, dim: int) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 20 * max(dim, 1)
 
 
 @dataclass
@@ -255,7 +250,7 @@ def _run_cg(op: SparseOperator, b: np.ndarray, cfg: SolverConfig, basis, name: s
     rs = dot(r, r)
     history = [math.sqrt(rs)]
     p = r.copy()
-    budget = cfg.iteration_budget(space.dim)
+    budget = _CG_ITERATIONS_PER_UNKNOWN * max(space.dim, 1)
     iterations = 0
     best, stalls = math.inf, 0  # best true residual, restarts since it fell
     while math.sqrt(rs) > target:
@@ -501,39 +496,27 @@ def pivoted_pins(basis) -> np.ndarray:
 
 def _piecewise_constants(space: DofSpace, labels: np.ndarray):
     """Kernel of the constants on each labelled piece: orthonormal
-    indicators of the pieces, and the first cell of each piece to pin."""
-    first = np.unique(labels, return_index=True)[1]
+    indicators of the pieces, pinned by pivoted_pins (one cell per
+    piece)."""
     basis = []
-    for k in labels[first]:
+    for k in np.unique(labels):
         v = (labels == k).astype(float)
         basis.append(v / space.norm(v))
-    return basis, first
+    return basis, pivoted_pins(basis)
 
 
 def piecewise_affine(space: DofSpace, labels: np.ndarray, centers: np.ndarray):
-    """Kernel of the affine functions on each labelled piece.
-
-    Returns an orthonormal basis (1, x, y on every piece) and three pinned
-    cells per piece: its first cell, the cell farthest from it, and the
-    cell farthest from the line through those two.  An affine function
-    vanishing at three non-collinear points is zero, so pinning them
-    removes the kernel.
-    """
-    basis, pinned = [], []
+    """Kernel of the affine functions on each labelled piece: an
+    orthonormal basis (1, x, y on every piece), pinned by pivoted_pins
+    (three non-collinear cells per piece)."""
+    basis = []
     for k in np.unique(labels):
         on = np.flatnonzero(labels == k)
-        pts = centers[on]
-        a = 0
-        b = int(np.argmax(((pts - pts[a]) ** 2).sum(axis=1)))
-        d = pts[b] - pts[a]
-        c = int(np.argmax(np.abs(d[0] * (pts[:, 1] - pts[a, 1])
-                                 - d[1] * (pts[:, 0] - pts[a, 0]))))
-        pinned += [on[a], on[b], on[c]]
         vecs = np.zeros((3, space.dim))
         vecs[0, on] = 1.0
-        vecs[1:, on] = (pts - pts.mean(axis=0)).T
+        vecs[1:, on] = (centers[on] - centers[on].mean(axis=0)).T
         basis += orthonormalize(vecs, space)
-    return basis, np.array(pinned, dtype=np.int64)
+    return basis, pivoted_pins(basis)
 
 
 def direct_solve(

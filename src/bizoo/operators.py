@@ -68,12 +68,6 @@ def _mixed(first_x, first_y):
     return tuple(((ti, tj), ci * cj) for ti, ci in first_x for tj, cj in first_y)
 
 
-# rows xx, xy, yy of the Hessian with centered stencils everywhere
-_CENTERED_HESSIAN = (
-    _along(0, _SECOND[0]), _mixed(_FIRST[0], _FIRST[0]), _along(1, _SECOND[0]),
-)
-
-
 def _triplets(domain: GridDomain, cells, rows, table, scale: float):
     """COO triplets of an offset/coefficient table read around cells.
 
@@ -236,32 +230,25 @@ def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> Sparse
     """
     h2 = domain.h**2
     cells = np.arange(domain.n_cells)
-    shape = (3 * domain.n_cells, domain.n_cells)
     if zero_extension:
-        parts = [
-            (r[c >= 0], c[c >= 0], v[c >= 0])  # out-of-mask cells read as zero
-            for r, c, v in (
-                _triplets(domain, cells, 3 * cells + comp, table, h2)
-                for comp, table in enumerate(_CENTERED_HESSIAN)
+        variant = [np.zeros(domain.n_cells, dtype=np.int64)] * 2
+    else:
+        variant = [
+            np.select(
+                [(domain.shifted(*_step(axis, a)) >= 0)
+                 & (domain.shifted(*_step(axis, b)) >= 0) for a, b in _RUNS],
+                [0, 1, 2], -1,
             )
+            for axis in (0, 1)
         ]
-        return SparseOperator(_csr(parts, shape), domain.cell_space, domain.hessian_space)
-    variant = [
-        np.select(
-            [(domain.shifted(*_step(axis, a)) >= 0) & (domain.shifted(*_step(axis, b)) >= 0)
-             for a, b in _RUNS],
-            [0, 1, 2], -1,
-        )
-        for axis in (0, 1)
-    ]
-    short = np.flatnonzero((variant[0] < 0) | (variant[1] < 0))
-    if short.size:
-        k = int(short[0])
-        i, j = map(int, domain.cells[k])
-        axis = 0 if variant[0][k] < 0 else 1
-        raise StencilReachError(f"cell ({i}, {j}) has no 3-cell run along axis {axis}")
+        short = np.flatnonzero((variant[0] < 0) | (variant[1] < 0))
+        if short.size:
+            k = int(short[0])
+            i, j = map(int, domain.cells[k])
+            axis = 0 if variant[0][k] < 0 else 1
+            raise StencilReachError(f"cell ({i}, {j}) has no 3-cell run along axis {axis}")
     parts = []
-    for v in range(3):
+    for v in np.unique(variant):
         for comp, axis in ((0, 0), (2, 1)):
             at = cells[variant[axis] == v]
             parts.append(_triplets(domain, at, 3 * at + comp, _along(axis, _SECOND[v]), h2))
@@ -269,11 +256,15 @@ def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> Sparse
         for ti, ci in _FIRST[v]:
             # the y-difference is the one of the column's cell (i + ti, j)
             column = variant[1][domain.shifted(ti, 0)[at]]
-            for w in range(3):
+            for w in np.unique(column):
                 sub = at[column == w]
                 parts.append(_triplets(
                     domain, sub, 3 * sub + 1, _mixed(((ti, ci),), _FIRST[w]), h2
                 ))
+    if zero_extension:  # out-of-mask cells read as zero
+        r, c, x = (np.concatenate(a) for a in zip(*parts))
+        parts = [(r[c >= 0], c[c >= 0], x[c >= 0])]
+    shape = (3 * domain.n_cells, domain.n_cells)
     return SparseOperator(_csr(parts, shape), domain.cell_space, domain.hessian_space)
 
 
@@ -288,8 +279,9 @@ class OperatorCatalog:
 
     Operators whose kernel the domain's topology determines carry it
     (SparseOperator.kernel): the gradient's is the constants on each
-    4-connected piece, with one pinned cell per piece; the Dirichlet
-    gradient, the interior Laplacian and the curl adjoint are injective.
+    4-connected piece, with one pinned cell per piece, and the Neumann
+    Laplacian shares it; the Dirichlet gradient and Laplacian, the
+    interior Laplacian and the curl adjoint are injective.
     """
 
     def __init__(self, domain: GridDomain):
@@ -317,24 +309,31 @@ class OperatorCatalog:
 
     @property
     def laplacian_neumann(self) -> SparseOperator:
-        return self._get(
-            "laplacian_neumann",
-            lambda: assemble_laplacian(self.domain, "neumann", self.gradient),
-        )
+        return self._get("laplacian_neumann", lambda: _with_kernel(
+            assemble_laplacian(self.domain, "neumann", self.gradient),
+            self.gradient.kernel,
+        ))
 
     @property
     def laplacian_dirichlet(self) -> SparseOperator:
-        return self._get(
-            "laplacian_dirichlet",
-            lambda: assemble_laplacian(self.domain, "dirichlet", self.gradient),
-        )
+        return self._get("laplacian_dirichlet", lambda: _with_kernel(
+            assemble_laplacian(self.domain, "dirichlet", self.gradient)
+        ))
 
     @property
     def laplacian_mixed(self) -> SparseOperator:
-        return self._get(
-            "laplacian_mixed",
-            lambda: assemble_laplacian(self.domain, "mixed", self.gradient),
-        )
+        """Kernel: the constants on each piece with no Dirichlet-labelled face."""
+        def build():
+            labels = self.domain.component_labels
+            faces = np.bincount(labels, self.domain.count_boundary_faces(DIRICHLET))
+            free = faces[labels] == 0  # cells of the pieces with no such face
+            basis, pinned = self.gradient.kernel
+            return _with_kernel(
+                assemble_laplacian(self.domain, "mixed", self.gradient),
+                ([b for b in basis if not b[~free].any()], pinned[free[pinned]]),
+            )
+
+        return self._get("laplacian_mixed", build)
 
     @property
     def interior_laplacian(self) -> SparseOperator:

@@ -1,12 +1,13 @@
 """The biharmonic family: every composition of two Laplacian solves.
 
 A fourth-order problem here is a pair of stage letters <first>_<second>,
-each letter one of
+each letter one of the Laplacian inverses of `laplace.invert_laplacian`
     d  Dirichlet        (zero trace through penalty rows)
     n  Neumann          (zero flux, mean-free, Fredholm-gated)
-    c  clamped          (both conditions; data must lie in the interior
-                         stencil's range)
-    f  free             (no conditions; minimum-norm preimage)
+    c  clamped          (the overdetermined inverse: both conditions; data
+                         must lie in the interior stencil's range)
+    f  free             (the underdetermined inverse: no conditions;
+                         minimum-norm preimage)
 The first letter is inverted first and carries the boundary data of the
 solution's Laplacian; the second letter produces the solution itself.
 Eleven orderings are well posed, two one-sided problems (doubly
@@ -43,9 +44,11 @@ from .linalg import (
     piecewise_affine,
 )
 from .laplace import (
+    LaplacianKind,
     biharmonic_defect,
     boundary_row_residual,
     harmonic_defect,
+    invert_laplacian,
     mean_defect,
     normal_difference_norm,
     strip_norm,
@@ -53,6 +56,12 @@ from .laplace import (
 from .operators import OperatorCatalog
 
 STAGE_NAMES = {"d": "dirichlet", "n": "neumann", "c": "clamped", "f": "free"}
+_STAGE_KINDS = {
+    "d": LaplacianKind.DIRICHLET,
+    "n": LaplacianKind.NEUMANN,
+    "c": LaplacianKind.OVERDETERMINED,
+    "f": LaplacianKind.UNDERDETERMINED,
+}
 
 
 @dataclass(frozen=True)
@@ -292,45 +301,6 @@ def _as_catalog(catalog_or_domain) -> OperatorCatalog:
     return catalog_or_domain
 
 
-def _stage_inverse(letter: str, catalog: OperatorCatalog, rhs: np.ndarray,
-                   cfg: SolverConfig, factors: dict):
-    """Apply one Laplacian inverse; returns (values, iterations, defect, lost)."""
-    domain = catalog.domain
-    space = domain.cell_space
-    if letter == "d":
-        res = direct_solve(
-            catalog.laplacian_dirichlet, Field(space, rhs), cfg, factors=factors
-        )
-        return res.field.values, res.iterations, 0.0, 0.0
-    if letter == "n":
-        res = direct_solve(
-            catalog.laplacian_neumann, Field(space, rhs), cfg,
-            kernel=catalog.gradient.kernel, factors=factors,
-        )
-        return res.field.values, res.iterations, res.compatibility_defect, 0.0
-    if letter == "c":
-        defect, _, x = harmonic_defect(catalog, rhs, cfg, factors)
-        nrm = space.norm(rhs)
-        if nrm > 0 and defect > cfg.compat_tolerance * nrm:
-            raise CompatibilityError(
-                f"clamped-stage data has a discrete-harmonic component of "
-                f"relative size {defect / nrm:.3e}",
-                defect=defect,
-                subspace="discrete harmonics",
-            )
-        return catalog.pad1.apply_raw(x), 0, defect, 0.0
-    if letter == "f":
-        k = catalog.interior_normal
-        res = direct_solve(
-            k, Field(k.domain_space, rhs[domain.ring_cells(1)]), cfg,
-            range_of=catalog.interior_laplacian, factors=factors,
-            name="free stage",
-        )
-        lost = strip_norm(domain, rhs, 0)
-        return res.field.values, res.iterations, 0.0, lost
-    raise ValueError(f"unknown stage letter {letter!r}")
-
-
 def _measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
                         w: np.ndarray | None, f: np.ndarray,
                         cfg: SolverConfig, factors: dict) -> float:
@@ -427,10 +397,12 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
         defect = 0.0
         lost = strip_norm(domain, f.values, 1)
     else:
-        w, it1, defect, lost1 = _stage_inverse(
-            prob.first, catalog, f.values, cfg, factors
+        w, it1, defect, lost1 = invert_laplacian(
+            _STAGE_KINDS[prob.first], catalog, f.values, cfg, factors
         )
-        u, it2, defect2, lost2 = _stage_inverse(prob.second, catalog, w, cfg, factors)
+        u, it2, defect2, lost2 = invert_laplacian(
+            _STAGE_KINDS[prob.second], catalog, w, cfg, factors
+        )
         iterations = it1 + it2
         lost = lost1 + lost2
         defect = max(defect, defect2)
@@ -599,20 +571,19 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     k = catalog.interior_normal
     ring = domain.ring_cells(1)
 
-    def k_inverse(values, name, range_of=None):
-        return direct_solve(
-            k, Field(k.domain_space, values), cfg, range_of=range_of,
-            factors=factors, name=name,
-        ).field.values
-
-    def clamped_inverse(values):
-        _, _, x = harmonic_defect(catalog, values, cfg, factors)
-        return catalog.pad1.apply_raw(x)
+    def inverse(kind, values):
+        return invert_laplacian(kind, catalog, values, cfg, factors)[0]
 
     def neumann_type_algebraic(values):
         # A K^-2 A* applied without the range gate
-        z = k_inverse(a.adjoint().apply_raw(values), "exchange inner")
-        return k_inverse(z, "exchange inner", range_of=a)
+        z = direct_solve(
+            k, Field(k.domain_space, a.adjoint().apply_raw(values)), cfg,
+            factors=factors, name="exchange inner",
+        ).field.values
+        return direct_solve(
+            k, Field(k.domain_space, z), cfg, range_of=a, factors=factors,
+            name="exchange inner",
+        ).field.values
 
     def free_operator(values):
         return catalog.pad1.apply_raw(a.adjoint().apply_raw(values))
@@ -623,7 +594,7 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     devs = {}
 
     lhs = solve_zoo("c_f", catalog, f, cfg).solution.values
-    w = clamped_inverse(f.values)
+    w = inverse(LaplacianKind.OVERDETERMINED, f.values)
     v = solve_zoo("f_c", catalog, Field(space, w), cfg).solution.values
     devs["neumann_via_dirichlet"] = space.norm(lhs - clamped_operator(v))
 
@@ -632,15 +603,12 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     devs["dirichlet_via_neumann"] = space.norm(lhs - free_operator(v))
 
     # free inverse of f, then the gated Neumann-type solve, then the free op
-    w_free = k_inverse(f.values[ring], "exchange free", range_of=a)
+    w_free = inverse(LaplacianKind.UNDERDETERMINED, f.values)
     v = solve_zoo("c_f", catalog, Field(space, w_free), cfg).solution.values
     devs["dirichlet_via_neumann_free"] = space.norm(lhs - free_operator(v))
 
     lhs = solve_zoo("n_d", catalog, f, cfg).solution.values
-    w = direct_solve(
-        catalog.laplacian_neumann, f, cfg,
-        kernel=catalog.gradient.kernel, factors=factors,
-    ).field.values
+    w = inverse(LaplacianKind.NEUMANN, f.values)
     v = solve_zoo("d_d", catalog, Field(space, w), cfg).solution.values
     devs["mixed_second_order"] = space.norm(
         lhs - catalog.laplacian_dirichlet.apply_raw(v)

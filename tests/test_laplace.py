@@ -21,6 +21,7 @@ from bizoo.laplace import (
     normal_difference_norm,
     strip_norm,
 )
+from test_linalg import neumann_small_piece, two_piece_mask
 
 
 def catalog(shape="square", n=8, **kw):
@@ -119,6 +120,27 @@ def test_mixed_extremes_match_pure_kinds():
     mn = solve_laplace("mixed", cat_n, Field(dom_n.cell_space, g_vals))
     nn = solve_laplace("neumann", cat_n, Field(dom_n.cell_space, g_vals))
     assert np.allclose(mn.solution.values, nn.solution.values, atol=1e-9)
+
+
+def test_mixed_solve_on_a_piece_without_dirichlet_faces():
+    # the big block keeps its Dirichlet faces, the small block has none, so
+    # only the small block's constant is in the kernel
+    dom = neumann_small_piece(10, 2)
+    cat = OperatorCatalog(dom)
+    space = dom.cell_space
+    small = dom.component_labels != dom.component_labels[0]
+    f = np.random.default_rng(31).standard_normal(dom.n_cells)
+    f[small] -= f[small].mean()
+    rep = solve_laplace("mixed", cat, Field(space, f))
+    fnorm = space.norm(f)
+    u = rep.solution.values
+    assert space.norm(cat.laplacian_mixed.apply_raw(u) - f) <= 1e-9 * fnorm
+    assert rep.pde_residual_norm <= 1e-9 * fnorm
+    assert rep.constraint_norms["labeled boundary rows"] <= 1e-9 * fnorm
+    assert abs(u[small].sum()) <= 1e-12 * np.abs(u).sum()
+    assert abs(u[~small].sum()) > 1e-3 * np.abs(u).sum()  # the big one is not
+    with pytest.raises(CompatibilityError):
+        solve_laplace("mixed", cat, Field(space, f + small))
 
 
 def test_mixed_half_and_half():
@@ -259,3 +281,17 @@ def test_estimate_chain_neumann():
     assert rep.rejected == 0
     with pytest.raises(ValueError):
         estimate_chain_check("mixed", cat, c)
+
+
+def test_estimate_chain_neumann_deflates_the_constant_of_every_piece():
+    dom = two_piece_mask(10, 2)
+    cat = OperatorCatalog(dom)
+    c = best_constant(make_pair(cat.gradient))
+    ground = smallest_eigenpairs(cat.laplacian_neumann, 1, cat.gradient.kernel)[0][1]
+    # the ground mode plus a constant on the small block: that constant has
+    # no gradient and must be projected out with the big block's
+    small = dom.component_labels != dom.component_labels[0]
+    mode = Field(dom.cell_space, ground.values + 0.5 * small)
+    rep = estimate_chain_check("neumann", cat, c, samples=20, ground_mode=mode)
+    assert rep.ok()
+    assert rep.worst_first == pytest.approx(1.0, abs=1e-9)  # tight at ground

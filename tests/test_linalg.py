@@ -113,13 +113,15 @@ def test_cg_matches_dense_solve():
     assert res.residual_history[0] == pytest.approx(b.norm())
 
 
-def test_cg_iteration_budget_raises():
+def test_cg_iteration_budget_raises(monkeypatch):
     dom = build_domain("square", 8)
     diag = sp.diags(np.linspace(1.0, 1e6, dom.n_cells))
     op = SparseOperator(diag, dom.cell_space, dom.cell_space)
     b = Field(dom.cell_space, rng(6).normal(size=dom.n_cells))
+    # a budget of 3 iterations on the 64 unknowns
+    monkeypatch.setattr(linalg, "_CG_ITERATIONS_PER_UNKNOWN", 3 / dom.n_cells)
     with pytest.raises(ConvergenceFailure) as err:
-        cg_solve(op, b, SolverConfig(rel_tolerance=1e-12, max_iterations=3))
+        cg_solve(op, b, SolverConfig(rel_tolerance=1e-12))
     assert len(err.value.residual_history) >= 1
 
 
@@ -181,8 +183,7 @@ def test_solver_config_validation():
         SolverConfig(rel_tolerance=2.0)
     with pytest.raises(ValueError):
         SolverConfig(compat_tolerance=0.0)
-    assert SolverConfig(max_iterations=7).iteration_budget(100) == 7
-    assert SolverConfig().iteration_budget(100) == 2000
+    assert linalg._CG_ITERATIONS_PER_UNKNOWN * 100 == 2000
 
 
 def test_normal_cg_least_squares():
@@ -281,6 +282,16 @@ def two_piece_mask(big, small):
     cells += [(i, j) for j in range(big + 2, big + 2 + small)
               for i in range(big + 2, big + 2 + small)]
     return GridDomain(cells, 1 / (big + small + 2))
+
+
+def neumann_small_piece(big, small):
+    """two_piece_mask with every boundary face of the small block labelled
+    Neumann, so only the big block has Dirichlet-labelled faces."""
+    dom = two_piece_mask(big, small)
+    on_small = dom.component_labels != dom.component_labels[0]
+    cells = [tuple(c) for c in dom.cells.tolist()]
+    rules = [(cells[k], d, "neumann") for k, d in dom.boundary_faces if on_small[k]]
+    return GridDomain(cells, dom.h, rules)
 
 
 # 104 and 50 cells take the dense branch, 409 the factored one
@@ -613,7 +624,8 @@ def test_cg_stops_on_stagnation_long_before_its_budget():
     message = str(err.value)
     assert "stagnated at true residual" in message
     assert f"target {1e-18 * b.norm():.3e}" in message
-    assert len(err.value.residual_history) < cfg.iteration_budget(dom.n_cells) // 10
+    budget = linalg._CG_ITERATIONS_PER_UNKNOWN * dom.n_cells
+    assert len(err.value.residual_history) < budget // 10
 
 
 def weighted_injective(seed):

@@ -17,6 +17,7 @@ from bizoo.operators import (
     assemble_laplacian,
     assemble_pad,
 )
+from test_linalg import neumann_small_piece, two_piece_mask
 
 
 def test_two_cell_neumann_laplacian_exact():
@@ -235,6 +236,34 @@ def test_catalog_caches():
     assert cat.gradient is cat.gradient
     assert cat.interior_normal is cat.interior_normal
     assert cat.laplacian_mixed.shape == (16, 16)
+
+
+def test_catalog_laplacians_carry_their_kernels():
+    def trivial(kernel):
+        return kernel[0] == [] and kernel[1].size == 0
+
+    for dom in (build_domain("square", 8), two_piece_mask(10, 2)):
+        cat = OperatorCatalog(dom)
+        assert cat.laplacian_neumann.kernel is cat.gradient.kernel
+        assert trivial(cat.laplacian_dirichlet.kernel)
+        assert trivial(cat.laplacian_mixed.kernel)  # every face Dirichlet
+    two_cells = [tuple(c) for c in two_piece_mask(10, 2).cells.tolist()]
+    for dom in (build_domain("square", 8, labels={"all": "neumann"}),
+                GridDomain(two_cells, 1 / 14, {"all": "neumann"})):
+        cat = OperatorCatalog(dom)
+        basis, pinned = cat.laplacian_mixed.kernel
+        grad_basis, grad_pinned = cat.gradient.kernel
+        assert len(basis) == len(grad_basis) == dom.n_components
+        assert all(a is b for a, b in zip(basis, grad_basis))
+        assert np.array_equal(pinned, grad_pinned)
+    # only the small block has no Dirichlet-labelled face
+    dom = neumann_small_piece(10, 2)
+    cat = OperatorCatalog(dom)
+    small = dom.component_labels != dom.component_labels[0]
+    basis, pinned = cat.laplacian_mixed.kernel
+    assert len(basis) == 1 and np.array_equal(basis[0] != 0, small)
+    assert pinned.size == 1 and small[pinned[0]]
+    assert np.abs(cat.laplacian_mixed.apply_raw(basis[0])).max() < 1e-9
 
 
 def test_interior_normal_is_thirteen_point():
