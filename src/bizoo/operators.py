@@ -230,9 +230,11 @@ def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> Sparse
     """
     h2 = domain.h**2
     cells = np.arange(domain.n_cells)
-    if zero_extension:
+    if zero_extension:  # the centered variant at every cell
+        variants = 1
         variant = [np.zeros(domain.n_cells, dtype=np.int64)] * 2
     else:
+        variants = 3
         variant = [
             np.select(
                 [(domain.shifted(*_step(axis, a)) >= 0)
@@ -248,7 +250,7 @@ def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> Sparse
             axis = 0 if variant[0][k] < 0 else 1
             raise StencilReachError(f"cell ({i}, {j}) has no 3-cell run along axis {axis}")
     parts = []
-    for v in np.unique(variant):
+    for v in range(variants):
         for comp, axis in ((0, 0), (2, 1)):
             at = cells[variant[axis] == v]
             parts.append(_triplets(domain, at, 3 * at + comp, _along(axis, _SECOND[v]), h2))
@@ -256,7 +258,7 @@ def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> Sparse
         for ti, ci in _FIRST[v]:
             # the y-difference is the one of the column's cell (i + ti, j)
             column = variant[1][domain.shifted(ti, 0)[at]]
-            for w in np.unique(column):
+            for w in range(variants):
                 sub = at[column == w]
                 parts.append(_triplets(
                     domain, sub, 3 * sub + 1, _mixed(((ti, ci),), _FIRST[w]), h2
