@@ -181,8 +181,8 @@ def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
         return res.field.values, res.iterations, 0.0, strip_norm(domain, values, 0)
     op = getattr(catalog, f"laplacian_{kind.value}")
     res = direct_solve(
-        op, Field(domain.cell_space, values), cfg, kernel=op.kernel,
-        factors=factors, name=f"{kind.value} laplacian",
+        op, Field(domain.cell_space, values), cfg, factors=factors,
+        name=f"{kind.value} laplacian",
     )
     return res.field.values, res.iterations, res.compatibility_defect, 0.0
 

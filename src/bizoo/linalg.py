@@ -7,10 +7,10 @@ plain Euclidean ones.
 `direct_solve` inverts a selfadjoint positive (semi)definite operator by a
 banded Cholesky factor of its lower band (cells are numbered row by row, so
 a stencil of reach k has a band of about k grid rows) followed by
-iterative refinement, with CG as the fallback where refinement stalls; a
-known kernel (the constants or the affine functions on each connected
-piece) is pinned out at a few cells and gated.  For a normal product
-B* B it can return B x and refine that against B* u = b instead.
+iterative refinement, with CG as the fallback where refinement stalls; the
+kernel the operator carries (the constants or the affine functions on each
+connected piece) is pinned out at a few cells and gated.  For a normal
+product B* B it can return B x and refine that against B* u = b instead.
 `augmented_solve` handles the least-squares and minimum-norm problems of
 an injective B through a sparse LU factor of [[a I, B], [B*, 0]], whose
 conditioning follows B's rather than B* B's.  A caller-owned dict lets
@@ -19,11 +19,10 @@ conjugate gradients, stopped when the true residual stagnates;
 `normal_cg_solve` runs them on the normal equations.
 
 `smallest_eigenpairs` is dense up to 400 unknowns, deflated exactly on the
-complement of a known kernel.  Above that, with a known kernel, Lanczos
-runs on the operator's pseudo-inverse, applied through a pinned banded
-Cholesky factor as in `direct_solve` (Lehoucq, Sorensen & Yang 1998,
-ARPACK Users' Guide, section 4); only an operator whose kernel is unknown
-takes ARPACK shift-invert.  A kernel that leaves the pinned factor
+complement of the operator's kernel.  Above that, Lanczos runs on its
+inverse through the same banded Cholesky factor (Lehoucq, Sorensen & Yang
+1998, ARPACK Users' Guide, section 4), pinned off a known kernel or shifted
+where the kernel is unknown.  A kernel that leaves the pinned factor
 singular is refused as incomplete.  `pivoted_pins` picks the pinned cells
 of any kernel basis by a column-pivoted QR (Businger & Golub 1965).
 """
@@ -51,6 +50,7 @@ from .grid import DofSpace, Field
 
 DENSE_EIG_LIMIT = 400
 _REORTH_THRESHOLD = 1e-8
+_DROP_TOL = 1e-12  # relative norm below which Gram-Schmidt drops a vector
 _MAX_REFINEMENT = 10
 _STAGNATION_RESTARTS = 3
 _CG_ITERATIONS_PER_UNKNOWN = 20  # CG's budget, per unknown of the operator
@@ -104,8 +104,9 @@ class SparseOperator:
     collector could free).
 
     `kernel` is None when the kernel is unknown, else (weighted-orthonormal
-    basis, pinned cells) as direct_solve takes it; the operator catalog
-    sets it where the domain's topology determines the kernel.
+    basis, pinned cells), which direct_solve and smallest_eigenpairs read;
+    the operator catalog sets it where the domain's topology determines
+    the kernel, and a DualPair on its normal operators.
     """
 
     def __init__(self, matrix, domain_space: DofSpace, codomain_space: DofSpace):
@@ -196,10 +197,10 @@ def identity_operator(space: DofSpace) -> SparseOperator:
     return SparseOperator(sp.identity(space.dim, format="csr"), space, space)
 
 
-def orthonormalize(vectors, space: DofSpace, drop_tol: float = 1e-12):
+def orthonormalize(vectors, space: DofSpace):
     """Weighted modified Gram-Schmidt with one re-orthogonalization pass.
 
-    Vectors whose norm collapses below drop_tol (relative) after
+    Vectors whose norm collapses below _DROP_TOL (relative) after
     re-orthogonalization are dropped as linearly dependent.
     """
     basis = []
@@ -215,7 +216,7 @@ def orthonormalize(vectors, space: DofSpace, drop_tol: float = 1e-12):
             if nrm > _REORTH_THRESHOLD * original:
                 break
         nrm = space.norm(v)
-        if nrm <= drop_tol * original:
+        if nrm <= _DROP_TOL * original:
             continue
         basis.append(v / nrm)
     return basis
@@ -524,7 +525,6 @@ def direct_solve(
     b: Field,
     cfg: SolverConfig | None = None,
     *,
-    kernel: tuple | None = None,
     range_of: SparseOperator | None = None,
     factors: dict | None = None,
     name: str = "direct solve",
@@ -532,15 +532,16 @@ def direct_solve(
     """Banded Cholesky solve of a selfadjoint positive (semi)definite
     operator.
 
-    kernel, when given, is (orthonormal basis, pinned cells) of the
-    operator's kernel, with pinned cells on which no nonzero kernel
-    vector vanishes everywhere, as many as the kernel has dimensions
-    (the catalog gradient's kernel holds the constants on each piece;
-    piecewise_affine builds the affine functions; pivoted_pins pins any
-    basis).  The data is gated and projected as in deflated_cg_solve, the
-    pinned cells are held at zero for the factorization and the solution
-    comes back orthogonal to the kernel.  A kernel the pinned cells leave
-    incomplete makes the factor singular and raises BizooError.
+    The kernel is op.kernel: (orthonormal basis, pinned cells), with
+    pinned cells on which no nonzero kernel vector vanishes everywhere,
+    as many as the kernel has dimensions (the catalog sets the constants
+    on each piece; piecewise_affine builds the affine functions;
+    pivoted_pins pins any basis).  The data is gated and projected as in
+    deflated_cg_solve, the pinned cells are held at zero for the
+    factorization and the solution comes back orthogonal to the kernel.
+    A kernel the pinned cells leave incomplete makes the factor singular
+    and raises BizooError; so does an unknown kernel (None, factored with
+    no pins) on a singular operator.
 
     With range_of=B, where op is the normal product B* B, the result is
     u = B x, the minimum-norm solution of B* u = b, and refinement
@@ -566,7 +567,7 @@ def direct_solve(
     if range_of is not None and not range_of.domain_space.compatible(space):
         raise SpaceMismatchError("range_of must map out of the operator's space")
     cfg = cfg or SolverConfig()
-    basis, pinned = kernel or ([], [])
+    basis, pinned = op.kernel or ([], [])
     rhs, defect = _gate_kernel(space, b, basis, cfg)
     if range_of is None:
         out_space, lift, residual_of = space, None, op.apply_raw
@@ -726,33 +727,27 @@ def _sym_dense(op: SparseOperator) -> np.ndarray:
     return 0.5 * (sym + sym.T)
 
 
-def _sym_sparse(op: SparseOperator) -> sp.csr_matrix:
-    w = op.domain_space.weights
-    s = np.sqrt(w)
-    return (sp.diags(s) @ op.matrix @ sp.diags(1.0 / s)).tocsr()
-
-
 def smallest_eigenpairs(
     op: SparseOperator,
     count: int,
-    kernel: tuple | None = None,
     cfg: SolverConfig | None = None,
 ):
     """Smallest eigenpairs of a selfadjoint PSD endomorphism.
 
-    A kernel is given as (orthonormal basis, pinned cells), as
-    direct_solve takes it; pivoted_pins pins any basis.  The eigenpairs
-    are then those of op restricted to the kernel's orthogonal
+    With a known kernel, op.kernel as direct_solve takes it, the
+    eigenpairs are those of op restricted to the kernel's orthogonal
     complement, and the count refers to that spectrum.  The kernel must
     be complete: an eigenvalue on the complement that the residual gate
-    cannot tell from zero, or a singular factor, raises BizooError.
-    Without a kernel the whole spectrum counts, zeros too.
+    cannot tell from zero, or a singular factor, raises BizooError.  With
+    an unknown kernel (None) the whole spectrum counts, zeros too.
 
     Up to DENSE_EIG_LIMIT unknowns the eigenproblem is dense.  Above it,
-    with a kernel, Lanczos finds the largest eigenvalues 1 / lambda of the
-    pseudo-inverse, applied through a pinned banded Cholesky factor
-    between projections off the kernel; without one, ARPACK runs in
-    shift-invert mode.
+    Lanczos finds the largest eigenvalues 1 / (lambda + s) of the inverse
+    of op + s I, applied through a banded Cholesky factor (Lehoucq,
+    Sorensen & Yang 1998, ARPACK Users' Guide, section 4).  With a kernel
+    s is 0, the factor is pinned and applied between projections off the
+    kernel; without one the factor is unpinned and s is 1e-3 of the mean
+    diagonal entry (at least 1e-12), which keeps op + s I definite.
     Eigenvectors come back weighted-orthonormal with the largest-magnitude
     entry positive; each satisfies
     |op v - lambda v| <= max(tol * lambda, 1e-11 * max |diag op|).
@@ -762,7 +757,7 @@ def smallest_eigenpairs(
     cfg = cfg or SolverConfig()
     space = op.domain_space
     dim = space.dim
-    basis = kernel[0] if kernel is not None else []
+    basis, pinned = op.kernel or ([], [])
     if count + len(basis) > dim:
         raise ValueError(
             f"requested {count} eigenpairs plus {len(basis)} kernel vectors "
@@ -784,27 +779,27 @@ def smallest_eigenpairs(
         else:
             vals, vecs = np.linalg.eigh(sym)
         lams, qs = vals[:count], vecs[:, :count].T
-    elif kernel is None:
-        sym = _sym_sparse(op)
-        sigma = -max(1e-3 * float(sym.diagonal().mean()), 1e-12)
-        vals, vecs = spla.eigsh(sym, k=count, sigma=sigma, which="LM", v0=v0)
-        order = np.argsort(vals)
-        lams, qs = vals[order], vecs[:, order].T
     else:
-        factor = _BandedCholesky(op, kernel[1], "eigensolve")
+        shift, shifted = 0.0, op
+        if op.kernel is None:
+            shift = max(1e-3 * float(op.matrix.diagonal().mean()), 1e-12)
+            shifted = SparseOperator(
+                op.matrix + shift * sp.identity(dim, format="csr"), space, space
+            )
+        factor = _BandedCholesky(shifted, pinned, "eigensolve")
 
         def deflate(v):
             return v - kt @ (kt.T @ v)
 
-        def pseudo_inverse(v):
+        def apply_inverse(v):
             return deflate(s * factor.solve(deflate(np.ravel(v)) / s))
 
-        inverse = spla.LinearOperator((dim, dim), matvec=pseudo_inverse, dtype=float)
+        inverse = spla.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
         mus, vecs = spla.eigsh(inverse, k=count, which="LA", v0=deflate(v0))
         if mus.min() <= 0.0:
-            raise BizooError("eigensolve: pseudo-inverse is not positive definite")
+            raise BizooError("eigensolve: inverse is not positive definite")
         order = np.argsort(-mus)
-        lams, qs = 1.0 / mus[order], vecs[:, order].T
+        lams, qs = 1.0 / mus[order] - shift, vecs[:, order].T
 
     scale = float(np.abs(op.matrix.diagonal()).max()) if dim else 1.0
     results = []
@@ -821,7 +816,7 @@ def smallest_eigenpairs(
                 f"eigenpair residual {residual:.3e} exceeds gate {gate:.3e} "
                 f"for eigenvalue {lam:.6e}"
             )
-        if kernel is not None and lam <= 1e-11 * scale:
+        if op.kernel is not None and lam <= 1e-11 * scale:
             raise BizooError(
                 f"eigenvalue {lam:.3e} off the kernel is zero to the residual "
                 f"gate's resolution {1e-11 * scale:.1e}: the kernel is incomplete"

@@ -9,10 +9,12 @@ pairs in this package have one huge kernel (for example the divergence
 side of the gradient pair), and the solves routed through a pair only ever
 touch the small one.
 
-The range projections and the reduced solves go through one pinned banded
-Cholesky factor of the normal operator (linalg.direct_solve), held in the
-pair's `factors` dict; a pair and its swap share kernels and factors.  The
-best constants come from linalg.smallest_eigenpairs on the kernel's
+Each side's kernel, once found, is set on that side's normal operator,
+never on the operator itself.  The range projections and the reduced
+solves go through one pinned banded Cholesky factor of that normal
+operator (linalg.direct_solve), held in the pair's `factors` dict; a pair
+and its swap share normal operators, so kernels, and factors.  The best
+constants come from linalg.smallest_eigenpairs on the kernel's
 complement, which above DENSE_EIG_LIMIT factors the normal operator the
 same way.  A kernel hint that misses part of the kernel leaves that factor
 singular and is refused as incomplete.
@@ -37,13 +39,15 @@ from .linalg import (
 )
 
 _KERNEL_BATCH = 8
+_ADJOINT_PROBES = 3  # random probes of the adjoint identity in make_pair
 
 
 class DualPair:
     """An operator, its adjoint, and the four-subspace bookkeeping.
 
-    Hints, kernels, normal operators and factors are keyed by the operator
-    they belong to, in dicts the swapped pair shares.
+    Hints, normal operators and factors are keyed by the operator they
+    belong to, in dicts the swapped pair shares; each side's kernel is
+    held on that side's normal operator, as its `kernel`.
     """
 
     def __init__(self, forward: SparseOperator, kernel_forward=None,
@@ -51,7 +55,6 @@ class DualPair:
         self.forward = forward
         self.adjoint = forward.adjoint()
         self._hints = {forward: kernel_forward, self.adjoint: kernel_adjoint}
-        self._kernels = {}
         self._normals = {}
         self.factors = {}
         self._constant = None
@@ -72,40 +75,33 @@ class DualPair:
         return self._normals[op]
 
     def kernel_basis(self, side: str = "forward"):
-        """Weighted-orthonormal kernel basis of the given side, lazy."""
-        op = self._side(side)
-        if op not in self._kernels:
-            self._kernels[op] = _find_kernel(
-                op, self._hints[op], lambda: self.normal(side)
-            )
-        return self._kernels[op][0]
-
-    def kernel(self, side: str = "forward"):
-        """(basis, pinned cells) of the given side's kernel, as
-        direct_solve takes it."""
-        self.kernel_basis(side)
-        return self._kernels[self._side(side)]
+        """Weighted-orthonormal kernel basis of the given side, lazy; once
+        found, the kernel is set on the side's normal operator."""
+        op, normal = self._side(side), self.normal(side)
+        if normal.kernel is None:
+            normal.kernel = _find_kernel(op, self._hints[op], normal)
+        return normal.kernel[0]
 
     def swapped(self) -> "DualPair":
         """The pair of the adjoint, built once; it shares this pair's
-        hints, kernels, normal operators and factors.  It holds no link
-        back, so the two form no reference cycle that would keep their
-        factors alive until a full garbage collection."""
+        hints, normal operators (and so kernels) and factors.  It holds no
+        link back, so the two form no reference cycle that would keep
+        their factors alive until a full garbage collection."""
         if self._swapped is None:
             other = DualPair(self.adjoint)
-            other._hints, other._kernels = self._hints, self._kernels
-            other._normals, other.factors = self._normals, self.factors
+            other._hints, other._normals = self._hints, self._normals
+            other.factors = self.factors
             self._swapped = other
         return self._swapped
 
 
 def make_pair(forward: SparseOperator, kernel_forward=None,
-              kernel_adjoint=None, probes: int = 3) -> DualPair:
+              kernel_adjoint=None) -> DualPair:
     """Build a DualPair, spot-checking the adjoint identity on random probes."""
     pair = DualPair(forward, kernel_forward, kernel_adjoint)
     rng = np.random.default_rng(7)
     dom, cod = forward.domain_space, forward.codomain_space
-    for _ in range(probes):
+    for _ in range(_ADJOINT_PROBES):
         u = rng.standard_normal(dom.dim)
         v = rng.standard_normal(cod.dim)
         lhs = cod.inner(forward.apply_raw(u), v)
@@ -128,7 +124,8 @@ def _find_kernel(op: SparseOperator, hint, normal):
 
     The operator's own kernel when it carries one; a supplied hint must
     then be annihilated and lie in its span.  Otherwise the hint's span,
-    or a kernel discovered from `normal()`, pinned by pivoted_pins.
+    or a kernel discovered from the normal operator, pinned by
+    pivoted_pins.
     """
     space = op.domain_space
     hinted = None
@@ -145,7 +142,7 @@ def _find_kernel(op: SparseOperator, hint, normal):
                     "supplied kernel hint lies outside the operator's kernel"
                 )
         return op.kernel
-    basis = hinted if hinted is not None else _discover_kernel(op, normal())
+    basis = hinted if hinted is not None else _discover_kernel(op, normal)
     return basis, pivoted_pins(basis)
 
 
@@ -190,9 +187,8 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
     the adjoint-side kernel, so keep it to modest sizes.
     """
     if pair._constant is None:
-        lam = smallest_eigenpairs(
-            pair.normal("forward"), 1, pair.kernel("forward"), cfg
-        )[0][0]
+        pair.kernel_basis("forward")
+        lam = smallest_eigenpairs(pair.normal("forward"), 1, cfg)[0][0]
         if lam <= 0:
             raise BizooError("normal operator has no positive spectrum")
         pair._constant = 1.0 / np.sqrt(lam)
@@ -211,10 +207,10 @@ def _normal_solve(pair: DualPair, rhs: np.ndarray, cfg: SolverConfig, name: str,
     """direct_solve of (A* A) x = rhs on the pair's factor and kernel; the
     data is projected off the kernel first, where it lies up to rounding."""
     space = pair.forward.domain_space
-    kernel = pair.kernel("forward")
+    rhs = _project_out(space, rhs, pair.kernel_basis("forward"))
     return direct_solve(
-        pair.normal("forward"), Field(space, _project_out(space, rhs, kernel[0])),
-        cfg, kernel=kernel, range_of=range_of, factors=pair.factors, name=name,
+        pair.normal("forward"), Field(space, rhs), cfg,
+        range_of=range_of, factors=pair.factors, name=name,
     )
 
 

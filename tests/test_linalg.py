@@ -35,6 +35,13 @@ def uniform_space(name, dim, w=1.0):
     return DofSpace(name, dim, np.full(dim, w))
 
 
+def kernel_less(op, kernel=None):
+    """A copy of op that carries the given kernel instead of its own."""
+    bare = SparseOperator(op.matrix, op.domain_space, op.codomain_space)
+    bare.kernel = kernel
+    return bare
+
+
 def test_adjoint_uniform_weights_is_plain_transpose():
     a = uniform_space("a", 4, 0.25)
     b = uniform_space("b", 3, 0.25)
@@ -256,6 +263,20 @@ def test_eigenpairs_sparse_path_matches_dense():
     assert pairs[1][0] == pytest.approx(analytic_dirichlet_eigenvalue(n, 2, 1), rel=1e-10)
 
 
+@pytest.mark.parametrize("shape,n", [("square", 21), ("annulus", 32)])
+def test_eigenpairs_sparse_path_without_a_kernel(shape, n):
+    from bizoo.pairs import _discover_kernel
+
+    op = kernel_less(OperatorCatalog(build_domain(shape, n)).laplacian_neumann)
+    assert op.shape[0] > linalg.DENSE_EIG_LIMIT
+    vals = np.linalg.eigvalsh(op.to_dense())  # uniform weights: symmetric
+    lams = [lam for lam, _ in smallest_eigenpairs(op, 4)]
+    scale = np.abs(op.matrix.diagonal()).max()
+    assert 0.0 <= lams[0] <= 1e-14 * scale  # the constants, counted too
+    assert lams[1:] == pytest.approx(vals[1:4], rel=1e-10)
+    assert len(_discover_kernel(op, op)) == 1
+
+
 def test_eigenpairs_kernel_filter_and_sign():
     from bizoo import OperatorCatalog
 
@@ -264,8 +285,8 @@ def test_eigenpairs_kernel_filter_and_sign():
     op = OperatorCatalog(dom).laplacian_neumann
     ones = dom.cell_space.ones()
     basis = orthonormalize([ones], dom.cell_space)
-    ones_kernel = (basis, linalg.pivoted_pins(basis))
-    pairs = smallest_eigenpairs(op, 1, ones_kernel)
+    op = kernel_less(op, (basis, linalg.pivoted_pins(basis)))
+    pairs = smallest_eigenpairs(op, 1)
     lam, vec = pairs[0]
     # first nonzero Neumann eigenvalue: 1D mode (1, 0)
     h = 1.0 / n
@@ -273,7 +294,7 @@ def test_eigenpairs_kernel_filter_and_sign():
     assert abs(dom.cell_space.inner(vec.values, ones.values)) < 1e-12
     assert vec.values[int(np.argmax(np.abs(vec.values)))] > 0
     with pytest.raises(ValueError):
-        smallest_eigenpairs(op, dom.n_cells, ones_kernel)
+        smallest_eigenpairs(op, dom.n_cells)
 
 
 def two_piece_mask(big, small):
@@ -304,7 +325,7 @@ def test_eigenpairs_off_a_complete_kernel_match_eigh(name):
     cat = OperatorCatalog(dom)
     op = cat.laplacian_neumann
     vals = np.linalg.eigvalsh(op.to_dense())  # uniform weights: symmetric
-    pairs = smallest_eigenpairs(op, 3, cat.gradient.kernel)
+    pairs = smallest_eigenpairs(op, 3)  # off op.kernel, the gradient's
     assert [lam for lam, _ in pairs] == pytest.approx(vals[2:5], rel=1e-10)
     for _, vec in pairs:
         for b in cat.gradient.kernel[0]:
@@ -320,7 +341,7 @@ def test_eigenpairs_off_an_incomplete_kernel_are_refused(name):
     assert vals[1] < 1e-10 * vals[-1]
     basis = orthonormalize([dom.cell_space.ones()], dom.cell_space)
     with pytest.raises(BizooError, match="the kernel is incomplete"):
-        smallest_eigenpairs(op, 1, (basis, linalg.pivoted_pins(basis)))
+        smallest_eigenpairs(kernel_less(op, (basis, linalg.pivoted_pins(basis))), 1)
 
 
 def test_pivoted_pins_pin_every_kernel_vector():
@@ -366,8 +387,9 @@ def routed_data(op, singular, seed):
     return Field(space, b)
 
 
-def pieces(cat, singular):
-    return cat.gradient.kernel if singular else None
+def kernel_dim(op):
+    """Dimension of the kernel an operator carries; None counts as 0."""
+    return len(op.kernel[0]) if op.kernel is not None else 0
 
 
 def mean_abs(space, x):
@@ -382,8 +404,8 @@ def test_direct_solve_meets_target_and_agrees_with_cg(catalogs16, key, neumann,
     op = getattr(cat, key)
     space = op.domain_space
     b = routed_data(op, singular, 21)
-    res = direct_solve(op, b, SolverConfig(rel_tolerance=1e-10),
-                       kernel=pieces(cat, singular))
+    assert kernel_dim(op) == singular  # the constants on the one piece
+    res = direct_solve(op, b, SolverConfig(rel_tolerance=1e-10))
     x = res.field.values
     assert space.norm(op.apply_raw(x) - b.values) <= 1e-10 * b.norm()
     assert res.residual_norm <= 1e-10 * b.norm()
@@ -407,12 +429,12 @@ def test_direct_solve_compatibility_gate(catalogs16, key, neumann):
     b = routed_data(op, True, 22)
     shifted = Field(space, b.values + 1e-6 * b.norm() / space.norm(np.ones(space.dim)))
     with pytest.raises(CompatibilityError) as err:
-        direct_solve(op, shifted, kernel=pieces(cat, True))
+        direct_solve(op, shifted)
     assert err.value.defect == pytest.approx(1e-6 * b.norm(), rel=1e-6)
     assert err.value.subspace == "solver kernel"
     # a component under the 1e-8 gate passes and is reported
     small = Field(space, b.values + 1e-10 * b.norm() / space.norm(np.ones(space.dim)))
-    res = direct_solve(op, small, kernel=pieces(cat, True))
+    res = direct_solve(op, small)
     assert res.compatibility_defect == pytest.approx(1e-10 * b.norm(), rel=1e-3)
 
 
@@ -423,8 +445,7 @@ def test_direct_solve_unattainable_target_reports_residuals(catalogs16, key,
     op = getattr(cat, key)
     b = routed_data(op, singular, 23)
     with pytest.raises(ConvergenceFailure) as err:
-        direct_solve(op, b, SolverConfig(rel_tolerance=1e-18),
-                     kernel=pieces(cat, singular))
+        direct_solve(op, b, SolverConfig(rel_tolerance=1e-18))
     history = err.value.residual_history
     message = str(err.value)
     assert f"residual {min(history[1:]):.3e}" in message
@@ -483,9 +504,8 @@ def test_direct_solve_pins_each_connected_piece():
         b[piece] -= b[piece].mean()
     data = Field(space, b)
     factors = {}
-    kernel = OperatorCatalog(dom).gradient.kernel
     res = direct_solve(op, data, SolverConfig(rel_tolerance=1e-10),
-                       kernel=kernel, factors=factors)
+                       factors=factors)
     assert sorted(left[factors[op].pinned]) == [False, True]
     x = res.field.values
     assert res.residual_norm <= 1e-10 * data.norm()
@@ -498,7 +518,7 @@ def test_direct_solve_pins_each_connected_piece():
     # mean-free overall but not on each piece: a kernel component
     shifted = Field(space, b + np.where(left, 1.0, -1.0))
     with pytest.raises(CompatibilityError) as err:
-        direct_solve(op, shifted, kernel=kernel)
+        direct_solve(op, shifted)
     assert err.value.defect == pytest.approx(space.norm(np.ones(space.dim)))
 
 

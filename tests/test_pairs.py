@@ -303,6 +303,30 @@ def test_kernel_hint_must_lie_in_the_operator_kernel():
     assert make_pair(op, kernel_forward=[basis[0]]).kernel_basis() is op.kernel[0]
 
 
+def test_kernel_hint_lands_on_the_normal_operator():
+    dom = build_domain("square", 6)
+    grad = OperatorCatalog(dom).gradient
+    op = SparseOperator(grad.matrix, dom.cell_space, dom.edge_space)
+    pair = make_pair(op, kernel_forward=[dom.cell_space.ones()])
+    basis = pair.kernel_basis()
+    assert len(basis) == 1
+    assert op.kernel is None and op.adjoint().kernel is None
+    assert pair.normal().kernel[0] is basis
+    assert pair.swapped().kernel_basis("adjoint") is basis
+
+
+@pytest.mark.parametrize("shape,n", [("square", 16), ("annulus", 32)])
+def test_project_range_of_a_divergence_free_field(shape, n):
+    # A* g is rounding only, with a kernel component of its own size:
+    # projected off the kernel, it passes the solve's gate
+    cat = OperatorCatalog(build_domain(shape, n))
+    psi = rng(14).normal(size=cat.domain.vertex_space.dim)
+    g = Field(cat.domain.edge_space, cat.curl.adjoint().apply_raw(psi))
+    inside, rest = project_range(make_pair(cat.gradient), g)
+    assert inside.norm() <= 1e-14 * g.norm()
+    assert (rest - g).norm() <= 1e-14 * g.norm()
+
+
 @pytest.mark.parametrize("name", sorted(multi_piece_domains()) + ["five_by_five_twice"])
 def test_incomplete_kernel_is_refused(name):
     # a user operator hinted with the global constant misses one piece's

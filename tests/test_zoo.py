@@ -18,6 +18,7 @@ from bizoo import (
     classify_zoo,
     deflated_cg_solve,
     dense_solution_operator,
+    direct_solve,
     exchange_identity_check,
     make_pair,
     orthonormalize,
@@ -26,7 +27,9 @@ from bizoo import (
     solve_regularized,
     solve_zoo,
 )
+from bizoo import linalg
 from bizoo.expressions import Expression
+from bizoo.laplace import invert_laplacian
 from bizoo.linalg import piecewise_affine
 
 WELL_POSED = (
@@ -241,6 +244,57 @@ def test_exchange_identities_tiny_on_range_data(cat16):
         }
         worst = max(worst, devs["max"] / devs["data_norm"])
     assert worst <= 1e-9
+
+
+def zoo_route_devs(cat, f, cfg):
+    """The exchange deviations with every two-letter solution taken from
+    its own solve_zoo call, each with a fresh factor dict."""
+    space, a = cat.domain.cell_space, cat.interior_laplacian
+    k, ring = cat.interior_normal, cat.domain.ring_cells(1)
+
+    def zoo(label, values):
+        return solve_zoo(label, cat, Field(space, values), cfg).solution.values
+
+    def free_operator(values):
+        return cat.pad1.apply_raw(a.adjoint().apply_raw(values))
+
+    w = invert_laplacian("overdetermined", cat, f.values, cfg)[0]
+    z = direct_solve(k, Field(k.domain_space, a.adjoint().apply_raw(w)), cfg)
+    algebraic = direct_solve(k, z.field, cfg, range_of=a).field.values
+    w_free = invert_laplacian("underdetermined", cat, f.values, cfg)[0]
+    w_neumann = invert_laplacian("neumann", cat, f.values, cfg)[0]
+    dirichlet = zoo("f_c", f.values)
+    return {
+        "neumann_via_dirichlet": space.norm(
+            zoo("c_f", f.values) - a.apply_raw(zoo("f_c", w)[ring])),
+        "dirichlet_via_neumann": space.norm(dirichlet - free_operator(algebraic)),
+        "dirichlet_via_neumann_free": space.norm(
+            dirichlet - free_operator(zoo("c_f", w_free))),
+        "mixed_second_order": space.norm(
+            zoo("n_d", f.values)
+            - cat.laplacian_dirichlet.apply_raw(zoo("d_d", w_neumann))),
+    }
+
+
+@pytest.mark.parametrize("shape,n", [("square", 16), ("annulus", 32)])
+def test_exchange_identities_factor_each_operator_once(monkeypatch, shape, n):
+    cat = OperatorCatalog(build_domain(shape, n))
+    dom = cat.domain
+    f = Field(dom.cell_space, cat.interior_laplacian.apply_raw(
+        np.random.default_rng(13).normal(size=dom.ring_cells(1).size)))
+    factored = []
+    init = linalg._BandedCholesky.__init__
+
+    def counting(self, op, pinned, name):
+        factored.append(op)
+        init(self, op, pinned, name)
+
+    monkeypatch.setattr(linalg._BandedCholesky, "__init__", counting)
+    devs = exchange_identity_check(cat, f)
+    # interior normal product, Neumann and Dirichlet Laplacians
+    assert len(factored) == len(set(map(id, factored))) == 3
+    expected = zoo_route_devs(cat, f, SolverConfig(rel_tolerance=1e-12))
+    assert {key: devs[key] for key in expected} == expected
 
 
 def test_exchange_identities_gate(cat16):
