@@ -18,8 +18,10 @@ several solves share a factor.  `cg_solve` and `deflated_cg_solve` are
 conjugate gradients, stopped when the true residual stagnates;
 `normal_cg_solve` runs them on the normal equations.
 
-`smallest_eigenpairs` is dense up to 400 unknowns, deflated exactly on the
-complement of the operator's kernel.  Above that, Lanczos runs on its
+`smallest_eigenpairs` is dense up to 400 unknowns: one subset `eigh`
+(LAPACK's MRRR driver, Dhillon & Parlett 2004) computes only the pairs it
+returns, with the operator's kernel lifted above the spectrum by a rank-k
+term and the vectors projected off it.  Above that, Lanczos runs on its
 inverse through the same banded Cholesky factor (Lehoucq, Sorensen & Yang
 1998, ARPACK Users' Guide, section 4), pinned off a known kernel or shifted
 where the kernel is unknown.  A kernel that leaves the pinned factor
@@ -84,7 +86,7 @@ class SolverConfig:
 
 
 @dataclass
-class KrylovResult:
+class SolveResult:
     """Solution field plus the diagnostics every report needs."""
 
     field: Field
@@ -310,7 +312,7 @@ def _run_cg(op: SparseOperator, b: np.ndarray, cfg: SolverConfig, basis, name: s
     return x, iterations, history, math.sqrt(rs)
 
 
-def cg_solve(op: SparseOperator, b: Field, cfg: SolverConfig | None = None) -> KrylovResult:
+def cg_solve(op: SparseOperator, b: Field, cfg: SolverConfig | None = None) -> SolveResult:
     """CG for a selfadjoint positive definite operator on its own space."""
     if not op.domain_space.compatible(op.codomain_space):
         raise SpaceMismatchError("cg_solve needs an endomorphism")
@@ -318,7 +320,7 @@ def cg_solve(op: SparseOperator, b: Field, cfg: SolverConfig | None = None) -> K
         raise SpaceMismatchError("right-hand side lives in the wrong space")
     cfg = cfg or SolverConfig()
     x, it, hist, res = _run_cg(op, b.values.copy(), cfg, [], "cg")
-    return KrylovResult(Field(op.domain_space, x), it, res, 0.0, hist)
+    return SolveResult(Field(op.domain_space, x), it, res, 0.0, hist)
 
 
 def _gate_kernel(space: DofSpace, b: Field, basis, cfg: SolverConfig):
@@ -345,7 +347,7 @@ def deflated_cg_solve(
     b: Field,
     kernel_basis,
     cfg: SolverConfig | None = None,
-) -> KrylovResult:
+) -> SolveResult:
     """CG for a selfadjoint PSD operator with known kernel.
 
     The right-hand side must be orthogonal to the kernel up to
@@ -361,7 +363,7 @@ def deflated_cg_solve(
     basis = orthonormalize(kernel_basis, space)
     projected, defect = _gate_kernel(space, b, basis, cfg)
     x, it, hist, res = _run_cg(op, projected, cfg, basis, "deflated cg")
-    return KrylovResult(Field(space, x), it, res, defect, hist)
+    return SolveResult(Field(space, x), it, res, defect, hist)
 
 
 def normal_cg_solve(
@@ -369,7 +371,7 @@ def normal_cg_solve(
     b: Field,
     side: str = "least_squares",
     cfg: SolverConfig | None = None,
-) -> KrylovResult:
+) -> SolveResult:
     """Least-squares or minimum-norm solve through the normal equations.
 
     side "least_squares": b in the codomain; returns argmin |op x - b|,
@@ -386,7 +388,7 @@ def normal_cg_solve(
         x, it, hist, _ = _run_cg(normal, rhs.values, cfg, [], "normal cg")
         sol = Field(op.domain_space, x)
         res = op.codomain_space.norm(op.apply_raw(x) - b.values)
-        return KrylovResult(sol, it, res, 0.0, hist)
+        return SolveResult(sol, it, res, 0.0, hist)
     if side == "min_norm":
         if not b.space.compatible(op.domain_space):
             raise SpaceMismatchError("min_norm data must live in the domain space")
@@ -394,7 +396,7 @@ def normal_cg_solve(
         x = op.apply_raw(y)
         sol = Field(op.codomain_space, x)
         res = op.domain_space.norm(op.adjoint().apply_raw(x) - b.values)
-        return KrylovResult(sol, it, res, 0.0, hist)
+        return SolveResult(sol, it, res, 0.0, hist)
     raise ValueError(f"side must be 'least_squares' or 'min_norm', got {side!r}")
 
 
@@ -528,7 +530,7 @@ def direct_solve(
     range_of: SparseOperator | None = None,
     factors: dict | None = None,
     name: str = "direct solve",
-) -> KrylovResult:
+) -> SolveResult:
     """Banded Cholesky solve of a selfadjoint positive (semi)definite
     operator.
 
@@ -605,7 +607,7 @@ def direct_solve(
                 r = _project_out(space, rhs - residual_of(y), basis)
                 history.append(space.norm(r))
                 break
-    return KrylovResult(Field(out_space, y), iterations, history[-1], defect, history)
+    return SolveResult(Field(out_space, y), iterations, history[-1], defect, history)
 
 
 class _AugmentedLU:
@@ -736,12 +738,18 @@ def smallest_eigenpairs(
 
     With a known kernel, op.kernel as direct_solve takes it, the
     eigenpairs are those of op restricted to the kernel's orthogonal
-    complement, and the count refers to that spectrum.  The kernel must
-    be complete: an eigenvalue on the complement that the residual gate
-    cannot tell from zero, or a singular factor, raises BizooError.  With
-    an unknown kernel (None) the whole spectrum counts, zeros too.
+    complement, and the count (at least 1) refers to that spectrum.  The
+    kernel must be complete: an eigenvalue on the complement that the
+    residual gate cannot tell from zero, or a singular factor, raises
+    BizooError.  With an unknown kernel (None) the whole spectrum counts,
+    zeros too.
 
-    Up to DENSE_EIG_LIMIT unknowns the eigenproblem is dense.  Above it,
+    Up to DENSE_EIG_LIMIT unknowns the eigenproblem is dense: the lowest
+    count eigenpairs, and only those, of the W^(1/2)-symmetrized matrix
+    plus lift * K K^T, K the kernel's plain-orthonormal columns and lift
+    twice the row-sum (Gershgorin) bound that caps the spectrum, so the
+    kernel sits above it; the vectors are then projected off K.  A kernel vector
+    missing from op.kernel stays at zero and is refused.  Above it,
     Lanczos finds the largest eigenvalues 1 / (lambda + s) of the inverse
     of op + s I, applied through a banded Cholesky factor (Lehoucq,
     Sorensen & Yang 1998, ARPACK Users' Guide, section 4).  With a kernel
@@ -758,6 +766,8 @@ def smallest_eigenpairs(
     space = op.domain_space
     dim = space.dim
     basis, pinned = op.kernel or ([], [])
+    if count < 1:
+        raise ValueError(f"requested {count} eigenpairs; need at least 1")
     if count + len(basis) > dim:
         raise ValueError(
             f"requested {count} eigenpairs plus {len(basis)} kernel vectors "
@@ -769,16 +779,16 @@ def smallest_eigenpairs(
     # deterministic generic start vector; ARPACK's default is random
     v0 = np.random.default_rng(180).standard_normal(dim)
 
+    def deflate(v):
+        return v - kt @ (kt.T @ v)
+
     if dim <= DENSE_EIG_LIMIT:
         sym = _sym_dense(op)
-        if basis:
-            # restrict to an orthonormal basis of the kernel's complement
-            comp = sla.qr(kt)[0][:, len(basis):]
-            vals, vecs = np.linalg.eigh(comp.T @ sym @ comp)
-            vecs = comp @ vecs
-        else:
-            vals, vecs = np.linalg.eigh(sym)
-        lams, qs = vals[:count], vecs[:, :count].T
+        lift = 2.0 * float(np.abs(sym).sum(axis=1).max())
+        vals, vecs = sla.eigh(
+            sym + lift * (kt @ kt.T), subset_by_index=[0, count - 1]
+        )
+        lams, qs = vals, deflate(vecs).T
     else:
         shift, shifted = 0.0, op
         if op.kernel is None:
@@ -787,9 +797,6 @@ def smallest_eigenpairs(
                 op.matrix + shift * sp.identity(dim, format="csr"), space, space
             )
         factor = _BandedCholesky(shifted, pinned, "eigensolve")
-
-        def deflate(v):
-            return v - kt @ (kt.T @ v)
 
         def apply_inverse(v):
             return deflate(s * factor.solve(deflate(np.ravel(v)) / s))

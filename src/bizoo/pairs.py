@@ -15,9 +15,10 @@ solves go through one pinned banded Cholesky factor of that normal
 operator (linalg.direct_solve), held in the pair's `factors` dict; a pair
 and its swap share normal operators, so kernels, and factors.  The best
 constants come from linalg.smallest_eigenpairs on the kernel's
-complement, which above DENSE_EIG_LIMIT factors the normal operator the
-same way.  A kernel hint that misses part of the kernel leaves that factor
-singular and is refused as incomplete.
+complement: a subset eigensolve with the kernel lifted above the spectrum
+up to DENSE_EIG_LIMIT, a factor pinned the same way above it.  A kernel
+hint that misses part of the kernel leaves a zero eigenvalue or a
+singular factor and is refused as incomplete.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import BizooError, CompatibilityError
 from .grid import Field
 from .linalg import (
     DENSE_EIG_LIMIT,
-    KrylovResult,
+    SolveResult,
     SolverConfig,
     SparseOperator,
     direct_solve,
@@ -203,7 +204,7 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
 
 
 def _normal_solve(pair: DualPair, rhs: np.ndarray, cfg: SolverConfig, name: str,
-                  range_of: SparseOperator | None = None) -> KrylovResult:
+                  range_of: SparseOperator | None = None) -> SolveResult:
     """direct_solve of (A* A) x = rhs on the pair's factor and kernel; the
     data is projected off the kernel first, where it lies up to rounding."""
     space = pair.forward.domain_space
@@ -226,7 +227,7 @@ def project_range(pair: DualPair, g: Field, cfg: SolverConfig | None = None):
 
 
 def reduced_solve(pair: DualPair, task: str, rhs: Field,
-                  cfg: SolverConfig | None = None) -> KrylovResult:
+                  cfg: SolverConfig | None = None) -> SolveResult:
     """Solve one of the canonical subproblems a dual pair carries.
 
     task "least_squares":  min |A x - rhs| with x orthogonal to ker(A);

@@ -344,6 +344,42 @@ def test_eigenpairs_off_an_incomplete_kernel_are_refused(name):
         smallest_eigenpairs(kernel_less(op, (basis, linalg.pivoted_pins(basis))), 1)
 
 
+@pytest.mark.parametrize("n", [8, 21])  # 64 cells dense, 441 factored
+def test_eigenpairs_refuse_a_count_below_one(n):
+    op = OperatorCatalog(build_domain("square", n)).laplacian_dirichlet
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            smallest_eigenpairs(op, count)
+
+
+def test_eigenpairs_dense_with_nonuniform_weights_and_a_known_kernel():
+    g = rng(40)
+    dom = DofSpace("d", 40, g.uniform(0.5, 2.0, size=40))
+    cod = DofSpace("c", 60, g.uniform(0.5, 2.0, size=60))
+    basis = orthonormalize(list(g.normal(size=(3, 40))), dom)
+    # a generic map composed with the weighted projector off the basis
+    mat = (sp.random(60, 40, density=0.3, random_state=40) + sp.eye(60, 40)).toarray()
+    proj = np.eye(40) - sum(np.outer(b, dom.weights * b) for b in basis)
+    b_op = SparseOperator(sp.csr_matrix(mat @ proj), dom, cod)
+    normal = b_op.adjoint() @ b_op
+    normal.kernel = (basis, linalg.pivoted_pins(basis))
+    assert normal.shape[0] <= linalg.DENSE_EIG_LIMIT
+
+    # oracle: the W-symmetrized matrix restricted to the kernel's complement
+    s = np.sqrt(dom.weights)
+    sym = s[:, None] * normal.to_dense() / s[None, :]
+    sym = 0.5 * (sym + sym.T)
+    comp = np.linalg.qr(np.array([s * b for b in basis]).T, mode="complete")[0][:, 3:]
+    vals = np.linalg.eigvalsh(comp.T @ sym @ comp)
+
+    pairs = smallest_eigenpairs(normal, 4)
+    assert [lam for lam, _ in pairs] == pytest.approx(vals[:4], rel=1e-10)
+    for _, vec in pairs:
+        assert vec.norm() == pytest.approx(1.0)
+        for b in basis:
+            assert abs(dom.inner(b, vec.values)) < 1e-12
+
+
 def test_pivoted_pins_pin_every_kernel_vector():
     dom = two_piece_mask(10, 2)
     space = dom.cell_space
