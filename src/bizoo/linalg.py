@@ -18,15 +18,12 @@ several solves share a factor.  `cg_solve` and `deflated_cg_solve` are
 conjugate gradients, stopped when the true residual stagnates;
 `normal_cg_solve` runs them on the normal equations.
 
-`smallest_eigenpairs` is dense up to 400 unknowns: one subset `eigh`
-(LAPACK's MRRR driver, Dhillon & Parlett 2004) computes only the pairs it
-returns, with the operator's kernel lifted above the spectrum by a rank-k
-term and the vectors projected off it.  Above that, Lanczos runs on its
-inverse through the same banded Cholesky factor (Lehoucq, Sorensen & Yang
-1998, ARPACK Users' Guide, section 4), pinned off a known kernel or shifted
-where the kernel is unknown.  A kernel that leaves the pinned factor
-singular is refused as incomplete.  `pivoted_pins` picks the pinned cells
-of any kernel basis by a column-pivoted QR (Businger & Golub 1965).
+`smallest_eigenpairs` runs Lanczos on the inverse of the operator through
+the same pinned banded Cholesky factor, between projections off its
+kernel (Lehoucq, Sorensen & Yang 1998, ARPACK Users' Guide, section 4);
+a kernel that leaves the factor singular is refused as incomplete, by
+both functions.  `pivoted_pins` picks the pinned cells of any kernel
+basis by a column-pivoted QR (Businger & Golub 1965).
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from .errors import (
 )
 from .grid import DofSpace, Field
 
-DENSE_EIG_LIMIT = 400
 _REORTH_THRESHOLD = 1e-8
 _DROP_TOL = 1e-12  # relative norm below which Gram-Schmidt drops a vector
 _MAX_REFINEMENT = 10
@@ -105,10 +101,11 @@ class SparseOperator:
     M lives, and the two form no reference cycle that only the garbage
     collector could free).
 
-    `kernel` is None when the kernel is unknown, else (weighted-orthonormal
-    basis, pinned cells), which direct_solve and smallest_eigenpairs read;
-    the operator catalog sets it where the domain's topology determines
-    the kernel, and a DualPair on its normal operators.
+    `kernel` is None for an operator with no kernel, else
+    (weighted-orthonormal basis, pinned cells), which direct_solve and
+    smallest_eigenpairs read; the operator catalog sets it where the
+    domain's topology determines the kernel, and a DualPair on its normal
+    operators.
     """
 
     def __init__(self, matrix, domain_space: DofSpace, codomain_space: DofSpace):
@@ -542,8 +539,8 @@ def direct_solve(
     deflated_cg_solve, the pinned cells are held at zero for the
     factorization and the solution comes back orthogonal to the kernel.
     A kernel the pinned cells leave incomplete makes the factor singular
-    and raises BizooError; so does an unknown kernel (None, factored with
-    no pins) on a singular operator.
+    and raises BizooError; so does no kernel (None, factored with no
+    pins) on a singular operator.
 
     With range_of=B, where op is the normal product B* B, the result is
     u = B x, the minimum-norm solution of B* u = b, and refinement
@@ -720,15 +717,6 @@ def augmented_solve(
 
 # -- eigenpairs -----------------------------------------------------------------
 
-def _sym_dense(op: SparseOperator) -> np.ndarray:
-    """Plain-symmetric dense matrix similar to op via W^(1/2) conjugation."""
-    w = op.domain_space.weights
-    s = np.sqrt(w)
-    dense = op.to_dense()
-    sym = (s[:, None] * dense) / s[None, :]
-    return 0.5 * (sym + sym.T)
-
-
 def smallest_eigenpairs(
     op: SparseOperator,
     count: int,
@@ -736,26 +724,18 @@ def smallest_eigenpairs(
 ):
     """Smallest eigenpairs of a selfadjoint PSD endomorphism.
 
-    With a known kernel, op.kernel as direct_solve takes it, the
-    eigenpairs are those of op restricted to the kernel's orthogonal
-    complement, and the count (at least 1) refers to that spectrum.  The
-    kernel must be complete: an eigenvalue on the complement that the
-    residual gate cannot tell from zero, or a singular factor, raises
-    BizooError.  With an unknown kernel (None) the whole spectrum counts,
-    zeros too.
+    The eigenpairs are those of op restricted to the orthogonal complement
+    of its kernel, op.kernel as direct_solve takes it (None: no kernel),
+    and the count, from 1 to dim - len(kernel) - 1, refers to that
+    spectrum.  The kernel must be complete: a singular factor, or an
+    eigenvalue on the complement that the residual gate cannot tell from
+    zero, raises BizooError.
 
-    Up to DENSE_EIG_LIMIT unknowns the eigenproblem is dense: the lowest
-    count eigenpairs, and only those, of the W^(1/2)-symmetrized matrix
-    plus lift * K K^T, K the kernel's plain-orthonormal columns and lift
-    twice the row-sum (Gershgorin) bound that caps the spectrum, so the
-    kernel sits above it; the vectors are then projected off K.  A kernel vector
-    missing from op.kernel stays at zero and is refused.  Above it,
-    Lanczos finds the largest eigenvalues 1 / (lambda + s) of the inverse
-    of op + s I, applied through a banded Cholesky factor (Lehoucq,
-    Sorensen & Yang 1998, ARPACK Users' Guide, section 4).  With a kernel
-    s is 0, the factor is pinned and applied between projections off the
-    kernel; without one the factor is unpinned and s is 1e-3 of the mean
-    diagonal entry (at least 1e-12), which keeps op + s I definite.
+    Lanczos finds the largest eigenvalues 1 / lambda of the inverse of op,
+    applied through the banded Cholesky factor pinned at the kernel's
+    cells, between projections off the kernel, in the W^(1/2)-similar
+    plain-symmetric problem (Lehoucq, Sorensen & Yang 1998, ARPACK Users'
+    Guide, section 4).  Lanczos needs one dimension more than it returns.
     Eigenvectors come back weighted-orthonormal with the largest-magnitude
     entry positive; each satisfies
     |op v - lambda v| <= max(tol * lambda, 1e-11 * max |diag op|).
@@ -768,10 +748,11 @@ def smallest_eigenpairs(
     basis, pinned = op.kernel or ([], [])
     if count < 1:
         raise ValueError(f"requested {count} eigenpairs; need at least 1")
-    if count + len(basis) > dim:
+    if count + len(basis) >= dim:
         raise ValueError(
-            f"requested {count} eigenpairs plus {len(basis)} kernel vectors "
-            f"exceeds dimension {dim}"
+            f"requested {count} eigenpairs off {len(basis)} kernel vectors "
+            f"in dimension {dim}; Lanczos returns at most "
+            f"{dim - len(basis) - 1}"
         )
     s = np.sqrt(space.weights)
     # the kernel as plain-orthonormal columns of the similar problem
@@ -782,33 +763,19 @@ def smallest_eigenpairs(
     def deflate(v):
         return v - kt @ (kt.T @ v)
 
-    if dim <= DENSE_EIG_LIMIT:
-        sym = _sym_dense(op)
-        lift = 2.0 * float(np.abs(sym).sum(axis=1).max())
-        vals, vecs = sla.eigh(
-            sym + lift * (kt @ kt.T), subset_by_index=[0, count - 1]
-        )
-        lams, qs = vals, deflate(vecs).T
-    else:
-        shift, shifted = 0.0, op
-        if op.kernel is None:
-            shift = max(1e-3 * float(op.matrix.diagonal().mean()), 1e-12)
-            shifted = SparseOperator(
-                op.matrix + shift * sp.identity(dim, format="csr"), space, space
-            )
-        factor = _BandedCholesky(shifted, pinned, "eigensolve")
+    factor = _BandedCholesky(op, pinned, "eigensolve")
 
-        def apply_inverse(v):
-            return deflate(s * factor.solve(deflate(np.ravel(v)) / s))
+    def apply_inverse(v):
+        return deflate(s * factor.solve(deflate(np.ravel(v)) / s))
 
-        inverse = spla.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
-        mus, vecs = spla.eigsh(inverse, k=count, which="LA", v0=deflate(v0))
-        if mus.min() <= 0.0:
-            raise BizooError("eigensolve: inverse is not positive definite")
-        order = np.argsort(-mus)
-        lams, qs = 1.0 / mus[order] - shift, vecs[:, order].T
+    inverse = spla.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
+    mus, vecs = spla.eigsh(inverse, k=count, which="LA", v0=deflate(v0))
+    if mus.min() <= 0.0:
+        raise BizooError("eigensolve: inverse is not positive definite")
+    order = np.argsort(-mus)
+    lams, qs = 1.0 / mus[order], vecs[:, order].T
 
-    scale = float(np.abs(op.matrix.diagonal()).max()) if dim else 1.0
+    scale = float(np.abs(op.matrix.diagonal()).max())
     results = []
     for lam, q in zip(lams.tolist(), qs):
         v = q / s
@@ -823,10 +790,10 @@ def smallest_eigenpairs(
                 f"eigenpair residual {residual:.3e} exceeds gate {gate:.3e} "
                 f"for eigenvalue {lam:.6e}"
             )
-        if op.kernel is not None and lam <= 1e-11 * scale:
+        if lam <= 1e-11 * scale:
             raise BizooError(
                 f"eigenvalue {lam:.3e} off the kernel is zero to the residual "
                 f"gate's resolution {1e-11 * scale:.1e}: the kernel is incomplete"
             )
-        results.append((max(lam, 0.0), Field(space, v)))
+        results.append((lam, Field(space, v)))
     return results

@@ -4,7 +4,8 @@ A DualPair bundles an operator with its weighted adjoint and lazily found
 kernels.  An operator from the catalog carries its kernel, which the
 domain's topology determines (the constants on each piece for the
 gradient, nothing for the injective operators); only other operators have
-theirs discovered, by a dense SVD or ARPACK.  Laziness matters: several
+theirs discovered, by a dense SVD up to DENSE_SVD_LIMIT unknowns, and
+above it are refused unless a kernel is passed.  Laziness matters: several
 pairs in this package have one huge kernel (for example the divergence
 side of the gradient pair), and the solves routed through a pair only ever
 touch the small one.
@@ -15,10 +16,9 @@ solves go through one pinned banded Cholesky factor of that normal
 operator (linalg.direct_solve), held in the pair's `factors` dict; a pair
 and its swap share normal operators, so kernels, and factors.  The best
 constants come from linalg.smallest_eigenpairs on the kernel's
-complement: a subset eigensolve with the kernel lifted above the spectrum
-up to DENSE_EIG_LIMIT, a factor pinned the same way above it.  A kernel
-hint that misses part of the kernel leaves a zero eigenvalue or a
-singular factor and is refused as incomplete.
+complement: Lanczos through a factor of the normal operator pinned the
+same way.  A kernel hint that misses part of the kernel leaves a zero
+eigenvalue or a singular factor and is refused as incomplete.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from .errors import BizooError, CompatibilityError
 from .grid import Field
 from .linalg import (
-    DENSE_EIG_LIMIT,
     SolveResult,
     SolverConfig,
     SparseOperator,
@@ -39,7 +38,7 @@ from .linalg import (
     _project_out,
 )
 
-_KERNEL_BATCH = 8
+DENSE_SVD_LIMIT = 400  # unknowns up to which a kernel is discovered
 _ADJOINT_PROBES = 3  # random probes of the adjoint identity in make_pair
 
 
@@ -80,7 +79,7 @@ class DualPair:
         found, the kernel is set on the side's normal operator."""
         op, normal = self._side(side), self.normal(side)
         if normal.kernel is None:
-            normal.kernel = _find_kernel(op, self._hints[op], normal)
+            normal.kernel = _find_kernel(op, self._hints[op])
         return normal.kernel[0]
 
     def swapped(self) -> "DualPair":
@@ -120,13 +119,12 @@ def _gershgorin_bound(op: SparseOperator) -> float:
     return float(np.abs(m).sum(axis=1).max()) if m.shape[0] else 0.0
 
 
-def _find_kernel(op: SparseOperator, hint, normal):
+def _find_kernel(op: SparseOperator, hint):
     """(basis, pinned cells) of op's kernel.
 
     The operator's own kernel when it carries one; a supplied hint must
     then be annihilated and lie in its span.  Otherwise the hint's span,
-    or a kernel discovered from the normal operator, pinned by
-    pivoted_pins.
+    or a kernel discovered by _discover_kernel, pinned by pivoted_pins.
     """
     space = op.domain_space
     hinted = None
@@ -143,37 +141,29 @@ def _find_kernel(op: SparseOperator, hint, normal):
                     "supplied kernel hint lies outside the operator's kernel"
                 )
         return op.kernel
-    basis = hinted if hinted is not None else _discover_kernel(op, normal)
+    basis = hinted if hinted is not None else _discover_kernel(op)
     return basis, pivoted_pins(basis)
 
 
-def _discover_kernel(op: SparseOperator, normal: SparseOperator):
-    """Orthonormal kernel basis of op by a dense SVD, or among the lowest
-    eigenpairs of its normal operator on large spaces."""
+def _discover_kernel(op: SparseOperator):
+    """Orthonormal kernel basis of op by a dense SVD, up to
+    DENSE_SVD_LIMIT unknowns; above it the kernel must be passed."""
     space = op.domain_space
-    if space.dim <= DENSE_EIG_LIMIT:
-        dense = op.to_dense() * np.sqrt(op.codomain_space.weights)[:, None]
-        dense = dense / np.sqrt(space.weights)[None, :]
-        _, svals, vt = np.linalg.svd(dense, full_matrices=True)
-        smax = svals[0] if svals.size else 0.0
-        null = [
-            vt[r] / np.sqrt(space.weights)
-            for r in range(vt.shape[0])
-            if r >= svals.size or svals[r] <= 1e-10 * max(smax, 1e-30)
-        ]
-        return orthonormalize(null, space)
-    # large space: look for a small kernel among the lowest eigenpairs of
-    # the normal operator
-    bound = _gershgorin_bound(normal)
-    batch = min(_KERNEL_BATCH, space.dim - 1)
-    pairs = smallest_eigenpairs(normal, batch)
-    basis = [f.values for lam, f in pairs if lam <= 1e-10 * max(bound, 1e-30)]
-    if len(basis) == batch:
+    if space.dim > DENSE_SVD_LIMIT:
         raise BizooError(
-            "kernel appears larger than the discovery batch; pass an "
-            "explicit basis"
+            f"cannot discover the kernel of an operator on {space.dim} "
+            f"unknowns (dense SVD limit {DENSE_SVD_LIMIT}); pass a kernel"
         )
-    return orthonormalize(basis, space)
+    dense = op.to_dense() * np.sqrt(op.codomain_space.weights)[:, None]
+    dense = dense / np.sqrt(space.weights)[None, :]
+    _, svals, vt = np.linalg.svd(dense, full_matrices=True)
+    smax = svals[0] if svals.size else 0.0
+    null = [
+        vt[r] / np.sqrt(space.weights)
+        for r in range(vt.shape[0])
+        if r >= svals.size or svals[r] <= 1e-10 * max(smax, 1e-30)
+    ]
+    return orthonormalize(null, space)
 
 
 def best_constant(pair: DualPair, check_swapped: bool = False,
@@ -181,8 +171,8 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
     """1 / sqrt of the smallest nonzero eigenvalue of the normal operator.
 
     This is the best constant c in |u| <= c |A u| for u orthogonal to the
-    kernel.  The eigenvalue is found on the kernel's complement, through
-    a factor of the normal operator above DENSE_EIG_LIMIT.  With
+    kernel.  The eigenvalue is found on the kernel's complement, by
+    Lanczos through the pinned factor of the normal operator.  With
     check_swapped=True the same number is recomputed from the swapped
     pair and both must agree to 1e-8 relative; that route materializes
     the adjoint-side kernel, so keep it to modest sizes.
@@ -190,8 +180,6 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
     if pair._constant is None:
         pair.kernel_basis("forward")
         lam = smallest_eigenpairs(pair.normal("forward"), 1, cfg)[0][0]
-        if lam <= 0:
-            raise BizooError("normal operator has no positive spectrum")
         pair._constant = 1.0 / np.sqrt(lam)
     if check_swapped:
         other = best_constant(pair.swapped(), False, cfg)

@@ -178,6 +178,29 @@ def test_one_sided_smooth_data_verdicts(problem, code, capsys):
         assert json.loads(captured.out)["residuals"]["pde"] <= 1e-8
 
 
+def test_hessian_dirichlet_survives_a_failed_clamped_reference(monkeypatch, capsys):
+    argv = ["solve", "--problem", "hessian_dirichlet", "--rhs", "1", "--n", "8"]
+    assert main(argv) == 0
+    extras = json.loads(capsys.readouterr().out)["extras"]
+    assert list(extras) == ["clamped_comparison_l2"]
+    assert extras["clamped_comparison_l2"] > 0.0
+    solve = bizoo.zoo.direct_solve
+
+    def failing_reference(op, b, cfg=None, **kw):
+        if kw.get("name") == "clamped reference":
+            raise bizoo.ConvergenceFailure("clamped reference: no convergence")
+        return solve(op, b, cfg, **kw)
+
+    monkeypatch.setattr(bizoo.zoo, "direct_solve", failing_reference)
+    assert main(argv) == 0  # the diagnostic fails, the answer stands
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["extras"] == {
+        "clamped_comparison_l2": None,
+        "clamped_comparison_failure": "clamped reference: no convergence",
+    }
+    assert doc["residuals"]["pde"] <= 1e-8
+
+
 def fresh_python(*args):
     """Run a fresh interpreter on this checkout's package."""
     src = Path(bizoo.__file__).resolve().parents[1]

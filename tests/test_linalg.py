@@ -18,12 +18,14 @@ from bizoo import (
     deflated_cg_solve,
     direct_solve,
     identity_operator,
+    make_pair,
     normal_cg_solve,
     orthonormalize,
     smallest_eigenpairs,
 )
 from bizoo import linalg
 from bizoo.grid import DofSpace, GridDomain
+from bizoo.pairs import DENSE_SVD_LIMIT
 from test_operator_golden import golden_domains
 
 
@@ -255,7 +257,7 @@ def test_eigenpairs_dense_against_analytic():
 def test_eigenpairs_sparse_path_matches_dense():
     from bizoo import OperatorCatalog
 
-    n = 21  # 441 cells, above the dense cutoff of 400
+    n = 21
     dom = build_domain("square", n)
     op = OperatorCatalog(dom).laplacian_dirichlet
     pairs = smallest_eigenpairs(op, 2)
@@ -263,18 +265,28 @@ def test_eigenpairs_sparse_path_matches_dense():
     assert pairs[1][0] == pytest.approx(analytic_dirichlet_eigenvalue(n, 2, 1), rel=1e-10)
 
 
-@pytest.mark.parametrize("shape,n", [("square", 21), ("annulus", 32)])
-def test_eigenpairs_sparse_path_without_a_kernel(shape, n):
-    from bizoo.pairs import _discover_kernel
-
-    op = kernel_less(OperatorCatalog(build_domain(shape, n)).laplacian_neumann)
-    assert op.shape[0] > linalg.DENSE_EIG_LIMIT
+def test_eigenpairs_count_stops_one_short_of_the_dimension():
+    op = OperatorCatalog(build_domain("square", 6)).laplacian_dirichlet
+    dim = op.shape[0]
+    with pytest.raises(ValueError, match=f"at most {dim - 1}"):
+        smallest_eigenpairs(op, dim)
     vals = np.linalg.eigvalsh(op.to_dense())  # uniform weights: symmetric
-    lams = [lam for lam, _ in smallest_eigenpairs(op, 4)]
-    scale = np.abs(op.matrix.diagonal()).max()
-    assert 0.0 <= lams[0] <= 1e-14 * scale  # the constants, counted too
-    assert lams[1:] == pytest.approx(vals[1:4], rel=1e-10)
-    assert len(_discover_kernel(op, op)) == 1
+    lams = [lam for lam, _ in smallest_eigenpairs(op, dim - 1)]
+    assert lams == pytest.approx(vals[: dim - 1], rel=1e-10)
+
+
+def test_a_singular_operator_without_a_kernel_is_refused():
+    # None means no kernel, so the constants leave the factor singular
+    for shape, n in (("square", 8), ("square", 21), ("annulus", 32)):
+        op = kernel_less(OperatorCatalog(build_domain(shape, n)).laplacian_neumann)
+        b = Field(op.domain_space, rng(3).normal(size=op.shape[0]))
+        with pytest.raises(BizooError, match="the kernel is incomplete"):
+            smallest_eigenpairs(op, 1)
+        with pytest.raises(BizooError, match="the kernel is incomplete"):
+            direct_solve(op, b)
+        if op.shape[0] > DENSE_SVD_LIMIT:
+            with pytest.raises(BizooError, match="pass a kernel$"):
+                make_pair(op).kernel_basis()
 
 
 def test_eigenpairs_kernel_filter_and_sign():
@@ -315,7 +327,6 @@ def neumann_small_piece(big, small):
     return GridDomain(cells, dom.h, rules)
 
 
-# 104 and 50 cells take the dense branch, 409 the factored one
 TWO_PIECES = {"10+2": (10, 2), "5+5": (5, 5), "20+3": (20, 3)}
 
 
@@ -344,7 +355,7 @@ def test_eigenpairs_off_an_incomplete_kernel_are_refused(name):
         smallest_eigenpairs(kernel_less(op, (basis, linalg.pivoted_pins(basis))), 1)
 
 
-@pytest.mark.parametrize("n", [8, 21])  # 64 cells dense, 441 factored
+@pytest.mark.parametrize("n", [8, 21])
 def test_eigenpairs_refuse_a_count_below_one(n):
     op = OperatorCatalog(build_domain("square", n)).laplacian_dirichlet
     for count in (0, -1):
@@ -363,7 +374,6 @@ def test_eigenpairs_dense_with_nonuniform_weights_and_a_known_kernel():
     b_op = SparseOperator(sp.csr_matrix(mat @ proj), dom, cod)
     normal = b_op.adjoint() @ b_op
     normal.kernel = (basis, linalg.pivoted_pins(basis))
-    assert normal.shape[0] <= linalg.DENSE_EIG_LIMIT
 
     # oracle: the W-symmetrized matrix restricted to the kernel's complement
     s = np.sqrt(dom.weights)
