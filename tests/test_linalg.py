@@ -277,16 +277,33 @@ def test_eigenpairs_count_stops_one_short_of_the_dimension():
 
 def test_a_singular_operator_without_a_kernel_is_refused():
     # None means no kernel, so the constants leave the factor singular
-    for shape, n in (("square", 8), ("square", 21), ("annulus", 32)):
-        op = kernel_less(OperatorCatalog(build_domain(shape, n)).laplacian_neumann)
-        b = Field(op.domain_space, rng(3).normal(size=op.shape[0]))
-        with pytest.raises(BizooError, match="the kernel is incomplete"):
-            smallest_eigenpairs(op, 1)
-        with pytest.raises(BizooError, match="the kernel is incomplete"):
-            direct_solve(op, b)
-        if op.shape[0] > DENSE_SVD_LIMIT:
-            with pytest.raises(BizooError, match="pass a kernel$"):
-                make_pair(op).kernel_basis()
+    op = kernel_less(OperatorCatalog(build_domain("square", 8)).laplacian_neumann)
+    b = Field(op.domain_space, rng(3).normal(size=op.shape[0]))
+    with pytest.raises(BizooError, match="the kernel is incomplete"):
+        smallest_eigenpairs(op, 1)
+    with pytest.raises(BizooError, match="the kernel is incomplete"):
+        direct_solve(op, b)
+
+
+@pytest.mark.parametrize("shape,n", [("square", 21), ("annulus", 32)])
+def test_eigenpairs_sparse_path_without_a_kernel(shape, n):
+    # above the dense SVD limit a kernel is neither found nor guessed
+    op = OperatorCatalog(build_domain(shape, n)).laplacian_neumann
+    bare = kernel_less(op)
+    assert bare.shape[0] > DENSE_SVD_LIMIT
+    b = Field(bare.domain_space, rng(3).normal(size=bare.shape[0]))
+    with pytest.raises(BizooError, match="the kernel is incomplete"):
+        smallest_eigenpairs(bare, 1)
+    with pytest.raises(BizooError, match="the kernel is incomplete"):
+        direct_solve(bare, b)
+    with pytest.raises(BizooError, match="pass a kernel$"):
+        make_pair(bare).kernel_basis()
+    # passed the constants, the same operator gives the dense spectrum
+    basis = orthonormalize([op.domain_space.ones()], op.domain_space)
+    vals = np.linalg.eigvalsh(op.to_dense())  # uniform weights: symmetric
+    with_kernel = kernel_less(op, (basis, linalg.pivoted_pins(basis)))
+    lams = [lam for lam, _ in smallest_eigenpairs(with_kernel, 3)]
+    assert lams == pytest.approx(vals[1:4], rel=1e-10)
 
 
 def test_eigenpairs_kernel_filter_and_sign():
