@@ -20,10 +20,12 @@ conjugate gradients, stopped when the true residual stagnates;
 
 `smallest_eigenpairs` runs Lanczos on the inverse of the operator through
 the same pinned banded Cholesky factor, between projections off its
-kernel (Lehoucq, Sorensen & Yang 1998, ARPACK Users' Guide, section 4);
-a kernel that leaves the factor singular is refused as incomplete, by
-both functions.  `pivoted_pins` picks the pinned cells of any kernel
-basis by a column-pivoted QR (Businger & Golub 1965).
+kernel, in a Krylov space of max(2 count + 1, 8) vectors (Lehoucq,
+Sorensen & Yang 1998, ARPACK Users' Guide, section 4), stopped for one
+pair at a 1e-13 Ritz residual, 25 times under the eigenpair gate on the
+package's pairs.  A kernel that leaves the factor singular is refused as
+incomplete, by both functions.  `pivoted_pins` picks the pinned cells of
+any kernel basis by a column-pivoted QR (Businger & Golub 1965).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (
     BizooError,
@@ -60,6 +61,10 @@ _CG_ITERATIONS_PER_UNKNOWN = 20  # CG's budget, per unknown of the operator
 # n = 128, 3.7e-11 at n = 192.  It falls as n^-4, so it stays above the
 # floor up to n = 400.
 _PIVOT_FLOOR = 1e-12
+# LAPACK's banded Cholesky, without scipy's checks on every call
+_PBTRF, _PBTRS = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (np.zeros(1),))
+_KRYLOV_MIN = 8  # fewest Lanczos vectors (see smallest_eigenpairs)
+_RITZ_TOL = 1e-13  # Ritz residual that stops a single eigenpair (ditto)
 
 
 def default_tolerance() -> float:
@@ -412,19 +417,15 @@ class _BandedCholesky:
     def __init__(self, op: SparseOperator, pinned, name: str):
         pinned = np.asarray(pinned, dtype=np.int64)
         band = _lower_band(op, pinned)
-        free = np.ones(band.shape[1], dtype=bool)
-        free[pinned] = False
-        scale = float(np.abs(band[0, free]).max(initial=0.0))
-        try:
-            self.band = cholesky_banded(
-                band, overwrite_ab=True, lower=True, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
+        scale = float(np.abs(np.delete(band[0], pinned)).max(initial=0.0))
+        self.band, info = _PBTRF(band, lower=1, overwrite_ab=1)
+        if info > 0:
             raise BizooError(
                 f"{name}: operator is not positive definite off the pinned "
-                f"cells ({exc}): it is indefinite, or the kernel is incomplete"
-            ) from None
-        pivot = float(np.min(self.band[0, free] ** 2, initial=np.inf))
+                f"cells ({info}-th leading minor not positive definite): it "
+                f"is indefinite, or the kernel is incomplete"
+            )
+        pivot = float(np.min(np.delete(self.band[0], pinned) ** 2, initial=np.inf))
         if pivot <= _PIVOT_FLOOR * scale:
             raise BizooError(
                 f"{name}: operator is singular off the pinned cells (smallest "
@@ -437,9 +438,7 @@ class _BandedCholesky:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b = self.weights * rhs
         b[self.pinned] = 0.0
-        return cho_solve_banded(
-            (self.band, True), b, overwrite_b=True, check_finite=False
-        )
+        return _PBTRS(self.band, b, lower=1, overwrite_b=1)[0]
 
 
 def _lower_band(op: SparseOperator, pinned: np.ndarray) -> np.ndarray:
@@ -455,18 +454,11 @@ def _lower_band(op: SparseOperator, pinned: np.ndarray) -> np.ndarray:
     keep = (cols <= rows) & free[rows] & free[cols]
     rows, cols = rows[keep], cols[keep]
     diag = rows - cols
-    shape = (int(diag.max(initial=0)) + 1, w.size)
-    seen = np.zeros(shape, dtype=bool)
-    seen[diag, cols] = True
-    if np.count_nonzero(seen) < diag.size:
-        # duplicate entries, which only a hand-built CSR matrix holds
-        canonical = mat.copy()
-        canonical.sum_duplicates()
-        return _lower_band(
-            SparseOperator(canonical, op.domain_space, op.codomain_space), pinned
-        )
-    band = np.zeros(shape, order="F")
-    band[diag, cols] = w[rows] * mat.data[keep]
+    width = int(diag.max(initial=0)) + 1
+    # summed at their flat Fortran index: a hand-built CSR matrix may hold
+    # duplicate entries
+    band = np.bincount(cols * width + diag, weights=w[rows] * mat.data[keep],
+                       minlength=w.size * width).reshape(w.size, width).T
     band[0, pinned] = 1.0
     return band
 
@@ -735,7 +727,13 @@ def smallest_eigenpairs(
     applied through the banded Cholesky factor pinned at the kernel's
     cells, between projections off the kernel, in the W^(1/2)-similar
     plain-symmetric problem (Lehoucq, Sorensen & Yang 1998, ARPACK Users'
-    Guide, section 4).  Lanczos needs one dimension more than it returns.
+    Guide, section 4), with max(2 count + 1, 8) Krylov vectors; it needs
+    one dimension more than it returns.  One pair stops at a Ritz residual
+    of 1e-13 relative to 1 / lambda, so |op v - lambda v| <= 1e-13 |op|,
+    which is at most 4e-13 max |diag op| on the normal products of the
+    package's pairs, 25 times under the gate's floor below.  Several pairs
+    stop at machine precision: a second copy of a multiple eigenvalue
+    enters the Krylov space only by rounding.
     Eigenvectors come back weighted-orthonormal with the largest-magnitude
     entry positive; each satisfies
     |op v - lambda v| <= max(tol * lambda, 1e-11 * max |diag op|).
@@ -761,7 +759,7 @@ def smallest_eigenpairs(
     v0 = np.random.default_rng(180).standard_normal(dim)
 
     def deflate(v):
-        return v - kt @ (kt.T @ v)
+        return v - kt @ (kt.T @ v) if kt.size else v
 
     factor = _BandedCholesky(op, pinned, "eigensolve")
 
@@ -769,7 +767,9 @@ def smallest_eigenpairs(
         return deflate(s * factor.solve(deflate(np.ravel(v)) / s))
 
     inverse = spla.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
-    mus, vecs = spla.eigsh(inverse, k=count, which="LA", v0=deflate(v0))
+    tol = _RITZ_TOL if count == 1 else 0.0  # 0: machine precision
+    mus, vecs = spla.eigsh(inverse, k=count, which="LA", v0=deflate(v0), tol=tol,
+                           ncv=min(dim, max(2 * count + 1, _KRYLOV_MIN)))
     if mus.min() <= 0.0:
         raise BizooError("eigensolve: inverse is not positive definite")
     order = np.argsort(-mus)

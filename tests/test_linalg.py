@@ -12,6 +12,7 @@ from bizoo import (
     SolverConfig,
     SparseOperator,
     SpaceMismatchError,
+    best_constant,
     build_domain,
     cg_solve,
     default_tolerance,
@@ -407,6 +408,44 @@ def test_eigenpairs_dense_with_nonuniform_weights_and_a_known_kernel():
             assert abs(dom.inner(b, vec.values)) < 1e-12
 
 
+@pytest.mark.parametrize("key", ["gradient", "gradient_dirichlet",
+                                 "interior_laplacian"])
+def test_best_constant_takes_few_inverse_applications(monkeypatch, key):
+    # a Krylov space sized to one eigenpair, stopped where the residual
+    # clears the gate, takes 13 applications of the inverse on these pairs
+    cat = OperatorCatalog(build_domain("square", 48))
+    hint = {"kernel_forward": ()} if key == "interior_laplacian" else {}
+    pair = make_pair(getattr(cat, key), **hint)
+    pair.kernel_basis("forward")
+    calls = []
+    solve = linalg._BandedCholesky.solve
+    monkeypatch.setattr(linalg._BandedCholesky, "solve",
+                        lambda self, r: calls.append(r.size) or solve(self, r))
+    constant = best_constant(pair)
+    assert 0 < len(calls) <= 16
+    normal = pair.normal("forward")
+    lam, vec = smallest_eigenpairs(normal, 1)[0]
+    assert constant == 1.0 / np.sqrt(lam)
+    scale = np.abs(normal.matrix.diagonal()).max()
+    gate = max(SolverConfig().rel_tolerance * lam, 1e-11 * scale)
+    residual = vec.space.norm(normal.apply_raw(vec.values) - lam * vec.values)
+    assert residual <= 1e-2 * gate
+
+
+@pytest.mark.parametrize("key", ["laplacian_dirichlet", "laplacian_neumann"])
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_eigenpairs_return_every_copy_of_a_multiple_eigenvalue(shape, key):
+    # double eigenvalues: the square's Dirichlet lambda(1,2) = lambda(2,1),
+    # and the L-shape's Neumann 39.25, whose second copy a 1e-13 Ritz stop
+    # with 4 pairs missed, returning the next eigenvalue in its place
+    op = getattr(OperatorCatalog(build_domain(shape, 24)), key)
+    skip = len(op.kernel[0]) if op.kernel else 0
+    vals = np.linalg.eigvalsh(op.to_dense())  # uniform weights: symmetric
+    for count in range(1, 5):
+        lams = [lam for lam, _ in smallest_eigenpairs(op, count)]
+        assert lams == pytest.approx(vals[skip : skip + count], rel=1e-12), count
+
+
 def test_pivoted_pins_pin_every_kernel_vector():
     dom = two_piece_mask(10, 2)
     space = dom.cell_space
@@ -693,8 +732,11 @@ def test_direct_solve_guards():
     indefinite = SparseOperator(sp.diags([1.0, -1.0, 2.0]), space, space)
     with pytest.raises(SpaceMismatchError):
         direct_solve(indefinite, Field(other, np.ones(2)))
-    with pytest.raises(BizooError, match="not positive definite"):
+    # LAPACK's pbtrf stops at the second pivot
+    with pytest.raises(BizooError, match="2-th leading minor not positive "
+                       "definite") as err:
         direct_solve(indefinite, Field(space, np.ones(3)))
+    assert "off the pinned cells" in str(err.value)
 
 
 def test_cg_stops_on_stagnation_long_before_its_budget():
