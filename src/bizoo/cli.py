@@ -18,7 +18,7 @@ from .expressions import GRAMMAR_HELP, Expression
 from .grid import (
     Field,
     build_domain,
-    domain_to_dict,
+    domain_json,
     load_domain,
     save_domain,
     write_field_csv,
@@ -147,7 +147,7 @@ def _cmd_domain_make(args) -> int:
     if args.out:
         save_domain(domain, args.out)
     else:
-        print(json.dumps(domain_to_dict(domain), indent=1))
+        sys.stdout.write(domain_json(domain))
     return 0
 
 

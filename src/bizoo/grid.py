@@ -35,7 +35,8 @@ DIRECTIONS = ("+x", "-x", "+y", "-y")
 OFFSETS = {"+x": (1, 0), "-x": (-1, 0), "+y": (0, 1), "-y": (0, -1)}
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
-_SIDES = {"left": "-x", "right": "+x", "bottom": "-y", "top": "+y"}
+_SIDES = {"left": ("-x",), "right": ("+x",), "bottom": ("-y",), "top": ("+y",),
+          "all": DIRECTIONS}
 PAD = 3  # cells of -1 around the mask in the index image
 
 
@@ -145,7 +146,10 @@ class GridDomain:
     """
 
     def __init__(self, cells, h: float, labels=None):
-        arr = np.asarray(list(cells), dtype=np.int64).reshape(-1, 2)
+        arr = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))
+        if arr.dtype.kind not in "iu":  # a cast would truncate: check every pair
+            arr = np.array([_integer_pair(c) for c in arr.reshape(-1, 2).tolist()])
+        arr = arr.astype(np.int64, copy=False).reshape(-1, 2)
         if arr.shape[0] == 0:
             raise EmptyDomainError("mask contains no cells")
         self.h = float(h)
@@ -157,14 +161,11 @@ class GridDomain:
         mask[arr[:, 1] - self._origin[1], arr[:, 0] - self._origin[0]] = True
         jj, ii = np.nonzero(mask)  # row-major, duplicates collapsed
         self.cells = np.column_stack([ii, jj]) + self._origin
-        m = self.cells.shape[0]
         self._image = np.full(mask.shape, -1, dtype=np.int64)
-        self._image[jj, ii] = np.arange(m)
+        self._image[jj, ii] = np.arange(jj.size)
 
         # neighbor index per direction, -1 where the neighbor cell is absent
-        self.neighbors = np.column_stack(
-            [self.shifted(*OFFSETS[name]) for name in DIRECTIONS]
-        )
+        self.neighbors = np.column_stack([self.shifted(*OFFSETS[d]) for d in DIRECTIONS])
         missing = self.neighbors < 0
         self.boundary_faces = [
             (k, DIRECTIONS[d]) for k, d in np.argwhere(missing).tolist()
@@ -188,26 +189,28 @@ class GridDomain:
         labels = np.array([DIRICHLET] * len(self.boundary_faces), dtype=object)
         if rules is None:
             return labels
+        if isinstance(rules, str):
+            raise ValueError(f"labels {rules!r} are neither sides nor a list of rules")
         if isinstance(rules, dict):
-            sides = np.array([d for _, d in self.boundary_faces])
+            sides = np.array(DIRECTIONS)[np.nonzero(self.neighbors < 0)[1]]
             for side, bc in rules.items():
                 bc = _check_bc(bc)
-                if side == "all":
-                    labels[:] = bc
-                elif side in _SIDES:
-                    labels[sides == _SIDES[side]] = bc
-                else:
+                if side not in _SIDES:
                     raise ValueError(f"unknown side {side!r}")
+                labels[np.isin(sides, _SIDES[side])] = bc
             return labels
         missing = self.neighbors < 0
         rows = np.cumsum(missing) - 1  # flat (cell, direction) -> face row
         for rule in rules:
-            if isinstance(rule, dict):
-                cell, d, bc = tuple(rule["cell"]), rule["dir"], rule["bc"]
-            else:
-                cell, d, bc = rule
-            bc = _check_bc(bc)
-            k = self._find(cell[0], cell[1])
+            try:
+                cell, d, bc = ((rule["cell"], rule["dir"], rule["bc"])
+                               if isinstance(rule, dict) else rule)
+            except KeyError as key:
+                raise ValueError(f"label rule {rule!r} lacks {key}") from None
+            except (TypeError, ValueError):
+                raise ValueError(f"label rule {rule!r} is not (cell, dir, bc)") from None
+            bc, cell = _check_bc(bc), _integer_pair(cell)
+            k = self._find(*cell)
             if k < 0 or d not in DIRECTIONS or not missing[k, DIRECTIONS.index(d)]:
                 raise ValueError(f"label rule {cell}:{d} is not a boundary face")
             labels[rows[4 * k + DIRECTIONS.index(d)]] = bc
@@ -391,6 +394,15 @@ def _label_pieces(mask: np.ndarray):
     return (np.cumsum(first) - 1)[root[run[flat]]], int(first.sum())
 
 
+def _integer_pair(pair) -> tuple:
+    """pair as two ints; ValueError if a cast would change it (floats must be whole)."""
+    if not (isinstance(pair, (list, tuple, np.ndarray)) and len(pair) == 2 and all(
+            isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
+            for v in pair)):
+        raise ValueError(f"cell {pair!r} is not a pair of integers")
+    return int(pair[0]), int(pair[1])
+
+
 def _check_bc(bc: str) -> str:
     if bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"boundary label must be '{DIRICHLET}' or '{NEUMANN}', got {bc!r}")
@@ -413,31 +425,21 @@ def build_domain(shape, n: int, labels=None, *, width: float = 1.0,
     h = 1.0 / n
     if not isinstance(shape, str):
         return GridDomain(shape, h, labels)
-    if shape == "square":
-        cells = [(i, j) for j in range(n) for i in range(n)]
-    elif shape == "rectangle":
-        nx, ny = round(width * n), round(height * n)
-        if nx < 1 or ny < 1:
-            raise ValueError("rectangle dimensions must cover at least one cell")
-        cells = [(i, j) for j in range(ny) for i in range(nx)]
-    elif shape == "lshape":
+    nx, ny = (round(width * n), round(height * n)) if shape == "rectangle" else (n, n)
+    if nx < 1 or ny < 1:
+        raise ValueError("rectangle dimensions must cover at least one cell")
+    cells = np.indices((ny, nx))[::-1].reshape(2, -1).T  # (i, j), row-major
+    if shape == "lshape":
         if n % 2:
             raise ValueError("lshape needs even n")
-        half = n // 2
-        cells = [
-            (i, j) for j in range(n) for i in range(n)
-            if not (i >= half and j >= half)
-        ]
+        cells = cells[cells.min(axis=1) < n // 2]
     elif shape == "annulus":
         hole = n // 4
         if hole < 1 or n - 2 * hole < 2:
             raise ValueError("annulus needs n >= 4")
         start = (n - hole) // 2
-        cells = [
-            (i, j) for j in range(n) for i in range(n)
-            if not (start <= i < start + hole and start <= j < start + hole)
-        ]
-    else:
+        cells = cells[(cells.min(axis=1) < start) | (cells.max(axis=1) >= start + hole)]
+    elif shape not in ("square", "rectangle"):
         raise ValueError(f"unknown shape {shape!r}")
     return GridDomain(cells, h, labels)
 
@@ -445,31 +447,37 @@ def build_domain(shape, n: int, labels=None, *, width: float = 1.0,
 # -- serialization -------------------------------------------------------------
 
 def domain_to_dict(domain: GridDomain) -> dict:
-    return {
-        "h": domain.h,
-        "cells": [[int(i), int(j)] for i, j in domain.cells],
-        "labels": [
-            {
-                "cell": [int(domain.cells[k, 0]), int(domain.cells[k, 1])],
-                "dir": d,
-                "bc": str(domain.face_labels[r]),
-            }
-            for r, (k, d) in enumerate(domain.boundary_faces)
-        ],
-    }
+    rows, dirs = np.nonzero(domain.neighbors < 0)  # boundary faces, in order
+    labels = zip(domain.cells[rows].tolist(), dirs.tolist(), domain.face_labels.tolist())
+    return {"h": domain.h, "cells": domain.cells.tolist(), "labels": [
+        {"cell": c, "dir": DIRECTIONS[d], "bc": bc} for c, d, bc in labels]}
+
+
+_FILE = '{\n "h": %s,\n "cells": [\n%s\n ],\n "labels": [\n%s\n ]\n}\n'
+_CELL = "  [\n   %s,\n   %s\n  ]"
+_LABEL = '  {\n   "cell": [\n    %s,\n    %s\n   ],\n   "dir": "%s",\n   "bc": "%s"\n  }'
+
+
+def domain_json(domain: GridDomain) -> str:
+    """json.dump(domain_to_dict(domain), indent=1) + "\\n" without json's Python
+    indent encoder: each list is one %-format of a repeated item template."""
+    rows, dirs = np.nonzero(domain.neighbors < 0)
+    faces = np.column_stack([domain.cells[rows].astype(str), np.array(DIRECTIONS)[dirs],
+                             domain.face_labels.astype(str)])
+    cells = ",\n".join([_CELL] * domain.n_cells) % tuple(domain.cells.ravel().tolist())
+    labels = ",\n".join([_LABEL] * len(rows)) % tuple(faces.ravel().tolist())
+    return _FILE % (json.dumps(domain.h), cells, labels)
 
 
 def save_domain(domain: GridDomain, path) -> None:
     with open(path, "w") as fh:
-        json.dump(domain_to_dict(domain), fh, indent=1)
-        fh.write("\n")
+        fh.write(domain_json(domain))
 
 
 def load_domain(path) -> GridDomain:
     with open(path) as fh:
         data = json.load(fh)
-    cells = [tuple(c) for c in data["cells"]]
-    return GridDomain(cells, float(data["h"]), data.get("labels"))
+    return GridDomain(np.asarray(data["cells"]), float(data["h"]), data.get("labels"))
 
 
 def write_field_csv(domain: GridDomain, field: Field, path) -> None:
@@ -503,20 +511,12 @@ def write_field_csv(domain: GridDomain, field: Field, path) -> None:
 
 def read_field_csv(path):
     """Read a field CSV back as (cells, centers, values) arrays."""
-    cells, centers, values = [], [], []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "i,j,x,y,value":
             raise ValueError(f"unexpected field CSV header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, x, y, v = line.split(",")
-            cells.append((int(i), int(j)))
-            centers.append((float(x), float(y)))
-            values.append(float(v))
-    return (
-        np.asarray(cells, dtype=np.int64).reshape(-1, 2),
-        np.asarray(centers, dtype=float).reshape(-1, 2),
-        np.asarray(values, dtype=float),
-    )
+        rows = [line.split(",") for line in map(str.strip, fh) if line]
+    if any(len(row) != 5 for row in rows):
+        raise ValueError("a field CSV row does not hold i,j,x,y,value")
+    table = np.array(rows, dtype=str).reshape(-1, 5)
+    return table[:, :2].astype(np.int64), table[:, 2:4].astype(float), table[:, 4].astype(float)

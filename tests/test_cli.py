@@ -130,6 +130,33 @@ def test_domain_make_stdout(capsys):
     assert len(doc["cells"]) == 16
 
 
+@pytest.mark.parametrize("flags", [
+    ["--shape", "annulus", "--n", "16"],
+    ["--shape", "rectangle", "--n", "6", "--width", "2", "--labels", "top=neumann"],
+])
+def test_domain_make_prints_the_file_bytes(tmp_path, capsys, flags):
+    path = tmp_path / "dom.json"
+    assert main(["domain", "make", *flags, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["domain", "make", *flags]) == 0
+    assert capsys.readouterr().out.encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"h": 0.5, "cells": [[0.5, 0], [1, 0]]}', "cell [0.5, 0.0] is not a pair"),
+    ('{"h": 0.5, "cells": [[0, 0]], "labels": [{"cell": [0, 0], "dir": "-x"}]}',
+     "lacks 'bc'"),
+    ('{"h": 0.5, "cells": [[0, 0]], "labels": "left"}', "labels 'left' are neither"),
+])
+def test_malformed_domain_files_exit_1(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["solve", "--problem", "dirichlet", "--rhs", "1",
+                 "--domain", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bizoo: error: ") and message in err
+
+
 def test_bad_labels_exit_64(capsys):
     rc = main(["domain", "make", "--n", "4", "--labels", "left"])
     assert rc == 64

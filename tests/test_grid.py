@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from bizoo import (
     OperatorCatalog,
     SpaceMismatchError,
     build_domain,
+    domain_to_dict,
     load_domain,
     read_field_csv,
     save_domain,
     write_field_csv,
 )
+from bizoo.grid import domain_json
 from test_operator_golden import golden_domains
 
 
@@ -295,6 +298,189 @@ def test_domain_json_round_trip(tmp_path):
     assert list(back.face_labels) == list(dom.face_labels)
     data = json.loads(path.read_text())
     assert set(data) == {"h", "cells", "labels"}
+
+
+def old_domain_to_dict(domain):
+    """The per-element dict the .tolist() one replaced."""
+    return {
+        "h": domain.h,
+        "cells": [[int(i), int(j)] for i, j in domain.cells],
+        "labels": [
+            {
+                "cell": [int(domain.cells[k, 0]), int(domain.cells[k, 1])],
+                "dir": d,
+                "bc": str(domain.face_labels[r]),
+            }
+            for r, (k, d) in enumerate(domain.boundary_faces)
+        ],
+    }
+
+
+def old_domain_file(domain):
+    """json's indent encoder: the bytes save_domain wrote before."""
+    return json.dumps(old_domain_to_dict(domain), indent=1) + "\n"
+
+
+DOMAIN_FILES = {
+    **{f"{shape}{n}": (lambda shape=shape, n=n: build_domain(shape, n))
+       for shape in ("square", "lshape", "annulus") for n in (4, 16, 64)},
+    "rectangle7w3": lambda: build_domain("rectangle", 7, width=3.0),
+    "rectangle10w1.5h0.7": lambda: build_domain("rectangle", 10, width=1.5, height=0.7),
+    "lshape8_sides": lambda: build_domain("lshape", 8, labels={"top": "neumann",
+                                                                "left": "neumann"}),
+    "annulus8_rules": lambda: build_domain("annulus", 8, labels=[
+        ((0, 0), "-x", "neumann"), ((2, 3), "+x", "neumann"), ((7, 2), "+x", "neumann")]),
+    "two_piece_negative": lambda: golden_domains()["two_piece_negative"],
+}
+
+
+@pytest.mark.parametrize("name", list(DOMAIN_FILES))
+def test_domain_file_bytes_match_json_indent(tmp_path, name):
+    dom = DOMAIN_FILES[name]()
+    expect = old_domain_file(dom)
+    assert domain_to_dict(dom) == old_domain_to_dict(dom)
+    assert json.dumps(domain_to_dict(dom), indent=1) + "\n" == expect
+    assert domain_json(dom) == expect
+    path = tmp_path / "dom.json"
+    save_domain(dom, path)
+    assert path.read_bytes() == expect.encode()
+    back = load_domain(path)
+    save_domain(back, path)
+    assert path.read_bytes() == expect.encode()
+    assert back.boundary_faces == dom.boundary_faces
+    assert list(back.face_labels) == list(dom.face_labels)
+
+
+def old_shape_cells(shape, n, width=1.0, height=1.0):
+    """The list comprehensions build_domain used before its index arrays."""
+    if shape == "square":
+        return [(i, j) for j in range(n) for i in range(n)]
+    if shape == "rectangle":
+        nx, ny = round(width * n), round(height * n)
+        return [(i, j) for j in range(ny) for i in range(nx)]
+    if shape == "lshape":
+        half = n // 2
+        return [(i, j) for j in range(n) for i in range(n)
+                if not (i >= half and j >= half)]
+    hole = n // 4
+    start = (n - hole) // 2
+    return [(i, j) for j in range(n) for i in range(n)
+            if not (start <= i < start + hole and start <= j < start + hole)]
+
+
+@pytest.mark.parametrize("shape,n,width,height", [
+    (shape, n, 1.0, 1.0) for shape in ("square", "annulus") for n in (4, 5, 8, 9, 17, 32)
+] + [("lshape", n, 1.0, 1.0) for n in (2, 4, 8, 18)] + [
+    ("square", 2, 1.0, 1.0), ("rectangle", 5, 3.0, 1.0), ("rectangle", 8, 0.5, 1.25),
+    ("rectangle", 7, 1.0, 0.3), ("rectangle", 2, 0.4, 2.0),
+])
+def test_array_built_shapes_equal_the_listed_cells(shape, n, width, height):
+    dom = build_domain(shape, n, width=width, height=height)
+    old = old_shape_cells(shape, n, width, height)
+    assert dom.cells.dtype == np.int64
+    assert dom.cells.tolist() == [list(c) for c in old]
+    assert np.array_equal(GridDomain(old, 1 / n).cells, dom.cells)
+
+
+@pytest.mark.parametrize("args,kwargs,message", [
+    (("lshape", 5), {}, "lshape needs even n"),
+    (("lshape", 9), {}, "lshape needs even n"),
+    (("annulus", 3), {}, "annulus needs n >= 4"),
+    (("rectangle", 4), {"width": 0.1}, "rectangle dimensions must cover at least one cell"),
+    (("rectangle", 4), {"height": 0.0}, "rectangle dimensions must cover at least one cell"),
+    (("blob", 4), {}, "unknown shape 'blob'"),
+    (("square", 1), {}, "n must be at least 2"),
+])
+def test_build_errors_are_unchanged(args, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        build_domain(*args, **kwargs)
+    assert str(err.value) == message
+
+
+def test_grid_domain_accepts_any_iterable_of_pairs():
+    listed = [(i, j) for j in range(3) for i in range(4)]
+    expect = build_domain("rectangle", 4, height=0.75).cells
+    for cells in (listed, (c for c in listed), np.array(listed),
+                  np.array(listed, dtype=np.int32), np.array(listed, dtype=float),
+                  listed[::-1] + listed[:5]):
+        assert np.array_equal(GridDomain(cells, 0.25).cells, expect)
+    assert GridDomain(np.array([[2, 1], [2, 1], [0, 0]]), 0.5).n_cells == 2
+
+
+@pytest.mark.parametrize("cells,named", [
+    ([(0.5, 0), (1, 0)], "[0.5, 0.0]"),
+    ([(0, 0), (1, 2.25)], "[1.0, 2.25]"),
+    (np.array([[0, 0], [np.nan, 1]]), "[nan, 1.0]"),
+    ([("0", "1")], "['0', '1']"),
+])
+def test_non_integer_cells_are_refused(cells, named):
+    with pytest.raises(ValueError, match=f"cell {re.escape(named)} is not a pair"):
+        GridDomain(cells, 0.5)
+
+
+def test_loaded_non_integer_cells_are_refused(tmp_path):
+    path = tmp_path / "frac.json"
+    path.write_text('{"h": 0.5, "cells": [[0.5, 0], [1, 0]]}')
+    with pytest.raises(ValueError, match=re.escape("cell [0.5, 0.0] is not a pair")):
+        load_domain(path)
+    path.write_text('{"h": 0.5, "cells": [[0, 0], [1, 0]], "labels": '
+                    '[{"cell": [0.5, 0], "dir": "-x", "bc": "neumann"}]}')
+    with pytest.raises(ValueError, match=re.escape("cell [0.5, 0] is not a pair")):
+        load_domain(path)
+    whole = GridDomain([(0, 0), (1.0, 0)], 0.5, [((1.0, 0), "+x", "neumann")])
+    assert whole.cells.tolist() == [[0, 0], [1, 0]]
+    assert whole.count_boundary_faces("neumann").tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("rules,message", [
+    ([{"dir": "-x", "bc": "neumann"}], "lacks 'cell'"),
+    ([{"cell": [0, 0], "bc": "neumann"}], "lacks 'dir'"),
+    ([{"cell": [0, 0], "dir": "-x"}], "label rule {'cell': [0, 0], 'dir': '-x'} lacks 'bc'"),
+    ([((0, 0), "-x")], "is not (cell, dir, bc)"),
+    ([((0, 0), "-x", "neumann", 1)], "is not (cell, dir, bc)"),
+    ([7], "label rule 7 is not (cell, dir, bc)"),
+    ([((0,), "-x", "neumann")], "cell (0,) is not a pair of integers"),
+    ("left", "labels 'left' are neither sides nor a list of rules"),
+])
+def test_malformed_label_rules_name_the_rule(rules, message):
+    with pytest.raises(ValueError) as err:
+        GridDomain([(0, 0), (1, 0)], 0.5, rules)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("rule,message", [
+    (((0, 0), "+z", "neumann"), "label rule (0, 0):+z is not a boundary face"),
+    (((0, 0), "+x", "neumann"), "label rule (0, 0):+x is not a boundary face"),
+    (((9, 9), "-x", "neumann"), "label rule (9, 9):-x is not a boundary face"),
+    (((0, 0), "-x", "robin"),
+     "boundary label must be 'dirichlet' or 'neumann', got 'robin'"),
+])
+def test_list_label_rules_are_validated(rule, message):
+    with pytest.raises(ValueError) as err:
+        GridDomain([(0, 0), (1, 0)], 0.5, [rule])
+    assert str(err.value) == message
+
+
+def test_later_label_rule_wins():
+    dom = GridDomain([(0, 0), (1, 0)], 0.5, [
+        ((0, 0), "-x", "neumann"), ((0, 0), "-x", "dirichlet"),
+        ((1, 0), "+x", "dirichlet"), ((1, 0), "+x", "neumann"),
+    ])
+    assert dom.boundary_faces[0] == (0, "-x") and dom.boundary_faces[3] == (1, "+x")
+    assert list(dom.face_labels) == ["dirichlet"] * 3 + ["neumann"] + ["dirichlet"] * 2
+
+
+def test_field_csv_reader_refuses_malformed_files(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("i,j,value\n0,0,1\n")
+    with pytest.raises(ValueError, match="unexpected field CSV header"):
+        read_field_csv(path)
+    path.write_text("i,j,x,y,value\n0,0,0.5,0.5,1\n1,0,1.5,0.5\n")
+    with pytest.raises(ValueError):
+        read_field_csv(path)
+    path.write_text("i,j,x,y,value\n\n")
+    cells, centers, values = read_field_csv(path)
+    assert cells.shape == (0, 2) and centers.shape == (0, 2) and values.shape == (0,)
 
 
 def test_field_csv_round_trip_is_bitwise(tmp_path):
