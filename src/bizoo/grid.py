@@ -147,7 +147,7 @@ class GridDomain:
 
     def __init__(self, cells, h: float, labels=None):
         arr = np.asarray(cells if isinstance(cells, np.ndarray) else list(cells))
-        if arr.dtype.kind not in "iu":  # a cast would truncate: check every pair
+        if arr.dtype.kind != "i":  # a cast could truncate or wrap: check every pair
             arr = np.array([_integer_pair(c) for c in arr.reshape(-1, 2).tolist()])
         arr = arr.astype(np.int64, copy=False).reshape(-1, 2)
         if arr.shape[0] == 0:
@@ -234,20 +234,20 @@ class GridDomain:
         """Per cell, the cell number at offset (di, dj), -1 outside the mask."""
         return self.cell_at(self.cells[:, 0] + di, self.cells[:, 1] + dj)
 
-    def _find(self, i, j) -> int:
-        a, b = int(j) - self._origin[1], int(i) - self._origin[0]
+    def _find(self, i: int, j: int) -> int:
+        a, b = j - self._origin[1], i - self._origin[0]
         if 0 <= a < self._image.shape[0] and 0 <= b < self._image.shape[1]:
             return int(self._image[a, b])
         return -1
 
     def index_of(self, i: int, j: int) -> int:
-        k = self._find(i, j)
+        k = self._find(*_integer_pair((i, j)))
         if k < 0:
             raise KeyError((int(i), int(j)))
         return k
 
     def contains(self, i: int, j: int) -> bool:
-        return self._find(i, j) >= 0
+        return self._find(*_integer_pair((i, j))) >= 0
 
     def cell_centers(self) -> np.ndarray:
         return (self.cells + 0.5) * self.h
@@ -395,12 +395,16 @@ def _label_pieces(mask: np.ndarray):
 
 
 def _integer_pair(pair) -> tuple:
-    """pair as two ints; ValueError if a cast would change it (floats must be whole)."""
+    """pair as two int64 values; ValueError if a cast would change it (floats
+    must be whole, and both must lie in int64's range)."""
     if not (isinstance(pair, (list, tuple, np.ndarray)) and len(pair) == 2 and all(
             isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
             for v in pair)):
         raise ValueError(f"cell {pair!r} is not a pair of integers")
-    return int(pair[0]), int(pair[1])
+    ij = int(pair[0]), int(pair[1])
+    if not -2**63 <= min(ij) <= max(ij) < 2**63:
+        raise ValueError(f"cell {pair!r} lies beyond the int64 range")
+    return ij
 
 
 def _check_bc(bc: str) -> str:
@@ -477,7 +481,11 @@ def save_domain(domain: GridDomain, path) -> None:
 def load_domain(path) -> GridDomain:
     with open(path) as fh:
         data = json.load(fh)
-    return GridDomain(np.asarray(data["cells"]), float(data["h"]), data.get("labels"))
+    try:
+        cells, h = data["cells"], data["h"]
+    except KeyError as key:
+        raise ValueError(f"domain file lacks {key}") from None
+    return GridDomain(np.asarray(cells), float(h), data.get("labels"))
 
 
 def write_field_csv(domain: GridDomain, field: Field, path) -> None:

@@ -7,12 +7,14 @@ factors with the kernel their catalog operator carries: none, or the
 constants on each piece (for mixed, on each piece with no
 Dirichlet-labelled face), pinned out, with output orthogonal to them.
 The overdetermined solve imposes both boundary conditions and only
-accepts data in the range of the interior stencil; the underdetermined
-solve imposes none, returns the minimum-norm preimage, and reports the
-boundary ring data it never looks at.  Both solve with the interior normal
-product; the underdetermined one refines its answer against the
-interior stencil's adjoint rather than the normal product, and shares
-its factor with the harmonic-defect measurement of the same call.
+accepts data in the range of the interior stencil: it gates on the
+harmonic defect before it solves for the preimage, so its verdict never
+waits on that solve.  The underdetermined solve imposes none, returns
+the minimum-norm preimage, and reports the boundary ring data it never
+looks at.  Both, and the harmonic defect, solve with one factor of the
+interior normal product per call; the defect's projection and the
+underdetermined answer are refined against the interior stencil's
+adjoint rather than the normal product.
 Mixed interpolates between Dirichlet and Neumann through the face
 labels.  The 13-point biharmonic defect solves the augmented system of
 the interior bilaplacian rather than its normal product, whose
@@ -30,9 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CompatibilityError, SpaceMismatchError
+from .errors import SpaceMismatchError
 from .grid import Field, GridDomain
-from .linalg import SolverConfig, augmented_solve, direct_solve
+from .linalg import SolverConfig, augmented_solve, compatibility_gate, direct_solve
 from .operators import OperatorCatalog
 
 
@@ -94,32 +96,33 @@ def boundary_row_residual(domain: GridDomain, op, u: np.ndarray,
 
 
 def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
-                    cfg: SolverConfig | None = None, factors: dict | None = None,
-                    with_preimage: bool = True):
-    """Distance from the range of the interior stencil, the projection onto
-    that range and its preimage under the stencil.
+                    cfg: SolverConfig | None = None, factors: dict | None = None):
+    """Distance from the range of the interior stencil A, and the
+    projection onto that range.
 
     The orthogonal complement of that range is spanned by the discrete
-    harmonics, so this measures the harmonic component of the field.
-    Without with_preimage the preimage comes back as None and the
-    projection is refined directly, whose rounding floor is far lower
-    than the preimage's.  `factors` is passed on to direct_solve.
+    harmonics, so this measures the harmonic component of the field.  The
+    projection u = A x is refined against A* u = A* values, whose rounding
+    floor grows with A's conditioning, not with that of A* A.  `factors`
+    is passed on to direct_solve.
     """
     cfg = cfg or SolverConfig()
     a = catalog.interior_laplacian
     k = catalog.interior_normal
     rhs = Field(k.domain_space, a.adjoint().apply_raw(values))
-    if with_preimage:
-        x = direct_solve(
-            k, rhs, cfg, factors=factors, name="harmonic defect"
-        ).field.values
-        inside = a.apply_raw(x)
-    else:
-        x = None
-        inside = direct_solve(
-            k, rhs, cfg, range_of=a, factors=factors, name="harmonic defect"
-        ).field.values
-    return catalog.domain.cell_space.norm(values - inside), inside, x
+    inside = direct_solve(
+        k, rhs, cfg, range_of=a, factors=factors, name="harmonic defect"
+    ).field.values
+    return catalog.domain.cell_space.norm(values - inside), inside
+
+
+def clamped_preimage(catalog: OperatorCatalog, values: np.ndarray,
+                     cfg: SolverConfig, factors: dict | None = None) -> np.ndarray:
+    """x with A* A x = A* values, A the interior stencil: the ungated
+    least-squares preimage; `factors` is passed on to direct_solve."""
+    k = catalog.interior_normal
+    rhs = Field(k.domain_space, catalog.free_laplacian.apply_raw(values))
+    return direct_solve(k, rhs, cfg, factors=factors, name="clamped preimage").field.values
 
 
 def biharmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
@@ -132,16 +135,20 @@ def biharmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
         name="biharmonic defect",
     )
     inside = a.apply_raw(x.values)
-    return catalog.domain.cell_space.norm(values - inside), inside, x.values
+    return catalog.domain.cell_space.norm(values - inside), inside
 
 
 def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
-                           f: np.ndarray) -> float:
-    """Residual of the raw 5-point equation on the depth>=1 cells."""
+                           f: np.ndarray, depth: int = 1) -> float:
+    """Residual of the raw 5-point equation (depth 1) or the 13-point one
+    (depth 2) on the cells of depth >= depth; 0.0 on a mask too shallow
+    for the 13-point stencil."""
     domain = catalog.domain
-    ring = domain.ring_cells(1)
-    r = catalog.free_laplacian.apply_raw(u) - f[ring]
-    return domain.ring_space(1).norm(r)
+    ring = domain.ring_cells(depth)
+    if depth == 2 and ring.size == 0:
+        return 0.0
+    op = catalog.free_laplacian if depth == 1 else catalog.interior_biharmonic.adjoint()
+    return domain.ring_space(depth).norm(op.apply_raw(u) - f[ring])
 
 
 # -- solves ---------------------------------------------------------------------
@@ -151,25 +158,26 @@ def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
     """Apply one of the five Laplacian inverses to a cell field.
 
     Returns (values, iterations, compatibility defect, discarded mass).
-    The overdetermined inverse gates its data on the harmonic defect and
-    pads the preimage; the underdetermined one returns the minimum-norm
-    preimage and discards the boundary ring data.  The penalized kinds
-    solve with the kernel their catalog operator carries.  `factors` is
-    passed on to direct_solve.
+    The overdetermined inverse gates its data on the harmonic defect, then
+    pads the preimage and returns that preimage's defect; the
+    underdetermined one returns the minimum-norm preimage and discards the
+    boundary ring data.  The penalized kinds solve with the kernel their
+    catalog operator carries.  `factors` is passed on to direct_solve.
     """
     kind = LaplacianKind(kind)
     domain = catalog.domain
     if kind is LaplacianKind.OVERDETERMINED:
-        defect, _, x = harmonic_defect(catalog, values, cfg, factors)
-        nrm = domain.cell_space.norm(values)
-        if nrm > 0 and defect > cfg.compat_tolerance * nrm:
-            raise CompatibilityError(
-                f"data has a discrete-harmonic component of relative size "
-                f"{defect / nrm:.3e}; the doubly constrained solve needs "
-                f"data in the interior stencil's range",
-                defect=defect,
-                subspace="discrete harmonics",
-            )
+        compatibility_gate(
+            harmonic_defect(catalog, values, cfg, factors)[0],
+            domain.cell_space.norm(values), cfg, "discrete harmonics",
+            "data has a discrete-harmonic component of relative size "
+            "{rel:.3e}; the doubly constrained solve needs data in the "
+            "interior stencil's range",
+        )
+        x = clamped_preimage(catalog, values, cfg, factors)
+        defect = domain.cell_space.norm(
+            values - catalog.interior_laplacian.apply_raw(x)
+        )
         return catalog.pad1.apply_raw(x), 0, defect, 0.0
     if kind is LaplacianKind.UNDERDETERMINED:
         k = catalog.interior_normal
@@ -227,7 +235,7 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         }
     else:
         constraints = {"no discrete-harmonic component": harmonic_defect(
-            catalog, u, cfg, factors, with_preimage=False
+            catalog, u, cfg, factors
         )[0]}
     return LaplaceSolveReport(
         kind, Field(domain.cell_space, u), pde, constraints,

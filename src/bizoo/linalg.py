@@ -325,22 +325,31 @@ def cg_solve(op: SparseOperator, b: Field, cfg: SolverConfig | None = None) -> S
     return SolveResult(Field(op.domain_space, x), it, res, 0.0, hist)
 
 
-def _gate_kernel(space: DofSpace, b: Field, basis, cfg: SolverConfig):
-    """Project an orthonormal kernel basis out of the data.
-
-    Returns (projected values, defect); a kernel component larger than
-    compat_tolerance relative to the data raises CompatibilityError.
-    """
-    projected = _project_out(space, b.values.copy(), basis)
-    defect = space.norm(b.values - projected)
-    bnorm = b.norm()
-    if defect > cfg.compat_tolerance * bnorm:
+def compatibility_gate(defect: float, data_norm: float, cfg: SolverConfig,
+                       subspace: str, message: str) -> float:
+    """The package's one compatibility verdict: a defect (the data's part
+    in a subspace the solve cannot reach) above compat_tolerance times
+    the data's norm raises CompatibilityError tagged with `subspace`, its
+    `message` formatted with the relative size `rel` and the tolerance
+    `gate`.  Returns the defect."""
+    if data_norm > 0 and defect > cfg.compat_tolerance * data_norm:
         raise CompatibilityError(
-            f"right-hand side has a kernel component of relative size "
-            f"{defect / bnorm:.3e} (gate {cfg.compat_tolerance:.1e})",
+            message.format(rel=defect / data_norm, gate=cfg.compat_tolerance),
             defect=defect,
-            subspace="solver kernel",
+            subspace=subspace,
         )
+    return defect
+
+
+def _gate_kernel(space: DofSpace, b: Field, basis, cfg: SolverConfig):
+    """Project an orthonormal kernel basis out of the data and gate the
+    part removed; returns (projected values, defect)."""
+    projected = _project_out(space, b.values.copy(), basis)
+    defect = compatibility_gate(
+        space.norm(b.values - projected), b.norm(), cfg, "solver kernel",
+        "right-hand side has a kernel component of relative size {rel:.3e} "
+        "(gate {gate:.1e})",
+    )
     return projected, defect
 
 

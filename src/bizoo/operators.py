@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .errors import EmptyDomainError, StencilReachError
 from .grid import DIRICHLET, GridDomain
-from .linalg import SparseOperator, _piecewise_constants
+from .linalg import SparseOperator, _piecewise_constants, piecewise_affine
 
 # offset/coefficient tables; values are divided by h^2 (h^4 for the
 # 13-point bilaplacian, h for first differences) at assembly
@@ -367,6 +367,16 @@ class OperatorCatalog:
     @property
     def hessian(self) -> SparseOperator:
         return self._get("hessian", lambda: assemble_hessian(self.domain))
+
+    @property
+    def hessian_normal(self) -> SparseOperator:
+        """adjoint(H) H, H the one-sided Hessian; kernel: the affine
+        functions on each connected piece."""
+        d = self.domain
+        return self._get("hessian_normal", lambda: _with_kernel(
+            self.hessian.adjoint() @ self.hessian,
+            piecewise_affine(d.cell_space, d.component_labels, d.cell_centers()),
+        ))
 
     @property
     def hessian_zero_extension(self) -> SparseOperator:

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BizooError, CompatibilityError
+from .errors import BizooError
 from .grid import Field
 from .linalg import (
     SolveResult,
     SolverConfig,
     SparseOperator,
+    compatibility_gate,
     direct_solve,
     orthonormalize,
     pivoted_pins,
@@ -209,8 +210,7 @@ def project_range(pair: DualPair, g: Field, cfg: SolverConfig | None = None):
     if not g.space.compatible(pair.forward.codomain_space):
         raise BizooError("projection data must live in the codomain")
     rhs = pair.adjoint.apply_raw(g.values)
-    x = _normal_solve(pair, rhs, cfg, "range projection").field.values
-    inside = Field(g.space, pair.forward.apply_raw(x))
+    inside = _normal_solve(pair, rhs, cfg, "range projection", pair.forward).field
     return inside, g - inside
 
 
@@ -241,16 +241,11 @@ def reduced_solve(pair: DualPair, task: str, rhs: Field,
     if task in ("min_norm", "normal"):
         if not rhs.space.compatible(space):
             raise BizooError(f"{task} data must live in the domain space")
-        bnorm = rhs.norm()
         projected = _project_out(space, rhs.values.copy(), pair.kernel_basis())
-        defect = space.norm(rhs.values - projected)
-        if bnorm > 0 and defect > cfg.compat_tolerance * bnorm:
-            raise CompatibilityError(
-                f"data has a kernel component of relative size "
-                f"{defect / bnorm:.3e}",
-                defect=defect,
-                subspace="ker(forward)",
-            )
+        defect = compatibility_gate(
+            space.norm(rhs.values - projected), rhs.norm(), cfg, "ker(forward)",
+            "data has a kernel component of relative size {rel:.3e}",
+        )
         # min_norm returns y = A x, refined against A* y = rhs
         lift = pair.forward if task == "min_norm" else None
         res = _normal_solve(pair, projected, cfg, f"reduced {task}", lift)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .errors import (
-    CompatibilityError,
     ConvergenceFailure,
     ForbiddenCompositionError,
     SpaceMismatchError,
@@ -40,15 +39,17 @@ from .linalg import (
     SparseOperator,
     _run_cg,  # noqa: F401  unused; bench/test_bench.py checks the tracer restores it
     augmented_solve,
+    compatibility_gate,
     direct_solve,
     identity_operator,
-    piecewise_affine,
 )
 from .laplace import (
     LaplacianKind,
     biharmonic_defect,
     boundary_row_residual,
+    clamped_preimage,
     harmonic_defect,
+    interior_residual_norm,
     invert_laplacian,
     mean_defect,
     normal_difference_norm,
@@ -329,23 +330,12 @@ def _measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
     if mid == "mean_w":
         return mean_defect(domain, w)
     if mid == "harm_u":
-        return harmonic_defect(catalog, u, cfg, factors, with_preimage=False)[0]
+        return harmonic_defect(catalog, u, cfg, factors)[0]
     if mid == "harm_w":
-        return harmonic_defect(catalog, w, cfg, factors, with_preimage=False)[0]
+        return harmonic_defect(catalog, w, cfg, factors)[0]
     if mid == "biharm_u":
         return biharmonic_defect(catalog, u, cfg, factors)[0]
     raise ValueError(f"unknown measurement {mid!r}")
-
-
-def _deep_residual(catalog: OperatorCatalog, u: np.ndarray,
-                   f: np.ndarray) -> float:
-    """13-point equation residual on the deepest ring that supports it."""
-    domain = catalog.domain
-    ring2 = domain.ring_cells(2)
-    if ring2.size == 0:
-        return 0.0
-    r = catalog.interior_biharmonic.adjoint().apply_raw(u) - f[ring2]
-    return domain.ring_space(2).norm(r)
 
 
 def solve_zoo(problem, catalog_or_domain, f: Field,
@@ -373,15 +363,12 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
         _, x, iterations, _ = augmented_solve(
             b, f, cfg=cfg, factors=factors, name="doubly constrained"
         )
-        defect = domain.cell_space.norm(b.apply_raw(x.values) - f.values)
-        fnorm = f.norm()
-        if fnorm > 0 and defect > cfg.compat_tolerance * fnorm:
-            raise CompatibilityError(
-                f"data has a component outside the deep-interior range of "
-                f"relative size {defect / fnorm:.3e}",
-                defect=defect,
-                subspace="discrete biharmonics",
-            )
+        defect = compatibility_gate(
+            domain.cell_space.norm(b.apply_raw(x.values) - f.values), f.norm(),
+            cfg, "discrete biharmonics",
+            "data has a component outside the deep-interior range of "
+            "relative size {rel:.3e}",
+        )
         u = catalog.pad2.apply_raw(x.values)
         w = None
         pde = defect
@@ -394,7 +381,7 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
         )
         u = uf.values
         w = None
-        pde = _deep_residual(catalog, u, f.values)
+        pde = interior_residual_norm(catalog, u, f.values, depth=2)
         defect = 0.0
         lost = strip_norm(domain, f.values, 1)
     else:
@@ -407,7 +394,7 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
         iterations = it1 + it2
         lost = lost1 + lost2
         defect = max(defect, defect2)
-        pde = _deep_residual(catalog, u, f.values)
+        pde = interior_residual_norm(catalog, u, f.values, depth=2)
 
     constraints = {
         name: _measure_constraint(mid, catalog, u, w, f.values, cfg, factors)
@@ -481,10 +468,7 @@ def solve_hessian(kind: str, catalog_or_domain, f: Field,
     space = domain.cell_space
     start = time.perf_counter()
     if kind == "neumann":
-        op = catalog.hessian.adjoint() @ catalog.hessian
-        op.kernel = piecewise_affine(
-            space, domain.component_labels, domain.cell_centers()
-        )
+        op = catalog.hessian_normal
         res = direct_solve(op, f, cfg, name="hessian neumann")
         u = res.field
         ortho = max(abs(space.inner(u.values, b)) for b in op.kernel[0])
@@ -538,7 +522,9 @@ def solve_hessian(kind: str, catalog_or_domain, f: Field,
 def exchange_identity_check(catalog_or_domain, f: Field,
                             cfg: SolverConfig | None = None) -> dict:
     """Deviations of the three inverse-exchange identities for data in the
-    interior stencil's range.
+    interior stencil's range.  The first clamped inverse gates the data:
+    anything else raises CompatibilityError("discrete harmonics") before
+    any identity is evaluated.
 
     neumann_via_dirichlet:  the Neumann-type solution equals the clamped
         operator applied to the Dirichlet-type solution of the clamped
@@ -560,22 +546,8 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     cfg = cfg or SolverConfig(rel_tolerance=1e-12)
     domain = catalog.domain
     space = domain.cell_space
-    fnorm = f.norm()
     factors = {}  # shared by every solve made here
-
-    defect, _, _ = harmonic_defect(
-        catalog, f.values, cfg, factors, with_preimage=False
-    )
-    if fnorm > 0 and defect > cfg.compat_tolerance * fnorm:
-        raise CompatibilityError(
-            f"exchange identities need data in the interior stencil's range; "
-            f"harmonic component has relative size {defect / fnorm:.3e}",
-            defect=defect,
-            subspace="discrete harmonics",
-        )
-
     a = catalog.interior_laplacian
-    k = catalog.interior_normal
     ring = domain.ring_cells(1)
 
     def inverse(stages, values):  # stage letters, first inverted first
@@ -586,15 +558,10 @@ def exchange_identity_check(catalog_or_domain, f: Field,
         return values
 
     def neumann_type_algebraic(values):
-        # A K^-2 A* applied without the range gate
-        z = direct_solve(
-            k, Field(k.domain_space, a.adjoint().apply_raw(values)), cfg,
-            factors=factors, name="exchange inner",
-        ).field.values
-        return direct_solve(
-            k, Field(k.domain_space, z), cfg, range_of=a, factors=factors,
-            name="exchange inner",
-        ).field.values
+        # A K^-2 A* with K = A* A: the ungated clamped preimage, then the
+        # free inverse of its padding
+        x = clamped_preimage(catalog, values, cfg, factors)
+        return inverse("f", catalog.pad1.apply_raw(x))
 
     def free_operator(values):
         return catalog.pad1.apply_raw(a.adjoint().apply_raw(values))
@@ -604,7 +571,7 @@ def exchange_identity_check(catalog_or_domain, f: Field,
 
     devs = {}
 
-    w = inverse("c", f.values)
+    w = inverse("c", f.values)  # gates f
     lhs = inverse("f", w)
     v = inverse("fc", w)
     devs["neumann_via_dirichlet"] = space.norm(lhs - clamped_operator(v))
@@ -625,7 +592,7 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     )
 
     devs["max"] = max(devs.values())
-    devs["data_norm"] = fnorm
+    devs["data_norm"] = f.norm()
     return devs
 
 

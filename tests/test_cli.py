@@ -60,6 +60,15 @@ def test_incompatible_data_exits_2(capsys):
     assert "compatibility error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["c_f", "c_d"])
+def test_harmonic_data_exits_2_at_n128(capsys, label):
+    rc = main(["solve", "--problem", label, "--rhs", "sin(pi*x)*sin(pi*y)",
+               "--n", "128"])
+    assert rc == 2
+    assert "discrete-harmonic component of relative size 8.439e-01" in \
+        capsys.readouterr().err
+
+
 def test_forbidden_composition_exits_3(capsys):
     rc = main(["solve", "--problem", "d_n", "--rhs", "x", "--n", "8"])
     assert rc == 3
@@ -147,6 +156,10 @@ def test_domain_make_prints_the_file_bytes(tmp_path, capsys, flags):
     ('{"h": 0.5, "cells": [[0, 0]], "labels": [{"cell": [0, 0], "dir": "-x"}]}',
      "lacks 'bc'"),
     ('{"h": 0.5, "cells": [[0, 0]], "labels": "left"}', "labels 'left' are neither"),
+    ('{"h": 0.5, "cells": [[100000000000000000000, 0]]}',
+     "cell [100000000000000000000, 0] lies beyond the int64 range"),
+    ('{"h": 0.5, "cell": [[0, 0]]}', "domain file lacks 'cells'"),
+    ('{"cells": [[0, 0]]}', "domain file lacks 'h'"),
 ])
 def test_malformed_domain_files_exit_1(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"

@@ -418,6 +418,26 @@ def test_non_integer_cells_are_refused(cells, named):
         GridDomain(cells, 0.5)
 
 
+def test_cell_queries_refuse_non_integer_coordinates():
+    dom = build_domain("square", 4)
+    assert dom.contains(1.0, 0) and dom.index_of(np.int32(1), 0.0) == 1
+    assert not dom.contains(9, 9)
+    for i, j in ((0.5, 0), (1.9, 0), (0, "1"), (float("nan"), 0), (2**63, 0)):
+        with pytest.raises(ValueError, match="is not a pair|beyond the int64"):
+            dom.contains(i, j)
+        with pytest.raises(ValueError, match="is not a pair|beyond the int64"):
+            dom.index_of(i, j)
+
+
+@pytest.mark.parametrize("cells", [
+    np.array([[2**63, 0]], dtype=np.uint64),  # a cast to int64 would wrap
+    [(10**20, 0)],
+])
+def test_cells_beyond_int64_are_refused(cells):
+    with pytest.raises(ValueError, match="lies beyond the int64 range"):
+        GridDomain(cells, 0.5)
+
+
 def test_loaded_non_integer_cells_are_refused(tmp_path):
     path = tmp_path / "frac.json"
     path.write_text('{"h": 0.5, "cells": [[0.5, 0], [1, 0]]}')

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -179,6 +182,24 @@ def test_deflated_cg_compatibility_gate():
     b += 1e-12
     res = deflated_cg_solve(op, Field(space, b), [np.ones(dim)])
     assert 0 < res.compatibility_defect < 1e-10
+
+
+def test_compatibility_error_is_constructed_by_the_gate_alone():
+    # every range and kernel verdict goes through linalg.compatibility_gate
+    sites = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (walk is outside-in)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        sites += [
+            (path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "CompatibilityError" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+    assert sites == [("linalg.py", "compatibility_gate")]
 
 
 def test_tolerance_env_override(monkeypatch):

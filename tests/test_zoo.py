@@ -215,6 +215,19 @@ def test_rejections_by_data_space(cat16):
     assert err.value.subspace == "discrete biharmonics"
 
 
+def test_clamped_first_stage_refuses_harmonic_data_at_n128():
+    # sin(pi x) sin(pi y) is 84% discrete harmonic; the gate reads the
+    # refined projection before the preimage solve, whose refinement
+    # cannot reach its target at this size
+    cat = OperatorCatalog(build_domain("square", 128))
+    f = Expression("sin(pi*x)*sin(pi*y)").on_domain(cat.domain)
+    for label in ("c_f", "c_d"):
+        with pytest.raises(CompatibilityError) as err:
+            solve_zoo(label, cat, f)
+        assert err.value.subspace == "discrete harmonics"
+        assert err.value.defect == pytest.approx(0.8439 * f.norm(), rel=1e-4)
+
+
 def test_riquier_accepts_mean_free_and_returns_mean_free(cat16):
     dom = cat16.domain
     x = dom.cell_centers()[:, 0]
