@@ -26,7 +26,7 @@ from .grid import (
 from .operators import OperatorCatalog
 from .pairs import helmholtz_decompose, make_pair
 from .studies import MANUFACTURED, constants_audit, run_check, run_convergence
-from .zoo import _BY_NAME, _EXTRAS, classify_zoo, solve_zoo
+from .zoo import _BY_NAME, classify_zoo, solve_zoo
 
 _LEVELS_ALLOWED = (8, 16, 32, 64, 128)
 
@@ -103,7 +103,7 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="solve one composition")
     p_solve.add_argument("--problem", required=True,
-                         choices=sorted(set(_BY_NAME) | set(_EXTRAS)))
+                         choices=sorted(_BY_NAME))
     p_solve.add_argument("--rhs", required=True, metavar="EXPR")
     _add_domain_flags(p_solve, with_labels=True)
     p_solve.add_argument("--out", metavar="FILE", help="report JSON path")

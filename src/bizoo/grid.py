@@ -189,7 +189,7 @@ class GridDomain:
         labels = np.array([DIRICHLET] * len(self.boundary_faces), dtype=object)
         if rules is None:
             return labels
-        if isinstance(rules, str):
+        if not isinstance(rules, (dict, list, tuple)):
             raise ValueError(f"labels {rules!r} are neither sides nor a list of rules")
         if isinstance(rules, dict):
             sides = np.array(DIRECTIONS)[np.nonzero(self.neighbors < 0)[1]]
@@ -481,10 +481,17 @@ def save_domain(domain: GridDomain, path) -> None:
 def load_domain(path) -> GridDomain:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("domain file is not a JSON object")
     try:
         cells, h = data["cells"], data["h"]
     except KeyError as key:
         raise ValueError(f"domain file lacks {key}") from None
+    if isinstance(h, bool) or not isinstance(h, (int, float)):
+        raise ValueError(f"domain file's 'h' is {h!r}, not a number")
+    if not isinstance(cells, list) or not all(
+            isinstance(c, list) and len(c) == 2 for c in cells):
+        raise ValueError("domain file's 'cells' is not a list of pairs")
     return GridDomain(np.asarray(cells), float(h), data.get("labels"))
 
 

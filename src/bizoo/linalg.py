@@ -31,7 +31,6 @@ any kernel basis by a column-pivoted QR (Businger & Golub 1965).
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from dataclasses import dataclass, field as _dc_field
 
@@ -67,19 +66,12 @@ _KRYLOV_MIN = 8  # fewest Lanczos vectors (see smallest_eigenpairs)
 _RITZ_TOL = 1e-13  # Ritz residual that stops a single eigenpair (ditto)
 
 
-def default_tolerance() -> float:
-    """Relative solver tolerance; the BIZOO_TOL env var overrides 1e-10."""
-    return float(os.environ.get("BIZOO_TOL", "1e-10"))
-
-
 @dataclass
 class SolverConfig:
-    rel_tolerance: float | None = None
+    rel_tolerance: float = 1e-10
     compat_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.rel_tolerance is None:
-            self.rel_tolerance = default_tolerance()
         if not 0 < self.rel_tolerance < 1:
             raise ValueError("rel_tolerance must lie in (0, 1)")
         if not 0 < self.compat_tolerance < 1:

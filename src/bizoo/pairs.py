@@ -51,11 +51,10 @@ class DualPair:
     held on that side's normal operator, as its `kernel`.
     """
 
-    def __init__(self, forward: SparseOperator, kernel_forward=None,
-                 kernel_adjoint=None):
+    def __init__(self, forward: SparseOperator, kernel_forward=None):
         self.forward = forward
         self.adjoint = forward.adjoint()
-        self._hints = {forward: kernel_forward, self.adjoint: kernel_adjoint}
+        self._hints = {forward: kernel_forward, self.adjoint: None}
         self._normals = {}
         self.factors = {}
         self._constant = None
@@ -96,10 +95,9 @@ class DualPair:
         return self._swapped
 
 
-def make_pair(forward: SparseOperator, kernel_forward=None,
-              kernel_adjoint=None) -> DualPair:
+def make_pair(forward: SparseOperator, kernel_forward=None) -> DualPair:
     """Build a DualPair, spot-checking the adjoint identity on random probes."""
-    pair = DualPair(forward, kernel_forward, kernel_adjoint)
+    pair = DualPair(forward, kernel_forward)
     rng = np.random.default_rng(7)
     dom, cod = forward.domain_space, forward.codomain_space
     for _ in range(_ADJOINT_PROBES):

@@ -13,7 +13,11 @@ solution's Laplacian; the second letter produces the solution itself.
 Eleven orderings are well posed, two one-sided problems (doubly
 constrained, unconstrained) complete the solvable family, and five
 orderings are rejected because the first inverse's range misses the
-second's data class.
+second's data class.  Three more rows share the table without being
+compositions of that classification: the regularized free bilaplacian
+and the Neumann and Dirichlet Hessian normal products.  Every row names
+its stage solver and its constraints; `solve_zoo` alone solves, measures
+and reports each of them.
 
 Sign convention: all stage operators are negative Laplacians, so the two
 signs cancel and the intermediate stage field equals minus the solution's
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as _dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +41,6 @@ from .errors import (
 from .grid import Field, GridDomain
 from .linalg import (
     SolverConfig,
-    SparseOperator,
     _run_cg,  # noqa: F401  unused; bench/test_bench.py checks the tracer restores it
     augmented_solve,
     compatibility_gate,
@@ -66,25 +70,109 @@ _STAGE_KINDS = {
 }
 
 
+# -- stage solvers ---------------------------------------------------------------
+# (row, catalog, data, config, factors) -> (u, laplacian stage w or None, pde
+# residual, compatibility defect, discarded mass, iterations, extras)
+
+def _two_stages(prob, catalog, f, cfg, factors):
+    w, it1, defect1, lost1 = invert_laplacian(
+        _STAGE_KINDS[prob.first], catalog, f.values, cfg, factors
+    )
+    u, it2, defect2, lost2 = invert_laplacian(
+        _STAGE_KINDS[prob.second], catalog, w, cfg, factors
+    )
+    pde = interior_residual_norm(catalog, u, f.values, depth=2)
+    return u, w, pde, max(defect1, defect2), lost1 + lost2, it1 + it2, {}
+
+
+def _doubly_constrained(prob, catalog, f, cfg, factors):
+    b = catalog.interior_biharmonic
+    _, x, iterations, _ = augmented_solve(
+        b, f, cfg=cfg, factors=factors, name="doubly constrained"
+    )
+    defect = compatibility_gate(
+        catalog.domain.cell_space.norm(b.apply_raw(x.values) - f.values),
+        f.norm(), cfg, "discrete biharmonics",
+        "data has a component outside the deep-interior range of "
+        "relative size {rel:.3e}",
+    )
+    return catalog.pad2.apply_raw(x.values), None, defect, defect, 0.0, iterations, {}
+
+
+def _unconstrained(prob, catalog, f, cfg, factors):
+    b = catalog.interior_biharmonic
+    data = Field(b.domain_space, f.values[catalog.domain.ring_cells(2)])
+    uf, _, iterations, _ = augmented_solve(
+        b, g=data, cfg=cfg, factors=factors, name="unconstrained"
+    )
+    u = uf.values
+    pde = interior_residual_norm(catalog, u, f.values, depth=2)
+    return u, None, pde, 0.0, strip_norm(catalog.domain, f.values, 1), iterations, {}
+
+
+def _energy(catalog, u):
+    """sqrt(|u|^2 + |L u|^2), L the free Laplacian."""
+    lap = catalog.free_laplacian
+    return float(np.sqrt(catalog.domain.cell_space.norm(u) ** 2
+                         + lap.codomain_space.norm(lap.apply_raw(u)) ** 2))
+
+
+def _regularized(prob, catalog, f, cfg, factors):
+    space = catalog.domain.cell_space
+    op = catalog.interior_laplacian @ catalog.free_laplacian + identity_operator(space)
+    res = direct_solve(op, f, cfg, name="regularized")
+    u = res.field.values
+    pde = space.norm(op.apply_raw(u) - f.values)
+    extras = {"energy": _energy(catalog, u), "data_norm": f.norm()}
+    return u, None, pde, 0.0, 0.0, res.iterations, extras
+
+
+def _hessian_neumann(prob, catalog, f, cfg, factors):
+    op = catalog.hessian_normal
+    res = direct_solve(op, f, cfg, name="hessian neumann")
+    u = res.field.values
+    pde = catalog.domain.cell_space.norm(op.apply_raw(u) - f.values)
+    return u, None, pde, res.compatibility_defect, 0.0, res.iterations, {}
+
+
+def _hessian_dirichlet(prob, catalog, f, cfg, factors):
+    op = catalog.hessian_dirichlet_normal
+    data = Field(op.domain_space, f.values[catalog.domain.ring_cells(1)])
+    res = direct_solve(op, data, cfg, name="hessian dirichlet")
+    x = res.field.values
+    u = catalog.pad1.apply_raw(x)
+    # penalty-based clamped solution of the same data, for comparison; a
+    # diagnostic only, so its failure does not cost the answer
+    try:
+        y = direct_solve(
+            catalog.interior_normal, data, cfg, name="clamped reference"
+        ).field.values
+        extras = {"clamped_comparison_l2": catalog.domain.cell_space.norm(
+            u - catalog.pad1.apply_raw(y))}
+    except ConvergenceFailure as exc:
+        extras = {"clamped_comparison_l2": None,
+                  "clamped_comparison_failure": str(exc)}
+    pde = op.domain_space.norm(op.apply_raw(x) - data.values)
+    return u, None, pde, 0.0, 0.0, res.iterations, extras
+
+
 @dataclass(frozen=True)
 class ZooProblem:
     label: str
     aliases: tuple
-    first: str | None          # stage letter solved first, None for one-sided
+    first: str | None          # stage letter solved first, None for one stage
     second: str | None
     data_space: str
     constraints: tuple         # (display name, measurement id) pairs
     status: str                # "well-posed" or "forbidden"
     reason: str = ""
     adjoint: str = ""          # "self", another label, or "repaired <label>"
+    solver: Callable = _two_stages
+    title: str = ""            # composition of a row without stage letters
 
     @property
     def composition(self) -> str:
-        if self.label == "over":
-            return "doubly constrained bilaplacian"
-        if self.label == "under":
-            return "unconstrained bilaplacian"
-        return f"{STAGE_NAMES[self.first]} * {STAGE_NAMES[self.second]}"
+        return self.title or f"{STAGE_NAMES[self.first]} * {STAGE_NAMES[self.second]}"
 
 
 _WELL_POSED = (
@@ -190,14 +278,16 @@ _WELL_POSED = (
             ("u vanishes to third order at the boundary (two rings)", "strip2_u"),
             ("normal difference of u vanishes", "ndiff_u"),
         ),
-        "well-posed", adjoint="under",
+        "well-posed", adjoint="under", solver=_doubly_constrained,
+        title="doubly constrained bilaplacian",
     ),
     ZooProblem(
         "under", ("underdetermined",), None, None, "L2",
         (
             ("u has no discrete-biharmonic component", "biharm_u"),
         ),
-        "well-posed", adjoint="over",
+        "well-posed", adjoint="over", solver=_unconstrained,
+        title="unconstrained bilaplacian",
     ),
 )
 
@@ -229,13 +319,33 @@ _FORBIDDEN = (
     ),
 )
 
-_EXTRAS = ("regularized", "hessian_neumann", "hessian_dirichlet")
+# rows solved like the others but outside the 18 compositions
+_OTHERS = (
+    ZooProblem(
+        "regularized", (), None, None, "L2",
+        (("energy bound excess", "energy_u"),),
+        "well-posed", adjoint="self", solver=_regularized,
+        title="regularized free bilaplacian",
+    ),
+    ZooProblem(
+        "hessian_neumann", (), None, None, "L2_no_affine",
+        (("solution orthogonal to linears", "affine_u"),),
+        "well-posed", adjoint="self", solver=_hessian_neumann,
+        title="Hessian normal product",
+    ),
+    ZooProblem(
+        "hessian_dirichlet", (), None, None, "L2",
+        (
+            ("u vanishes on the boundary ring", "strip_u"),
+            ("normal difference of u vanishes", "ndiff_u"),
+        ),
+        "well-posed", adjoint="self", solver=_hessian_dirichlet,
+        title="zero-extension Hessian normal product",
+    ),
+)
 
-_BY_NAME = {}
-for _p in _WELL_POSED + _FORBIDDEN:
-    _BY_NAME[_p.label] = _p
-    for _a in _p.aliases:
-        _BY_NAME[_a] = _p
+_BY_NAME = {name: p for p in _WELL_POSED + _FORBIDDEN + _OTHERS
+            for name in (p.label, *p.aliases)}
 
 
 def classify_zoo():
@@ -306,50 +416,44 @@ def _as_catalog(catalog_or_domain) -> OperatorCatalog:
 def _measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
                         w: np.ndarray | None, f: np.ndarray,
                         cfg: SolverConfig, factors: dict) -> float:
+    """One constraint norm.  mid is <measurement>_<stage>: stage u measures
+    the solution, whose data is the laplacian stage w; stage w measures w,
+    whose data is f."""
+    measurement, _, stage = mid.rpartition("_")
+    v, data = (u, w) if stage == "u" else (w, f)
     domain = catalog.domain
-    if mid == "strip_u":
-        return strip_norm(domain, u, 0)
-    if mid == "strip2_u":
-        return strip_norm(domain, u, 1)
-    if mid == "ndiff_u":
-        return normal_difference_norm(domain, u)
-    if mid == "strip_w":
-        return strip_norm(domain, w, 0)
-    if mid == "ndiff_w":
-        return normal_difference_norm(domain, w)
-    if mid == "drows_u":
-        return boundary_row_residual(domain, catalog.laplacian_dirichlet, u, w)
-    if mid == "nrows_u":
-        return boundary_row_residual(domain, catalog.laplacian_neumann, u, w)
-    if mid == "drows_w":
-        return boundary_row_residual(domain, catalog.laplacian_dirichlet, w, f)
-    if mid == "nrows_w":
-        return boundary_row_residual(domain, catalog.laplacian_neumann, w, f)
-    if mid == "mean_u":
-        return mean_defect(domain, u)
-    if mid == "mean_w":
-        return mean_defect(domain, w)
-    if mid == "harm_u":
-        return harmonic_defect(catalog, u, cfg, factors)[0]
-    if mid == "harm_w":
-        return harmonic_defect(catalog, w, cfg, factors)[0]
-    if mid == "biharm_u":
-        return biharmonic_defect(catalog, u, cfg, factors)[0]
+    if measurement == "strip":
+        return strip_norm(domain, v, 0)
+    if measurement == "strip2":
+        return strip_norm(domain, v, 1)
+    if measurement == "ndiff":
+        return normal_difference_norm(domain, v)
+    if measurement == "drows":
+        return boundary_row_residual(domain, catalog.laplacian_dirichlet, v, data)
+    if measurement == "nrows":
+        return boundary_row_residual(domain, catalog.laplacian_neumann, v, data)
+    if measurement == "mean":
+        return mean_defect(domain, v)
+    if measurement == "harm":
+        return harmonic_defect(catalog, v, cfg, factors)[0]
+    if measurement == "biharm":
+        return biharmonic_defect(catalog, v, cfg, factors)[0]
+    if measurement == "affine":  # orthogonality to the Hessian's kernel
+        space = domain.cell_space
+        return max(abs(space.inner(v, b)) for b in catalog.hessian_normal.kernel[0])
+    if measurement == "energy":  # |u|^2 + |L u|^2 <= |f|^2, L the free Laplacian
+        return max(0.0, _energy(catalog, v) - domain.cell_space.norm(f))
     raise ValueError(f"unknown measurement {mid!r}")
 
 
 def solve_zoo(problem, catalog_or_domain, f: Field,
               cfg: SolverConfig | None = None) -> BiharmonicSolveReport:
-    """Solve one member of the family and measure everything it promises."""
+    """Solve one row of the problem table and measure everything it promises."""
     catalog = _as_catalog(catalog_or_domain)
     cfg = cfg or SolverConfig()
     domain = catalog.domain
     if not f.space.compatible(domain.cell_space):
         raise SpaceMismatchError("biharmonic data must live on the cell space")
-    if isinstance(problem, str) and problem in _EXTRAS:
-        if problem == "regularized":
-            return solve_regularized(catalog, f, cfg)
-        return solve_hessian(problem.removeprefix("hessian_"), catalog, f, cfg)
     prob = resolve_problem(problem) if isinstance(problem, str) else problem
     if prob.status == "forbidden":
         raise ForbiddenCompositionError(
@@ -358,44 +462,9 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
 
     start = time.perf_counter()
     factors = {}  # shared by the stages and constraint measurements below
-    if prob.label == "over":
-        b = catalog.interior_biharmonic
-        _, x, iterations, _ = augmented_solve(
-            b, f, cfg=cfg, factors=factors, name="doubly constrained"
-        )
-        defect = compatibility_gate(
-            domain.cell_space.norm(b.apply_raw(x.values) - f.values), f.norm(),
-            cfg, "discrete biharmonics",
-            "data has a component outside the deep-interior range of "
-            "relative size {rel:.3e}",
-        )
-        u = catalog.pad2.apply_raw(x.values)
-        w = None
-        pde = defect
-        lost = 0.0
-    elif prob.label == "under":
-        b = catalog.interior_biharmonic
-        data = Field(b.domain_space, f.values[domain.ring_cells(2)])
-        uf, _, iterations, _ = augmented_solve(
-            b, g=data, cfg=cfg, factors=factors, name="unconstrained"
-        )
-        u = uf.values
-        w = None
-        pde = interior_residual_norm(catalog, u, f.values, depth=2)
-        defect = 0.0
-        lost = strip_norm(domain, f.values, 1)
-    else:
-        w, it1, defect, lost1 = invert_laplacian(
-            _STAGE_KINDS[prob.first], catalog, f.values, cfg, factors
-        )
-        u, it2, defect2, lost2 = invert_laplacian(
-            _STAGE_KINDS[prob.second], catalog, w, cfg, factors
-        )
-        iterations = it1 + it2
-        lost = lost1 + lost2
-        defect = max(defect, defect2)
-        pde = interior_residual_norm(catalog, u, f.values, depth=2)
-
+    u, w, pde, defect, lost, iterations, extras = prob.solver(
+        prob, catalog, f, cfg, factors
+    )
     constraints = {
         name: _measure_constraint(mid, catalog, u, w, f.values, cfg, factors)
         for name, mid in prob.constraints
@@ -411,44 +480,24 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
         discarded_mass=lost,
         iterations=iterations,
         wall_time_ms=elapsed,
+        extras=extras,
     )
 
 
 def solve_regularized(catalog: OperatorCatalog, f: Field,
                       cfg: SolverConfig | None = None) -> BiharmonicSolveReport:
-    """Solve (L* L + 1) u = f with L the free Laplacian.
+    """solve_zoo's "regularized" row: (L* L + 1) u = f with L the free
+    Laplacian.
 
     Always solvable, no boundary conditions, and the solution satisfies
     |u|^2 + |L u|^2 <= |f|^2 up to rounding (Cauchy-Schwarz against f).
     """
-    catalog = _as_catalog(catalog)
-    cfg = cfg or SolverConfig()
-    domain = catalog.domain
-    start = time.perf_counter()
-    op = (
-        catalog.interior_laplacian @ catalog.free_laplacian
-        + identity_operator(domain.cell_space)
-    )
-    res = direct_solve(op, f, cfg, name="regularized")
-    u = res.field
-    lu = catalog.free_laplacian.apply(u)
-    energy = np.sqrt(u.norm() ** 2 + lu.norm() ** 2)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return BiharmonicSolveReport(
-        "regularized",
-        u,
-        None,
-        domain.cell_space.norm(op.apply_raw(u.values) - f.values),
-        {"energy bound excess": max(0.0, energy - f.norm())},
-        iterations=res.iterations,
-        wall_time_ms=elapsed,
-        extras={"energy": float(energy), "data_norm": f.norm()},
-    )
+    return solve_zoo("regularized", catalog, f, cfg)
 
 
 def solve_hessian(kind: str, catalog_or_domain, f: Field,
                   cfg: SolverConfig | None = None) -> BiharmonicSolveReport:
-    """Hessian normal-product solves.
+    """solve_zoo's Hessian normal-product rows, "hessian_<kind>".
 
     kind "neumann": H* H u = f on all cells, kernel = the affine functions
     on each connected piece, data gated against them and the solution
@@ -462,59 +511,9 @@ def solve_hessian(kind: str, catalog_or_domain, f: Field,
     the hinged problem instead; the centered variant is the
     clamped-consistent one.)
     """
-    catalog = _as_catalog(catalog_or_domain)
-    cfg = cfg or SolverConfig()
-    domain = catalog.domain
-    space = domain.cell_space
-    start = time.perf_counter()
-    if kind == "neumann":
-        op = catalog.hessian_normal
-        res = direct_solve(op, f, cfg, name="hessian neumann")
-        u = res.field
-        ortho = max(abs(space.inner(u.values, b)) for b in op.kernel[0])
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return BiharmonicSolveReport(
-            "hessian_neumann",
-            u,
-            None,
-            space.norm(op.apply_raw(u.values) - f.values),
-            {"solution orthogonal to linears": ortho},
-            compatibility_defect=res.compatibility_defect,
-            iterations=res.iterations,
-            wall_time_ms=elapsed,
-        )
-    if kind == "dirichlet":
-        op = catalog.hessian_dirichlet_normal
-        data = Field(op.domain_space, f.values[domain.ring_cells(1)])
-        res = direct_solve(op, data, cfg, name="hessian dirichlet")
-        x = res.field.values
-        u = catalog.pad1.apply_raw(x)
-        # penalty-based clamped solution of the same data, for comparison;
-        # a diagnostic only, so its failure does not cost the answer
-        try:
-            y = direct_solve(
-                catalog.interior_normal, data, cfg, name="clamped reference"
-            ).field.values
-            comparison = {"clamped_comparison_l2": space.norm(
-                u - catalog.pad1.apply_raw(y))}
-        except ConvergenceFailure as exc:
-            comparison = {"clamped_comparison_l2": None,
-                          "clamped_comparison_failure": str(exc)}
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return BiharmonicSolveReport(
-            "hessian_dirichlet",
-            Field(space, u),
-            None,
-            op.domain_space.norm(op.apply_raw(x) - data.values),
-            {
-                "u vanishes on the boundary ring": strip_norm(domain, u, 0),
-                "normal difference of u vanishes": normal_difference_norm(domain, u),
-            },
-            iterations=res.iterations,
-            wall_time_ms=elapsed,
-            extras=comparison,
-        )
-    raise ValueError(f"hessian kind must be 'neumann' or 'dirichlet', got {kind!r}")
+    if kind not in ("neumann", "dirichlet"):
+        raise ValueError(f"hessian kind must be 'neumann' or 'dirichlet', got {kind!r}")
+    return solve_zoo(f"hessian_{kind}", catalog_or_domain, f, cfg)
 
 
 # -- exchange identities ---------------------------------------------------------

@@ -160,6 +160,10 @@ def test_domain_make_prints_the_file_bytes(tmp_path, capsys, flags):
      "cell [100000000000000000000, 0] lies beyond the int64 range"),
     ('{"h": 0.5, "cell": [[0, 0]]}', "domain file lacks 'cells'"),
     ('{"cells": [[0, 0]]}', "domain file lacks 'h'"),
+    ('[]', "domain file is not a JSON object"),
+    ('{"h": null, "cells": [[0, 0]]}', "domain file's 'h' is None, not a number"),
+    ('{"h": 0.5, "cells": 5}', "domain file's 'cells' is not a list of pairs"),
+    ('{"h": 0.5, "cells": [[0, 0]], "labels": 7}', "labels 7 are neither"),
 ])
 def test_malformed_domain_files_exit_1(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
@@ -168,6 +172,18 @@ def test_malformed_domain_files_exit_1(tmp_path, capsys, text, message):
                  "--domain", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("bizoo: error: ") and message in err
+
+
+def test_solve_problem_choices():
+    # the 27 labels --problem took before every row came from one table
+    solve = cli._build_parser()._subparsers._group_actions[0].choices["solve"]
+    problem = next(a for a in solve._actions if a.dest == "problem")
+    assert sorted(problem.choices) == sorted([
+        "f_c", "c_f", "f_f", "d_f", "n_f", "f_n", "n_n", "c_d", "f_d", "d_d",
+        "n_d", "over", "under", "c_c", "d_c", "n_c", "c_n", "d_n",
+        "dirichlet", "neumann", "navier", "riquier", "overdetermined",
+        "underdetermined", "regularized", "hessian_neumann", "hessian_dirichlet",
+    ])
 
 
 def test_bad_labels_exit_64(capsys):

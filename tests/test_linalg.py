@@ -18,7 +18,6 @@ from bizoo import (
     best_constant,
     build_domain,
     cg_solve,
-    default_tolerance,
     deflated_cg_solve,
     direct_solve,
     identity_operator,
@@ -184,8 +183,9 @@ def test_deflated_cg_compatibility_gate():
     assert 0 < res.compatibility_defect < 1e-10
 
 
-def test_compatibility_error_is_constructed_by_the_gate_alone():
-    # every range and kernel verdict goes through linalg.compatibility_gate
+def construction_sites(class_name):
+    """(file, innermost enclosing function) of every call to class_name in
+    the package's source."""
     sites = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -196,20 +196,20 @@ def test_compatibility_error_is_constructed_by_the_gate_alone():
         sites += [
             (path.name, owner.get(id(node)))
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "CompatibilityError" in (
+            if isinstance(node, ast.Call) and class_name in (
                 getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
-    assert sites == [("linalg.py", "compatibility_gate")]
+    return sites
 
 
-def test_tolerance_env_override(monkeypatch):
-    assert default_tolerance() == 1e-10
-    monkeypatch.setenv("BIZOO_TOL", "1e-6")
-    assert default_tolerance() == 1e-6
-    assert SolverConfig().rel_tolerance == 1e-6
+def test_compatibility_error_is_constructed_by_the_gate_alone():
+    # every range and kernel verdict goes through linalg.compatibility_gate
+    assert construction_sites("CompatibilityError") == [
+        ("linalg.py", "compatibility_gate")]
 
 
 def test_solver_config_validation():
+    assert SolverConfig().rel_tolerance == 1e-10
     with pytest.raises(ValueError):
         SolverConfig(rel_tolerance=2.0)
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import gc
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from bizoo import linalg
 from bizoo.expressions import Expression
 from bizoo.laplace import invert_laplacian
 from bizoo.linalg import piecewise_affine
+from test_linalg import construction_sites
 
 WELL_POSED = (
     "f_c", "c_f", "f_f", "d_f", "n_f", "f_n", "n_n",
@@ -66,6 +69,10 @@ def compatible_data(catalog, data_space, seed):
         vals = catalog.interior_biharmonic.apply_raw(
             rng.normal(size=dom.ring_cells(2).size)
         )
+    elif data_space == "L2_no_affine":
+        vals = rng.normal(size=dom.n_cells)
+        for v in catalog.hessian_normal.kernel[0]:
+            vals -= dom.cell_space.inner(v, vals) * v
     else:
         raise AssertionError(data_space)
     return Field(dom.cell_space, vals)
@@ -115,6 +122,42 @@ def test_aliases_resolve(alias, label):
 def test_unknown_label_rejected():
     with pytest.raises(ValueError):
         resolve_problem("q_q")
+
+
+def test_every_row_is_solved_and_reported_by_solve_zoo():
+    # the extra rows resolve like the compositions and name their composition
+    for label in ("regularized", "hessian_neumann", "hessian_dirichlet"):
+        assert resolve_problem(label).composition
+    assert construction_sites("BiharmonicSolveReport") == [("zoo.py", "solve_zoo")]
+
+
+GOLDEN_REPORTS = Path(__file__).with_name("golden_reports.json")
+
+
+def _assert_report_matches(got, want, where):
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_report_matches(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, (str, int)) or want is None:
+        assert got == want and type(got) is type(want), where
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_one_sided_and_extra_rows_reproduce_recorded_reports(shape):
+    """to_dict() without wall_time_ms, recorded before these rows moved into
+    the problem table (numpy 2.4, scipy 1.17): key order, names and
+    iteration counts exactly, numbers to 1e-12 relative."""
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    cat = OperatorCatalog(build_domain(shape, 16))
+    for label in ("over", "under", "regularized", "hessian_neumann",
+                  "hessian_dirichlet"):
+        f = compatible_data(cat, resolve_problem(label).data_space, seed=61)
+        report = solve_zoo(label, cat, f).to_dict()
+        del report["wall_time_ms"]
+        _assert_report_matches(report, golden[f"{shape}/{label}"], f"{shape}/{label}")
 
 
 def test_adjoint_column():
