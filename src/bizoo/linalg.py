@@ -7,16 +7,19 @@ plain Euclidean ones.
 `direct_solve` inverts a selfadjoint positive (semi)definite operator by a
 banded Cholesky factor of its lower band (cells are numbered row by row, so
 a stencil of reach k has a band of about k grid rows) followed by
-iterative refinement, with CG as the fallback where refinement stalls; the
-kernel the operator carries (the constants or the affine functions on each
-connected piece) is pinned out at a few cells and gated.  For a normal
-product B* B it can return B x and refine that against B* u = b instead.
-`augmented_solve` handles the least-squares and minimum-norm problems of
-an injective B through a sparse LU factor of [[a I, B], [B*, 0]], whose
-conditioning follows B's rather than B* B's.  A caller-owned dict lets
-several solves share a factor.  `cg_solve` and `deflated_cg_solve` are
-conjugate gradients, stopped when the true residual stagnates;
-`normal_cg_solve` runs them on the normal equations.
+iterative refinement; the kernel the operator carries (the constants or
+the affine functions on each connected piece) is pinned out at a few cells
+and gated.  For a normal product B* B it can return B x and refine that
+against B* u = b instead.  `augmented_solve` handles the least-squares and
+minimum-norm problems of an injective B through a sparse LU factor of
+[[a I, B], [B*, 0]], whose conditioning follows B's rather than B* B's.
+It is also direct_solve's one route where refinement stalls: a normal
+product records its B (`normal_product`), and the stalled solve is
+finished through B's augmented system; an operator with no recorded B
+fails there.  No solve path runs CG.  A caller-owned dict lets several
+solves share a factor.  `cg_solve` and `deflated_cg_solve` are conjugate
+gradients, stopped when the true residual stagnates; `normal_cg_solve`
+runs them on the normal equations.
 
 `smallest_eigenpairs` runs Lanczos on the inverse of the operator through
 the same pinned banded Cholesky factor, between projections off its
@@ -102,7 +105,9 @@ class SparseOperator:
     (weighted-orthonormal basis, pinned cells), which direct_solve and
     smallest_eigenpairs read; the operator catalog sets it where the
     domain's topology determines the kernel, and a DualPair on its normal
-    operators.
+    operators.  `first_order` is None, or an operator B with B* B equal to
+    this one, set where the normal product is formed; direct_solve's stall
+    route solves through it.
     """
 
     def __init__(self, matrix, domain_space: DofSpace, codomain_space: DofSpace):
@@ -117,6 +122,7 @@ class SparseOperator:
         self.domain_space = domain_space
         self.codomain_space = codomain_space
         self.kernel = None
+        self.first_order = None
         self._adjoint = None
         self._adjoint_of = None
 
@@ -191,6 +197,13 @@ class SparseOperator:
 
 def identity_operator(space: DofSpace) -> SparseOperator:
     return SparseOperator(sp.identity(space.dim, format="csr"), space, space)
+
+
+def normal_product(b: SparseOperator) -> SparseOperator:
+    """b* b, with b recorded as its first-order operator."""
+    op = b.adjoint() @ b
+    op.first_order = b
+    return op
 
 
 def orthonormalize(vectors, space: DofSpace):
@@ -541,15 +554,21 @@ def direct_solve(
     B's conditioning rather than with op's, which is B's squared.
 
     Iterative refinement follows until the weighted residual meets
-    cfg.rel_tolerance.  If it stops improving first, the solve falls back
-    to CG from zero, whose true-residual check sometimes gets under a
-    floor the refined iterate stops at; if CG fails as well,
-    ConvergenceFailure states the attained and target residuals of both.
-    Refinement starts from zero, so `iterations` counts every solve with
-    the factor, the first one included, plus the CG iterations of a
-    fallback.  Given a `factors` dict, the factor is looked up there by
-    operator and stored on first use, so the caller decides how long it
-    lives.
+    cfg.rel_tolerance.  If it stops improving first, the solve is finished
+    through the augmented system of B = op.first_order (see
+    normal_product): its solution [r; x] for data [0; b] has
+    x = -(B* B)^-1 b, so the answer is -x, or r = -B x when range_of is
+    given (it must then be B).  A kernel's pinned columns are dropped from
+    B, which makes it injective; the answer is zero at the pins, then
+    projected off the kernel.  That route stops on the augmented
+    residual (augmented_solve), not on the plain one, which the result
+    still reports.  With no recorded B, or where the augmented route
+    fails as well, ConvergenceFailure states the attained and target
+    residuals.  Refinement starts from zero, so `iterations` counts every
+    solve with the factor, the first one included, plus the augmented
+    route's solves.  Given a `factors` dict, the factor is looked up there
+    by operator and stored on first use, so the caller decides how long it
+    lives; the augmented factor of a stalled solve is stored there too.
     """
     if not op.domain_space.compatible(op.codomain_space):
         raise SpaceMismatchError("direct_solve needs an endomorphism")
@@ -584,20 +603,47 @@ def direct_solve(
             if history[-1] >= history[-2] or iterations > _MAX_REFINEMENT:
                 best = min(history[1:])
                 try:
-                    x, it, _, _ = _run_cg(op, rhs, cfg, basis, name)
-                except BizooError as exc:  # no convergence, or a breakdown
+                    x, u, it = _stalled_normal_solve(op, rhs, cfg, factors, name)
+                except BizooError as exc:  # no B, no convergence, or not injective
                     raise ConvergenceFailure(
                         f"{name}: refinement stopped at residual {best:.3e}, "
                         f"target {target:.3e} (relative {best / history[0]:.3e} "
-                        f"against {cfg.rel_tolerance:.1e}); CG fallback: {exc}",
+                        f"against {cfg.rel_tolerance:.1e}); augmented route: {exc}",
                         residual_history=history,
                     ) from None
-                y = x if lift is None else lift(x)
+                y = x if range_of is None else u
                 iterations += it
                 r = _project_out(space, rhs - residual_of(y), basis)
                 history.append(space.norm(r))
                 break
     return SolveResult(Field(out_space, y), iterations, history[-1], defect, history)
+
+
+def _stalled_normal_solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig,
+                          factors: dict | None, name: str):
+    """Solve op y = rhs, op = B* B with B = op.first_order, through the
+    augmented system of B with its kernel's pinned columns dropped, data
+    [0; rhs].  Returns (y, r, augmented solves): y is solved with zeros at
+    the pins and projected off the kernel, and r = B y is the minimum-norm
+    solution of B* r = rhs."""
+    b, space = op.first_order, op.domain_space
+    if b is None:
+        raise BizooError("no first-order operator is recorded")
+    basis, pinned = op.kernel or ([], [])
+    free = np.ones(space.dim, dtype=bool)
+    free[np.asarray(pinned, dtype=np.int64)] = False
+
+    def unpinned():
+        sub = DofSpace(f"{space.name} unpinned", int(free.sum()), space.weights[free])
+        return SparseOperator(b.matrix[:, free], sub, b.codomain_space)
+
+    bf = b if free.all() else _factor(factors, ("unpinned", b), unpinned)
+    r, xf, iterations, _ = augmented_solve(
+        bf, g=Field(bf.domain_space, rhs[free]), cfg=cfg, factors=factors, name=name
+    )
+    y = np.zeros(space.dim)
+    y[free] = -xf.values
+    return _project_out(space, y, basis), r.values, iterations
 
 
 class _AugmentedLU:

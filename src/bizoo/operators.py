@@ -23,8 +23,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyDomainError, StencilReachError
-from .grid import DIRICHLET, GridDomain
-from .linalg import SparseOperator, _piecewise_constants, piecewise_affine
+from .grid import DIRICHLET, DofSpace, GridDomain
+from .linalg import (
+    SparseOperator,
+    _piecewise_constants,
+    identity_operator,
+    normal_product,
+    piecewise_affine,
+)
 
 # offset/coefficient tables; values are divided by h^2 (h^4 for the
 # 13-point bilaplacian, h for first differences) at assembly
@@ -374,7 +380,7 @@ class OperatorCatalog:
         functions on each connected piece."""
         d = self.domain
         return self._get("hessian_normal", lambda: _with_kernel(
-            self.hessian.adjoint() @ self.hessian,
+            normal_product(self.hessian),
             piecewise_affine(d.cell_space, d.component_labels, d.cell_centers()),
         ))
 
@@ -397,19 +403,35 @@ class OperatorCatalog:
     def interior_normal(self) -> SparseOperator:
         """adjoint(A) A on depth>=1 cells, the workhorse of clamped solves."""
         return self._get(
-            "interior_normal",
-            lambda: self.interior_laplacian.adjoint() @ self.interior_laplacian,
+            "interior_normal", lambda: normal_product(self.interior_laplacian)
         )
 
     @property
     def hessian_dirichlet_normal(self) -> SparseOperator:
         """adjoint(Hp) Hp on depth>=1 cells, Hp the zero-extension Hessian
         of the padded field; built once."""
-        def build():
-            hp = self.hessian_zero_extension @ self.pad1
-            return hp.adjoint() @ hp
+        return self._get(
+            "hessian_dirichlet_normal",
+            lambda: normal_product(self.hessian_zero_extension @ self.pad1),
+        )
 
-        return self._get("hessian_dirichlet_normal", build)
+    @property
+    def regularized(self) -> SparseOperator:
+        """L* L + 1 on all cells, L the free Laplacian, assembled as
+        interior_laplacian @ free_laplacian + 1; its first-order operator
+        is the stack [L; 1], into L's codomain and the cells side by side."""
+        def build():
+            space, lap = self.domain.cell_space, self.free_laplacian
+            cod = lap.codomain_space
+            both = DofSpace(f"{cod.name}+{space.name}", cod.dim + space.dim,
+                            np.concatenate([cod.weights, space.weights]))
+            op = self.interior_laplacian @ lap + identity_operator(space)
+            op.first_order = SparseOperator(
+                sp.vstack([lap.matrix, sp.identity(space.dim)]), space, both
+            )
+            return op
+
+        return self._get("regularized", build)
 
     @property
     def biharmonic_normal(self) -> SparseOperator:

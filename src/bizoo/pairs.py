@@ -33,6 +33,7 @@ from .linalg import (
     SparseOperator,
     compatibility_gate,
     direct_solve,
+    normal_product,
     orthonormalize,
     pivoted_pins,
     smallest_eigenpairs,
@@ -71,7 +72,7 @@ class DualPair:
         """adjoint(A) A for the forward side, A adjoint(A) for the other."""
         op = self._side(side)
         if op not in self._normals:
-            self._normals[op] = op.adjoint() @ op
+            self._normals[op] = normal_product(op)
         return self._normals[op]
 
     def kernel_basis(self, side: str = "forward"):

@@ -45,7 +45,6 @@ from .linalg import (
     augmented_solve,
     compatibility_gate,
     direct_solve,
-    identity_operator,
 )
 from .laplace import (
     LaplacianKind,
@@ -118,11 +117,10 @@ def _energy(catalog, u):
 
 
 def _regularized(prob, catalog, f, cfg, factors):
-    space = catalog.domain.cell_space
-    op = catalog.interior_laplacian @ catalog.free_laplacian + identity_operator(space)
+    op = catalog.regularized
     res = direct_solve(op, f, cfg, name="regularized")
     u = res.field.values
-    pde = space.norm(op.apply_raw(u) - f.values)
+    pde = catalog.domain.cell_space.norm(op.apply_raw(u) - f.values)
     extras = {"energy": _energy(catalog, u), "data_norm": f.norm()}
     return u, None, pde, 0.0, 0.0, res.iterations, extras
 
@@ -372,7 +370,7 @@ def resolve_problem(name: str) -> ZooProblem:
         return _BY_NAME[name]
     except KeyError:
         raise ValueError(
-            f"unknown problem {name!r}; see classify_zoo() for labels"
+            f"unknown problem {name!r}; known labels: {', '.join(_BY_NAME)}"
         ) from None
 
 

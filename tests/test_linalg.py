@@ -573,7 +573,9 @@ def test_direct_solve_unattainable_target_reports_residuals(catalogs16, key,
     message = str(err.value)
     assert f"residual {min(history[1:]):.3e}" in message
     assert f"target {1e-18 * b.norm():.3e}" in message
-    assert "CG fallback" in message
+    # the normal products fail on the augmented route too, the others
+    # record no first-order operator for it
+    assert "augmented route" in message
     assert len(history) <= 12  # stops once refinement stops improving
 
 
@@ -592,18 +594,23 @@ def test_direct_solve_range_of_agrees_with_min_norm_cg(catalogs16):
 
 
 @pytest.mark.parametrize("range_of", (False, True))
-def test_direct_solve_falls_back_to_cg_when_refinement_stalls(monkeypatch,
-                                                              range_of):
+def test_direct_solve_takes_the_augmented_route_when_refinement_stalls(
+        monkeypatch, range_of):
     cat = OperatorCatalog(build_domain("lshape", 16))
     op, a = cat.interior_normal, cat.interior_laplacian
     solve = linalg._BandedCholesky.solve
     # a factor that gets only half of each correction right stops
-    # refinement at the step cap, far above the target
+    # refinement at the step cap, far above the target; the solve is then
+    # finished through the augmented system of the recorded first-order
+    # operator, whose factor the call's dict holds
     monkeypatch.setattr(linalg._BandedCholesky, "solve",
                         lambda self, r: 0.5 * solve(self, r))
     b = routed_data(op, False, 27)
     cfg = SolverConfig(rel_tolerance=1e-10)
-    res = direct_solve(op, b, cfg, range_of=a if range_of else None)
+    factors = {}
+    res = direct_solve(op, b, cfg, range_of=a if range_of else None,
+                       factors=factors)
+    assert op.first_order is a and list(factors) == [op, ("augmented", a)]
     assert len(res.residual_history) == linalg._MAX_REFINEMENT + 3
     assert res.residual_history[-2] > 1e-4 * b.norm()
     assert res.residual_norm <= 1e-10 * b.norm()
@@ -612,6 +619,33 @@ def test_direct_solve_falls_back_to_cg_when_refinement_stalls(monkeypatch,
     expect = a.apply_raw(x) if range_of else x
     got = res.field.values
     assert res.field.space.norm(got - expect) <= 1e-8 * res.field.space.norm(expect)
+
+
+def test_direct_solve_augmented_route_drops_the_kernel_pins(monkeypatch):
+    cat = OperatorCatalog(build_domain("lshape", 16))
+    op, h = cat.hessian_normal, cat.hessian
+    space = op.domain_space
+    basis, pinned = op.kernel
+    solve = linalg._BandedCholesky.solve
+    monkeypatch.setattr(linalg._BandedCholesky, "solve",
+                        lambda self, r: 0.5 * solve(self, r))
+    b = rng(29).normal(size=space.dim)
+    for v in basis:
+        b -= space.inner(v, b) * v
+    data = Field(space, b)
+    factors = {}
+    res = direct_solve(op, data, SolverConfig(rel_tolerance=1e-10),
+                       factors=factors)
+    # H with the affine pins' columns dropped is injective
+    unpinned = factors[("unpinned", h)]
+    assert op.first_order is h and ("augmented", unpinned) in factors
+    assert unpinned.shape == (h.shape[0], space.dim - len(pinned))
+    x = res.field.values
+    assert res.residual_norm <= 1e-10 * data.norm()
+    assert max(abs(space.inner(v, x)) for v in basis) <= 1e-12 * space.norm(x)
+    oracle = deflated_cg_solve(op, data, basis,
+                               SolverConfig(rel_tolerance=1e-13)).field.values
+    assert space.norm(x - oracle) <= 1e-8 * space.norm(oracle)
 
 
 def test_direct_solve_pins_each_connected_piece():
