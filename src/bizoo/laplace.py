@@ -14,7 +14,7 @@ the minimum-norm preimage, and reports the boundary ring data it never
 looks at.  Both, and the harmonic defect, solve with one factor of the
 interior normal product per call; the defect's projection and the
 underdetermined answer are refined against the interior stencil's
-adjoint rather than the normal product.
+adjoint rather than the normal product (direct_solve's min_norm).
 Mixed interpolates between Dirichlet and Neumann through the face
 labels.  The 13-point biharmonic defect solves the augmented system of
 the interior bilaplacian rather than its normal product, whose
@@ -22,6 +22,8 @@ conditioning is that of the stencil squared.
 
 Every report recomputes its residual and constraint norms from the
 returned solution; nothing is copied out of solver internals.
+`measure_constraint` measures the constraints of both orders: the
+(display name, measurement id) pairs of each kind here and of `zoo`'s rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .grid import Field, GridDomain
-from .linalg import SolverConfig, augmented_solve, compatibility_gate, direct_solve
+from .linalg import (SolverConfig, augmented_solve, compatibility_gate, direct_solve,
+                     require_finite)
 from .operators import OperatorCatalog
 
 
@@ -106,18 +109,17 @@ def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
     floor grows with A's conditioning, not with that of A* A.  `factors`
     is passed on to direct_solve.
     """
-    cfg = cfg or SolverConfig()
-    a = catalog.interior_laplacian
     k = catalog.interior_normal
-    rhs = Field(k.domain_space, a.adjoint().apply_raw(values))
+    rhs = Field(k.domain_space, catalog.interior_laplacian.adjoint().apply_raw(values))
     inside = direct_solve(
-        k, rhs, cfg, range_of=a, factors=factors, name="harmonic defect"
+        k, rhs, cfg, min_norm=True, factors=factors, name="harmonic defect"
     ).field.values
     return catalog.domain.cell_space.norm(values - inside), inside
 
 
 def clamped_preimage(catalog: OperatorCatalog, values: np.ndarray,
-                     cfg: SolverConfig, factors: dict | None = None) -> np.ndarray:
+                     cfg: SolverConfig | None,
+                     factors: dict | None = None) -> np.ndarray:
     """x with A* A x = A* values, A the interior stencil: the ungated
     least-squares preimage; `factors` is passed on to direct_solve."""
     k = catalog.interior_normal
@@ -141,11 +143,11 @@ def biharmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
 def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
                            f: np.ndarray, depth: int = 1) -> float:
     """Residual of the raw 5-point equation (depth 1) or the 13-point one
-    (depth 2) on the cells of depth >= depth; 0.0 on a mask too shallow
-    for the 13-point stencil."""
+    (depth 2) on the cells of depth >= depth; 0.0 on a mask with no such
+    cell, where the stencil has no rows."""
     domain = catalog.domain
     ring = domain.ring_cells(depth)
-    if depth == 2 and ring.size == 0:
+    if ring.size == 0:
         return 0.0
     op = catalog.free_laplacian if depth == 1 else catalog.interior_biharmonic.adjoint()
     return domain.ring_space(depth).norm(op.apply_raw(u) - f[ring])
@@ -154,7 +156,7 @@ def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
 # -- solves ---------------------------------------------------------------------
 
 def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
-                     cfg: SolverConfig, factors: dict | None = None):
+                     cfg: SolverConfig | None, factors: dict | None = None):
     """Apply one of the five Laplacian inverses to a cell field.
 
     Returns (values, iterations, compatibility defect, discarded mass).
@@ -169,7 +171,7 @@ def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
     if kind is LaplacianKind.OVERDETERMINED:
         compatibility_gate(
             harmonic_defect(catalog, values, cfg, factors)[0],
-            domain.cell_space.norm(values), cfg, "discrete harmonics",
+            domain.cell_space.norm(values), "discrete harmonics",
             "data has a discrete-harmonic component of relative size "
             "{rel:.3e}; the doubly constrained solve needs data in the "
             "interior stencil's range",
@@ -183,8 +185,7 @@ def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
         k = catalog.interior_normal
         res = direct_solve(
             k, Field(k.domain_space, values[domain.ring_cells(1)]), cfg,
-            range_of=catalog.interior_laplacian, factors=factors,
-            name="minimum-norm laplacian",
+            min_norm=True, factors=factors, name="minimum-norm laplacian",
         )
         return res.field.values, res.iterations, 0.0, strip_norm(domain, values, 0)
     op = getattr(catalog, f"laplacian_{kind.value}")
@@ -195,13 +196,65 @@ def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
     return res.field.values, res.iterations, res.compatibility_defect, 0.0
 
 
+def _energy(catalog: OperatorCatalog, u: np.ndarray) -> float:
+    """sqrt(|u|^2 + |L u|^2), L the free Laplacian."""
+    lap = catalog.free_laplacian
+    return float(np.sqrt(catalog.domain.cell_space.norm(u) ** 2
+                         + lap.codomain_space.norm(lap.apply_raw(u)) ** 2))
+
+
+def measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
+                       w: np.ndarray | None, f: np.ndarray | None,
+                       cfg: SolverConfig | None, factors: dict) -> float:
+    """One constraint norm.  mid is <measurement>_<stage>: stage u measures
+    the solution, whose data is the laplacian stage w; stage w measures w,
+    whose data is f.  A second-order solve passes its data as w."""
+    measurement, _, stage = mid.rpartition("_")
+    v, data = (u, w) if stage == "u" else (w, f)
+    domain = catalog.domain
+    if measurement == "strip":
+        return strip_norm(domain, v, 0)
+    if measurement == "strip2":
+        return strip_norm(domain, v, 1)
+    if measurement == "ndiff":
+        return normal_difference_norm(domain, v)
+    rows = {"drows": "dirichlet", "nrows": "neumann", "mrows": "mixed"}
+    if measurement in rows:  # depth-0 rows of the penalized Laplacian
+        op = getattr(catalog, f"laplacian_{rows[measurement]}")
+        return boundary_row_residual(domain, op, v, data)
+    if measurement == "mean":
+        return mean_defect(domain, v)
+    if measurement == "harm":
+        return harmonic_defect(catalog, v, cfg, factors)[0]
+    if measurement == "biharm":
+        return biharmonic_defect(catalog, v, cfg, factors)[0]
+    if measurement == "affine":  # orthogonality to the Hessian's kernel
+        space = domain.cell_space
+        return max(abs(space.inner(v, b)) for b in catalog.hessian_normal.kernel[0])
+    if measurement == "energy":  # |u|^2 + |L u|^2 <= |f|^2, L the free Laplacian
+        return max(0.0, _energy(catalog, v) - domain.cell_space.norm(f))
+    raise ValueError(f"unknown measurement {mid!r}")
+
+
+# (display name, measurement id) pairs of each kind, in report order
+_KIND_CONSTRAINTS = {
+    LaplacianKind.DIRICHLET: (("zero trace on boundary faces", "drows_u"),),
+    LaplacianKind.NEUMANN: (("zero flux on boundary faces", "nrows_u"),
+                            ("mean-free solution", "mean_u")),
+    LaplacianKind.MIXED: (("labeled boundary rows", "mrows_u"),),
+    LaplacianKind.OVERDETERMINED: (("zero trace on boundary ring", "strip_u"),
+                                   ("zero normal difference on boundary", "ndiff_u")),
+    LaplacianKind.UNDERDETERMINED: (("no discrete-harmonic component", "harm_u"),),
+}
+
+
 def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
                   cfg: SolverConfig | None = None) -> LaplaceSolveReport:
     kind = LaplacianKind(kind)
-    cfg = cfg or SolverConfig()
     domain = catalog.domain
     if not f.space.compatible(domain.cell_space):
         raise SpaceMismatchError("Laplacian data must live on the cell space")
+    require_finite(kind.value, f)  # cells no solve reads still enter the report
     factors = {}  # the harmonic-defect measurement reuses the solve's factor
     u, iterations, defect, lost = invert_laplacian(
         kind, catalog, f.values, cfg, factors
@@ -213,30 +266,10 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         )
     else:
         pde = interior_residual_norm(catalog, u, f.values)
-
-    def rows(op):
-        return boundary_row_residual(domain, op, u, f.values)
-
-    if kind is LaplacianKind.DIRICHLET:
-        constraints = {
-            "zero trace on boundary faces": rows(catalog.laplacian_dirichlet)
-        }
-    elif kind is LaplacianKind.NEUMANN:
-        constraints = {
-            "zero flux on boundary faces": rows(catalog.laplacian_neumann),
-            "mean-free solution": mean_defect(domain, u),
-        }
-    elif kind is LaplacianKind.MIXED:
-        constraints = {"labeled boundary rows": rows(catalog.laplacian_mixed)}
-    elif kind is LaplacianKind.OVERDETERMINED:
-        constraints = {
-            "zero trace on boundary ring": strip_norm(domain, u, 0),
-            "zero normal difference on boundary": normal_difference_norm(domain, u),
-        }
-    else:
-        constraints = {"no discrete-harmonic component": harmonic_defect(
-            catalog, u, cfg, factors
-        )[0]}
+    constraints = {
+        name: measure_constraint(mid, catalog, u, f.values, None, cfg, factors)
+        for name, mid in _KIND_CONSTRAINTS[kind]
+    }
     return LaplaceSolveReport(
         kind, Field(domain.cell_space, u), pde, constraints,
         compatibility_defect=defect, discarded_ring_mass=lost,
@@ -245,6 +278,9 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
 
 
 # -- first-order estimate chains -------------------------------------------------
+
+CHAIN_SLACK = 1.0 + 1e-10  # largest ratio an exact chain inequality may reach
+
 
 @dataclass
 class ChainCheckReport:
@@ -256,8 +292,8 @@ class ChainCheckReport:
     worst_second: float
     details: dict = _dc_field(default_factory=dict)
 
-    def ok(self, slack: float = 1.0 + 1e-10) -> bool:
-        return self.worst_first <= slack and self.worst_second <= slack
+    def ok(self) -> bool:
+        return self.worst_first <= CHAIN_SLACK and self.worst_second <= CHAIN_SLACK
 
 
 def estimate_chain_check(kind, catalog: OperatorCatalog, constant: float,

@@ -9,17 +9,18 @@ banded Cholesky factor of its lower band (cells are numbered row by row, so
 a stencil of reach k has a band of about k grid rows) followed by
 iterative refinement; the kernel the operator carries (the constants or
 the affine functions on each connected piece) is pinned out at a few cells
-and gated.  For a normal product B* B it can return B x and refine that
-against B* u = b instead.  `augmented_solve` handles the least-squares and
-minimum-norm problems of an injective B through a sparse LU factor of
-[[a I, B], [B*, 0]], whose conditioning follows B's rather than B* B's.
-It is also direct_solve's one route where refinement stalls: a normal
-product records its B (`normal_product`), and the stalled solve is
-finished through B's augmented system; an operator with no recorded B
-fails there.  No solve path runs CG.  A caller-owned dict lets several
-solves share a factor.  `cg_solve` and `deflated_cg_solve` are conjugate
-gradients, stopped when the true residual stagnates; `normal_cg_solve`
-runs them on the normal equations.
+and gated.  For a normal product B* B that records B, `min_norm=True`
+returns B x and refines it against B* u = b instead.  `augmented_solve`
+handles the least-squares and minimum-norm problems of an injective B
+through a sparse LU factor of [[a I, B], [B*, 0]], whose conditioning
+follows B's rather than B* B's.  It is also direct_solve's one route
+where refinement stalls: a normal product records its B
+(`normal_product`), and the stalled solve is finished through B's
+augmented system; an operator with no recorded B fails there.  No solve
+path runs CG.  A caller-owned dict lets several solves share a factor.
+`cg_solve` and `deflated_cg_solve` are conjugate gradients, stopped when
+the true residual stagnates; `normal_cg_solve` runs them on the normal
+equations.
 
 `smallest_eigenpairs` runs Lanczos on the inverse of the operator through
 the same pinned banded Cholesky factor, between projections off its
@@ -67,18 +68,16 @@ _PIVOT_FLOOR = 1e-12
 _PBTRF, _PBTRS = sla.get_lapack_funcs(("pbtrf", "pbtrs"), (np.zeros(1),))
 _KRYLOV_MIN = 8  # fewest Lanczos vectors (see smallest_eigenpairs)
 _RITZ_TOL = 1e-13  # Ritz residual that stops a single eigenpair (ditto)
+COMPAT_TOLERANCE = 1e-8  # relative defect above which compatibility_gate refuses
 
 
 @dataclass
 class SolverConfig:
     rel_tolerance: float = 1e-10
-    compat_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.rel_tolerance < 1:
             raise ValueError("rel_tolerance must lie in (0, 1)")
-        if not 0 < self.compat_tolerance < 1:
-            raise ValueError("compat_tolerance must lie in (0, 1)")
 
 
 @dataclass
@@ -106,8 +105,8 @@ class SparseOperator:
     smallest_eigenpairs read; the operator catalog sets it where the
     domain's topology determines the kernel, and a DualPair on its normal
     operators.  `first_order` is None, or an operator B with B* B equal to
-    this one, set where the normal product is formed; direct_solve's stall
-    route solves through it.
+    this one, set where the normal product is formed; direct_solve's
+    min_norm and stall route solve through it.
     """
 
     def __init__(self, matrix, domain_space: DofSpace, codomain_space: DofSpace):
@@ -330,28 +329,28 @@ def cg_solve(op: SparseOperator, b: Field, cfg: SolverConfig | None = None) -> S
     return SolveResult(Field(op.domain_space, x), it, res, 0.0, hist)
 
 
-def compatibility_gate(defect: float, data_norm: float, cfg: SolverConfig,
-                       subspace: str, message: str) -> float:
+def compatibility_gate(defect: float, data_norm: float, subspace: str,
+                       message: str) -> float:
     """The package's one compatibility verdict: a defect (the data's part
-    in a subspace the solve cannot reach) above compat_tolerance times
+    in a subspace the solve cannot reach) above COMPAT_TOLERANCE times
     the data's norm raises CompatibilityError tagged with `subspace`, its
     `message` formatted with the relative size `rel` and the tolerance
     `gate`.  Returns the defect."""
-    if data_norm > 0 and defect > cfg.compat_tolerance * data_norm:
+    if data_norm > 0 and defect > COMPAT_TOLERANCE * data_norm:
         raise CompatibilityError(
-            message.format(rel=defect / data_norm, gate=cfg.compat_tolerance),
+            message.format(rel=defect / data_norm, gate=COMPAT_TOLERANCE),
             defect=defect,
             subspace=subspace,
         )
     return defect
 
 
-def _gate_kernel(space: DofSpace, b: Field, basis, cfg: SolverConfig):
+def _gate_kernel(space: DofSpace, b: Field, basis):
     """Project an orthonormal kernel basis out of the data and gate the
     part removed; returns (projected values, defect)."""
     projected = _project_out(space, b.values.copy(), basis)
     defect = compatibility_gate(
-        space.norm(b.values - projected), b.norm(), cfg, "solver kernel",
+        space.norm(b.values - projected), b.norm(), "solver kernel",
         "right-hand side has a kernel component of relative size {rel:.3e} "
         "(gate {gate:.1e})",
     )
@@ -367,7 +366,7 @@ def deflated_cg_solve(
     """CG for a selfadjoint PSD operator with known kernel.
 
     The right-hand side must be orthogonal to the kernel up to
-    compat_tolerance (relative); the returned solution is orthogonal to
+    COMPAT_TOLERANCE (relative); the returned solution is orthogonal to
     the kernel and the projection defect is reported.
     """
     if not op.domain_space.compatible(op.codomain_space):
@@ -377,7 +376,7 @@ def deflated_cg_solve(
     cfg = cfg or SolverConfig()
     space = op.domain_space
     basis = orthonormalize(kernel_basis, space)
-    projected, defect = _gate_kernel(space, b, basis, cfg)
+    projected, defect = _gate_kernel(space, b, basis)
     x, it, hist, res = _run_cg(op, projected, cfg, basis, "deflated cg")
     return SolveResult(Field(space, x), it, res, defect, hist)
 
@@ -530,7 +529,7 @@ def direct_solve(
     b: Field,
     cfg: SolverConfig | None = None,
     *,
-    range_of: SparseOperator | None = None,
+    min_norm: bool = False,
     factors: dict | None = None,
     name: str = "direct solve",
 ) -> SolveResult:
@@ -546,19 +545,19 @@ def direct_solve(
     factorization and the solution comes back orthogonal to the kernel.
     A kernel the pinned cells leave incomplete makes the factor singular
     and raises BizooError; so does no kernel (None, factored with no
-    pins) on a singular operator.
+    pins) on a singular operator.  Data that are not finite raise
+    ValueError.
 
-    With range_of=B, where op is the normal product B* B, the result is
-    u = B x, the minimum-norm solution of B* u = b, and refinement
-    updates u against that equation.  Its rounding floor then grows with
-    B's conditioning rather than with op's, which is B's squared.
+    With min_norm=True, op must record its B (op.first_order, see
+    normal_product); the result is u = B x, the minimum-norm solution of
+    B* u = b, refined against that equation, whose rounding floor grows
+    with B's conditioning rather than with op's, which is B's squared.
 
     Iterative refinement follows until the weighted residual meets
     cfg.rel_tolerance.  If it stops improving first, the solve is finished
-    through the augmented system of B = op.first_order (see
-    normal_product): its solution [r; x] for data [0; b] has
-    x = -(B* B)^-1 b, so the answer is -x, or r = -B x when range_of is
-    given (it must then be B).  A kernel's pinned columns are dropped from
+    through the augmented system of B = op.first_order: its solution
+    [r; x] for data [0; b] has x = -(B* B)^-1 b, so the answer is -x, or
+    r = -B x with min_norm.  A kernel's pinned columns are dropped from
     B, which makes it injective; the answer is zero at the pins, then
     projected off the kernel.  That route stops on the augmented
     residual (augmented_solve), not on the plain one, which the result
@@ -575,16 +574,17 @@ def direct_solve(
     space = op.domain_space
     if not b.space.compatible(space):
         raise SpaceMismatchError("right-hand side lives in the wrong space")
-    if range_of is not None and not range_of.domain_space.compatible(space):
-        raise SpaceMismatchError("range_of must map out of the operator's space")
+    require_finite(name, b)
+    out_space, lift, residual_of = space, None, op.apply_raw
+    if min_norm:
+        first = op.first_order
+        if first is None:
+            raise ValueError(f"{name}: min_norm needs a recorded first-order operator")
+        out_space, lift = first.codomain_space, first.apply_raw
+        residual_of = first.adjoint().apply_raw
     cfg = cfg or SolverConfig()
     basis, pinned = op.kernel or ([], [])
-    rhs, defect = _gate_kernel(space, b, basis, cfg)
-    if range_of is None:
-        out_space, lift, residual_of = space, None, op.apply_raw
-    else:
-        out_space = range_of.codomain_space
-        lift, residual_of = range_of.apply_raw, range_of.adjoint().apply_raw
+    rhs, defect = _gate_kernel(space, b, basis)
     history = [space.norm(rhs)]
     target = cfg.rel_tolerance * history[0]
     y = np.zeros(out_space.dim)
@@ -611,12 +611,18 @@ def direct_solve(
                         f"against {cfg.rel_tolerance:.1e}); augmented route: {exc}",
                         residual_history=history,
                     ) from None
-                y = x if range_of is None else u
+                y = u if min_norm else x
                 iterations += it
                 r = _project_out(space, rhs - residual_of(y), basis)
                 history.append(space.norm(r))
                 break
     return SolveResult(Field(out_space, y), iterations, history[-1], defect, history)
+
+
+def require_finite(name: str, *data):
+    """Refuse data holding a NaN or an infinity, which no solve can use."""
+    if not all(np.isfinite(d.values).all() for d in data if d is not None):
+        raise ValueError(f"{name}: data are not finite")
 
 
 def _stalled_normal_solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig,
@@ -697,7 +703,8 @@ def augmented_solve(
     With [f; 0], x is the least-squares solution of B x = f and r = f - B x
     its residual.  With [0; g], r is the minimum-norm solution of
     B* r = g, which lies in B's range.  Returns (r, x, iterations,
-    history) with r and x as fields.
+    history) with r and x as fields.  Data that are not finite raise
+    ValueError.
 
     The factor is that of the scaled system [[a I, B], [B*, 0]], solved
     for [r / a; x] with data [f; g / a] (see _AugmentedLU for a).  It is
@@ -719,6 +726,7 @@ def augmented_solve(
     for data, space, which in ((f, cod, "f"), (g, dom, "g")):
         if data is not None and not data.space.compatible(space):
             raise SpaceMismatchError(f"{which} lives in the wrong space")
+    require_finite(name, f, g)
     fv = np.zeros(cod.dim) if f is None else f.values
     gv = np.zeros(dom.dim) if g is None else g.values
     sol = np.zeros(cod.dim + dom.dim)

@@ -436,6 +436,5 @@ class OperatorCatalog:
     @property
     def biharmonic_normal(self) -> SparseOperator:
         return self._get(
-            "biharmonic_normal",
-            lambda: self.interior_biharmonic.adjoint() @ self.interior_biharmonic,
+            "biharmonic_normal", lambda: normal_product(self.interior_biharmonic)
         )

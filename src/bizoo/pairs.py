@@ -191,25 +191,25 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
     return pair._constant
 
 
-def _normal_solve(pair: DualPair, rhs: np.ndarray, cfg: SolverConfig, name: str,
-                  range_of: SparseOperator | None = None) -> SolveResult:
-    """direct_solve of (A* A) x = rhs on the pair's factor and kernel; the
-    data is projected off the kernel first, where it lies up to rounding."""
+def _normal_solve(pair: DualPair, rhs: np.ndarray, cfg: SolverConfig | None,
+                  name: str, min_norm: bool = False) -> SolveResult:
+    """direct_solve of (A* A) x = rhs, or with min_norm of A* y = rhs for
+    y = A x, on the pair's factor and kernel; rhs is projected off the
+    kernel first, where it lies up to rounding."""
     space = pair.forward.domain_space
     rhs = _project_out(space, rhs, pair.kernel_basis("forward"))
     return direct_solve(
         pair.normal("forward"), Field(space, rhs), cfg,
-        range_of=range_of, factors=pair.factors, name=name,
+        min_norm=min_norm, factors=pair.factors, name=name,
     )
 
 
 def project_range(pair: DualPair, g: Field, cfg: SolverConfig | None = None):
     """Split g into its range(A) component and the orthogonal remainder."""
-    cfg = cfg or SolverConfig()
     if not g.space.compatible(pair.forward.codomain_space):
         raise BizooError("projection data must live in the codomain")
     rhs = pair.adjoint.apply_raw(g.values)
-    inside = _normal_solve(pair, rhs, cfg, "range projection", pair.forward).field
+    inside = _normal_solve(pair, rhs, cfg, "range projection", min_norm=True).field
     return inside, g - inside
 
 
@@ -226,7 +226,6 @@ def reduced_solve(pair: DualPair, task: str, rhs: Field,
     least-squares task measured through A) is a spectral fact of the pair;
     callers can verify it against best_constant.
     """
-    cfg = cfg or SolverConfig()
     space = pair.forward.domain_space
     if task == "least_squares":
         if not rhs.space.compatible(pair.forward.codomain_space):
@@ -242,14 +241,14 @@ def reduced_solve(pair: DualPair, task: str, rhs: Field,
             raise BizooError(f"{task} data must live in the domain space")
         projected = _project_out(space, rhs.values.copy(), pair.kernel_basis())
         defect = compatibility_gate(
-            space.norm(rhs.values - projected), rhs.norm(), cfg, "ker(forward)",
+            space.norm(rhs.values - projected), rhs.norm(), "ker(forward)",
             "data has a kernel component of relative size {rel:.3e}",
         )
         # min_norm returns y = A x, refined against A* y = rhs
-        lift = pair.forward if task == "min_norm" else None
-        res = _normal_solve(pair, projected, cfg, f"reduced {task}", lift)
+        min_norm = task == "min_norm"
+        res = _normal_solve(pair, projected, cfg, f"reduced {task}", min_norm)
         res.compatibility_defect = defect
-        if lift is not None:
+        if min_norm:
             res.residual_norm = space.norm(
                 pair.adjoint.apply_raw(res.field.values) - rhs.values
             )
@@ -285,7 +284,6 @@ def helmholtz_decompose(grad_pair: DualPair, curl_pair: DualPair, g: Field,
     orthogonal, so the middle dimension is edges - rank(gradient) -
     rank(curl) exactly.
     """
-    cfg = cfg or SolverConfig()
     edge_space = g.space
     if not edge_space.compatible(grad_pair.forward.codomain_space):
         raise BizooError("field must live on the gradient codomain")

@@ -69,6 +69,22 @@ def test_harmonic_data_exits_2_at_n128(capsys, label):
         capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered in scalar divide:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "d_d", "--rhs", "0/0"],
+    ["solve", "--problem", "f_c", "--rhs", "0/0"],
+    ["solve", "--problem", "d_d", "--rhs", "1/0"],
+    ["solve", "--problem", "over", "--rhs", "1/0"],
+    ["helmholtz", "--field", "0/0,x"],
+])
+def test_non_finite_data_exit_1(argv, capsys):
+    # a report of NaNs would not be valid JSON
+    assert main(argv + ["--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("bizoo: error: ") and "data are not finite" in err
+
+
 def test_forbidden_composition_exits_3(capsys):
     rc = main(["solve", "--problem", "d_n", "--rhs", "x", "--n", "8"])
     assert rc == 3

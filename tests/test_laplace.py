@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bizoo import (
     make_pair,
     smallest_eigenpairs,
     solve_laplace,
+    solve_zoo,
 )
 from bizoo.laplace import (
     clamped_preimage,
@@ -22,7 +25,8 @@ from bizoo.laplace import (
     normal_difference_norm,
     strip_norm,
 )
-from test_linalg import neumann_small_piece, two_piece_mask
+from test_linalg import construction_sites, neumann_small_piece, two_piece_mask
+from test_zoo import GOLDEN_REPORTS, _assert_report_matches, compatible_data
 
 
 def catalog(shape="square", n=8, **kw):
@@ -192,6 +196,70 @@ def test_underdetermined_min_norm():
     assert rep0.discarded_ring_mass == pytest.approx(
         dom.cell_space.norm(g)
     )
+
+
+# in-class data of each kind, named as test_zoo.compatible_data names it
+KIND_DATA = {
+    "dirichlet": "L2", "neumann": "L2_mean_free", "mixed": "L2",
+    "overdetermined": "L2_no_harmonic", "underdetermined": "L2",
+}
+
+
+def laplace_report(rep):
+    """Every field of a LaplaceSolveReport but the solution, in order."""
+    return {
+        "kind": rep.kind.value,
+        "pde": rep.pde_residual_norm,
+        "constraints": dict(rep.constraint_norms),
+        "compatibility_defect": rep.compatibility_defect,
+        "discarded_ring_mass": rep.discarded_ring_mass,
+        "iterations": rep.iterations,
+    }
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_every_kind_reproduces_its_recorded_report(shape):
+    """Recorded before solve_laplace measured through the constraint table
+    (numpy 2.4, scipy 1.17): key order, names and iteration counts exactly,
+    numbers to 1e-12 relative."""
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    cat = OperatorCatalog(build_domain(shape, 16))
+    for kind, data_space in KIND_DATA.items():
+        f = compatible_data(cat, data_space, seed=61)
+        key = f"laplace/{shape}/{kind}"
+        _assert_report_matches(laplace_report(solve_laplace(kind, cat, f)),
+                               golden[key], key)
+
+
+@pytest.mark.parametrize("shape,n,kw", [
+    ("square", 2, {}), ("rectangle", 8, {"width": 0.25}),
+])
+def test_masks_without_interior_cells_solve(shape, n, kw):
+    # no cell has depth >= 1, so the 5-point residual has no rows to read
+    cat = catalog(shape, n, **kw)
+    space = cat.domain.cell_space
+    values = np.random.default_rng(62).normal(size=space.dim)
+    f = Field(space, values - values.mean())
+    for kind in ("dirichlet", "neumann", "mixed"):
+        rep = solve_laplace(kind, cat, f)
+        assert rep.pde_residual_norm == 0.0
+        assert max(rep.constraint_norms.values()) <= 1e-12 * f.norm()
+    assert solve_zoo("d_d", cat, f).pde_residual_norm == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_are_refused(bad):
+    cat = catalog(n=8)
+    values = np.ones(cat.domain.n_cells)
+    values[5] = bad
+    for kind in LaplacianKind:
+        with pytest.raises(ValueError, match="data are not finite"):
+            solve_laplace(kind, cat, Field(cat.domain.cell_space, values))
+
+
+def test_constraints_are_measured_in_one_place():
+    for helper in ("boundary_row_residual", "normal_difference_norm", "mean_defect"):
+        assert construction_sites(helper) == [("laplace.py", "measure_constraint")]
 
 
 def test_solve_laplace_guards():
