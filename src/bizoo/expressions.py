@@ -173,7 +173,10 @@ class Expression:
         self._fn = _Parser(source).parse()
 
     def __call__(self, x, y):
-        return self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        # a division by zero or an overflow yields inf or nan, which the
+        # solvers refuse as data that are not finite; no warning on the way
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def on_domain(self, domain: GridDomain) -> Field:
         """Evaluate at the cell centers."""

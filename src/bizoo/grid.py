@@ -499,29 +499,22 @@ def write_field_csv(domain: GridDomain, field: Field, path) -> None:
     """Dump a cell field as i,j,x,y,value rows, value round-trip exact.
 
     Every float is written with %.17g.  A cell center's x depends on its
-    column i alone and y on its row j alone, so each distinct index and
-    coordinate is formatted once and looked up per row.
+    column i alone and y on its row j alone, so each distinct coordinate
+    is formatted once and looked up per row; all rows are then one
+    %-format of a repeated row template.
     """
     if not field.space.compatible(domain.cell_space):
         raise SpaceMismatchError("CSV export expects a field on the cell space")
-    fmt = "{:.17g}".format
     centers = domain.cell_centers()
-    index, coord, slot = [], [], []
+    rows = np.empty((domain.n_cells, 5), dtype=object)
+    rows[:, :2] = domain.cells
     for axis in (0, 1):
-        _, first, inverse = np.unique(
-            domain.cells[:, axis], return_index=True, return_inverse=True
-        )
-        index.append([str(a) for a in domain.cells[first, axis].tolist()])
-        coord.append([fmt(c) for c in centers[first, axis].tolist()])
-        slot.append(inverse.tolist())
-    (si, sj), (sx, sy) = index, coord
-    values = map(fmt, field.values.tolist())
+        coord, inverse = np.unique(centers[:, axis], return_inverse=True)
+        rows[:, 2 + axis] = np.array(["%.17g" % c for c in coord.tolist()], dtype=object)[inverse]
+    rows[:, 4] = field.values.tolist()
     with open(path, "w") as fh:
         fh.write("i,j,x,y,value\n")
-        fh.writelines(
-            f"{si[a]},{sj[b]},{sx[a]},{sy[b]},{v}\n"
-            for a, b, v in zip(*slot, values)
-        )
+        fh.write("%s,%s,%s,%s,%.17g\n" * domain.n_cells % tuple(rows.ravel().tolist()))
 
 
 def read_field_csv(path):

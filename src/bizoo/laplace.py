@@ -38,7 +38,7 @@ from .errors import SpaceMismatchError
 from .grid import Field, GridDomain
 from .linalg import (SolverConfig, augmented_solve, compatibility_gate, direct_solve,
                      require_finite)
-from .operators import OperatorCatalog
+from .operators import OperatorCatalog, free_stencil
 
 
 class LaplacianKind(str, Enum):
@@ -144,13 +144,15 @@ def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
                            f: np.ndarray, depth: int = 1) -> float:
     """Residual of the raw 5-point equation (depth 1) or the 13-point one
     (depth 2) on the cells of depth >= depth; 0.0 on a mask with no such
-    cell, where the stencil has no rows."""
+    cell, where the stencil has no rows.  The stencil is summed over the
+    domain's neighbor table (operators.free_stencil), bit for bit what the
+    adjoint of the assembled interior stencil gives, so a solve that does
+    not otherwise use that operator does not assemble it."""
     domain = catalog.domain
     ring = domain.ring_cells(depth)
     if ring.size == 0:
         return 0.0
-    op = catalog.free_laplacian if depth == 1 else catalog.interior_biharmonic.adjoint()
-    return domain.ring_space(depth).norm(op.apply_raw(u) - f[ring])
+    return domain.ring_space(depth).norm(free_stencil(domain, depth, u) - f[ring])
 
 
 # -- solves ---------------------------------------------------------------------

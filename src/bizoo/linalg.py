@@ -661,27 +661,44 @@ class _AugmentedLU:
     sqrt(|B|): with the unscaled identity the range block of the first
     solve misses by a relative error growing like |B|, and a power of two
     rescales the data and the residual block exactly.
+
+    The CSC arrays are filled straight from the columns of B and B*, and
+    the row and column sums of |W_cod^(1/2) B W_dom^(-1/2)| behind the
+    norm bound straight from B's CSR arrays, equal to the last bit to
+    what sp.bmat and products with sp.diags give: rows are summed in
+    sorted column order and without zero entries, which those products
+    drop and which would regroup numpy's pairwise row sums.
     """
 
     def __init__(self, op: SparseOperator, name: str):
+        m, n = op.shape
+        mat = op.matrix if op.matrix.has_sorted_indices else op.matrix.sorted_indices()
+        rows = np.repeat(np.arange(m), np.diff(mat.indptr))
+        scaled = np.abs(np.sqrt(op.codomain_space.weights)[rows] * mat.data
+                        * (1.0 / np.sqrt(op.domain_space.weights))[mat.indices])
+        kept = scaled != 0
+        counts = np.bincount(rows[kept], minlength=m)
+        starts = (np.cumsum(counts) - counts)[counts > 0]
+        row_sums = np.add.reduceat(scaled[kept], starts) if starts.size else np.zeros(0)
+        col_sums = np.bincount(mat.indices, weights=scaled, minlength=n)
         # sqrt(|B|_1 |B|_inf) bounds the weighted operator norm of B
-        scaled = abs(
-            sp.diags(np.sqrt(op.codomain_space.weights)) @ op.matrix
-            @ sp.diags(1.0 / np.sqrt(op.domain_space.weights))
-        )
-        self.norm_bound = math.sqrt(
-            np.asarray(scaled.sum(axis=0)).max(initial=0.0)
-            * np.asarray(scaled.sum(axis=1)).max(initial=0.0)
-        )
+        self.norm_bound = math.sqrt(col_sums.max(initial=0.0) * row_sums.max(initial=0.0))
         self.scale = (
             2.0 ** round(0.5 * math.log2(self.norm_bound))
             if self.norm_bound > 0 else 1.0
         )
-        self.matrix = sp.bmat(
-            [[self.scale * sp.identity(op.shape[0]), op.matrix],
-             [op.adjoint().matrix, None]],
-            format="csc",
-        )
+        # column j < m holds a at row j above B*'s column j (rows m + k),
+        # column m + k holds B's column k
+        lower, upper = op.adjoint().matrix.tocsc(), mat.tocsc()
+        head = lower.indptr + np.arange(m + 1)  # where column j < m starts
+        indptr = np.concatenate([head, head[-1] + upper.indptr[1:]])
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        data = np.empty(indptr[-1])
+        indices[head[:-1]], data[head[:-1]] = np.arange(m), self.scale
+        below = np.arange(lower.nnz) + np.repeat(np.arange(1, m + 1), np.diff(lower.indptr))
+        indices[below], data[below] = lower.indices + m, lower.data
+        indices[head[-1]:], data[head[-1]:] = upper.indices, upper.data
+        self.matrix = sp.csc_matrix((data, indices, indptr), shape=(m + n, m + n))
         try:
             self.lu = spla.splu(self.matrix)
         except RuntimeError as exc:  # exactly singular

@@ -14,7 +14,9 @@ GridDomain.  Conventions:
 With h = 1/n all stencil coefficients are exact small integers times n^2,
 so several identities below hold to the last bit, not just to rounding.
 Every stencil is an offset/coefficient table read off the domain's index
-image for all its cells at once (_triplets).
+image for all its cells at once (_triplets); the gradient writes its CSR
+arrays straight from the faces, and free_stencil sums the interior
+stencils' adjoints over the neighbor table without assembling them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ _BIHARMONIC_STENCIL = (
     ((1, 1), 2.0), ((1, -1), 2.0), ((-1, 1), 2.0), ((-1, -1), 2.0),
     ((2, 0), 1.0), ((-2, 0), 1.0), ((0, 2), 1.0), ((0, -2), 1.0),
 )
+# the interior stencils of reach k = 1, 2, with the power of h dividing each
+_INTERIOR = ((_LAPLACIAN_STENCIL, 2), (_BIHARMONIC_STENCIL, 4))
 
 # 3-point differences along one axis in three variants: centered, forward,
 # backward.  A cell takes the first variant whose two off-center cells
@@ -100,24 +104,23 @@ def assemble_gradient(domain: GridDomain, include_boundary: bool = False) -> Spa
     include_boundary=True: appends one row per boundary face with entry
     -sqrt(2)/h on the owner cell, so adjoint(G) G is the Dirichlet
     Laplacian up to rounding in the penalty coefficient.
+
+    The canonical CSR arrays are written straight from face_cells, whose
+    owner precedes its neighbor in the cell order, and from the boundary
+    faces' owners.
     """
     e = domain.face_cells.shape[0]
-    parts = []
-    for axis in (0, 1):
-        faces = np.flatnonzero(domain.face_axes == axis)
-        parts.append(_triplets(
-            domain, domain.face_cells[faces, 0], faces,
-            _along(axis, ((0, -1.0), (1, 1.0))), domain.h,
-        ))
+    indices = [domain.face_cells.ravel()]
+    data = [np.tile([-1.0 / domain.h, 1.0 / domain.h], e)]
     codomain = domain.edge_space
     if include_boundary:
         owners = np.nonzero(domain.neighbors < 0)[0]  # boundary_faces order
-        parts.append(_triplets(
-            domain, owners, e + np.arange(owners.size),
-            (((0, 0), -np.sqrt(2.0)),), domain.h,
-        ))
+        indices.append(owners)
+        data.append(np.full(owners.size, -np.sqrt(2.0) / domain.h))
         codomain = domain.all_face_space
-    mat = _csr(parts, (codomain.dim, domain.n_cells))
+    indptr = np.concatenate([np.arange(0, 2 * e, 2), 2 * e + np.arange(codomain.dim - e + 1)])
+    mat = sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                        shape=(codomain.dim, domain.n_cells))
     return SparseOperator(mat, domain.cell_space, codomain)
 
 
@@ -147,7 +150,7 @@ def assemble_laplacian(domain: GridDomain, kind: str,
     return SparseOperator(base.tocsr(), domain.cell_space, domain.cell_space)
 
 
-def _interior_stencil(domain: GridDomain, k: int, table, scale: float) -> SparseOperator:
+def _interior_stencil(domain: GridDomain, k: int) -> SparseOperator:
     """Zero-extension stencil from depth>=k cells to all cells.
 
     A cell at depth >= k has every cell within taxicab distance k in the
@@ -156,8 +159,9 @@ def _interior_stencil(domain: GridDomain, k: int, table, scale: float) -> Sparse
     ring = domain.ring_cells(k)
     if ring.size == 0:
         raise EmptyDomainError(f"no cells of depth >= {k}: interior stencil is empty")
+    table, power = _INTERIOR[k - 1]
     # the table is read around each ring cell; that cell's position is the column
-    pos, nb, vals = _triplets(domain, ring, np.arange(ring.size), table, scale)
+    pos, nb, vals = _triplets(domain, ring, np.arange(ring.size), table, domain.h**power)
     mat = sp.csr_matrix((vals, (nb, pos)), shape=(domain.n_cells, ring.size))
     return SparseOperator(mat, domain.ring_space(k), domain.cell_space)
 
@@ -171,7 +175,7 @@ def assemble_interior_laplacian(domain: GridDomain) -> SparseOperator:
     and column by column everywhere.  The weighted adjoint maps a cell
     field to its raw 5-point Laplacian sampled on the depth>=1 cells.
     """
-    return _interior_stencil(domain, 1, _LAPLACIAN_STENCIL, domain.h**2)
+    return _interior_stencil(domain, 1)
 
 
 def assemble_interior_biharmonic(domain: GridDomain) -> SparseOperator:
@@ -181,7 +185,32 @@ def assemble_interior_biharmonic(domain: GridDomain) -> SparseOperator:
     exactly, because the extension's Laplacian already vanishes outside the
     mask for depth>=2 supports.
     """
-    return _interior_stencil(domain, 2, _BIHARMONIC_STENCIL, domain.h**4)
+    return _interior_stencil(domain, 2)
+
+
+def free_stencil(domain: GridDomain, k: int, u: np.ndarray) -> np.ndarray:
+    """The raw 5-point (k = 1) or 13-point (k = 2) stencil of a cell field
+    on the depth>=k cells, without assembling an operator.
+
+    Each offset's cells are reached by walking domain.neighbors, first
+    along x, then along y; from a depth>=k cell every step of a walk of
+    at most k steps stays in the mask.  The result equals the adjoint of
+    the interior stencil applied to u to the last bit: each coefficient is
+    the table value over h^2 or h^4, as assembled, and the terms are added
+    from zero in increasing cell order, which is the order of that
+    adjoint's CSR matvec.
+    """
+    table, power = _INTERIOR[k - 1]
+    steps = np.ascontiguousarray(domain.neighbors.T)  # +x, -x, +y, -y
+    ring = domain.ring_cells(k)
+    total = np.zeros(ring.size)
+    # cells are numbered row by row: order the offsets by (dj, di)
+    for (di, dj), c in sorted(table, key=lambda entry: entry[0][::-1]):
+        cells = ring
+        for d in [0] * di + [1] * -di + [2] * dj + [3] * -dj:
+            cells = steps[d][cells]
+        total += c / domain.h**power * u[cells]
+    return total
 
 
 def assemble_pad(domain: GridDomain, k: int) -> SparseOperator:

@@ -85,6 +85,22 @@ def test_non_finite_data_exit_1(argv, capsys):
     assert err.startswith("bizoo: error: ") and "data are not finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "d_d", "--rhs", "0/0"],
+    ["solve", "--problem", "d_d", "--rhs", "1/0"],
+    ["solve", "--problem", "d_d", "--rhs", "exp(1000*x)"],
+    ["helmholtz", "--field", "0/0,x"],
+])
+def test_non_finite_data_warn_nothing(argv, capsys):
+    # numpy's division and overflow warnings would precede the error line
+    assert main(argv + ["--n", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("bizoo: error: ")
+    assert err.endswith("data are not finite\n")
+
+
 def test_forbidden_composition_exits_3(capsys):
     rc = main(["solve", "--problem", "d_n", "--rhs", "x", "--n", "8"])
     assert rc == 3

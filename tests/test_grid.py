@@ -542,9 +542,11 @@ CSV_DOMAINS = {
 @pytest.mark.parametrize("name", sorted(CSV_DOMAINS))
 def test_field_csv_bytes_match_the_per_row_writer(tmp_path, name):
     dom = CSV_DOMAINS[name]()
-    special = [0.0, -0.0, 1.0, 1e-300, -1e300, 5e-324, 0.1, -2.5]
+    special = [0.0, -0.0, 1.0, 1e-300, -1e300, 5e-324, 0.1, -2.5, 1e300, -5e-324,
+               2.0**53, 1e16, 1e17, 1 / 3, 2.2250738585072014e-308, -7.0]
     vals = np.random.default_rng(len(name)).normal(size=dom.n_cells)
     vals[: len(special)] = special
+    vals[len(special)::7] = np.round(vals[len(special)::7])  # integral floats
     field = Field(dom.cell_space, vals)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_field_csv(dom, field, new)

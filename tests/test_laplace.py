@@ -21,10 +21,12 @@ from bizoo import (
 from bizoo.laplace import (
     clamped_preimage,
     harmonic_defect,
+    interior_residual_norm,
     mean_defect,
     normal_difference_norm,
     strip_norm,
 )
+from bizoo.operators import free_stencil
 from test_linalg import construction_sites, neumann_small_piece, two_piece_mask
 from test_zoo import GOLDEN_REPORTS, _assert_report_matches, compatible_data
 
@@ -365,3 +367,25 @@ def test_estimate_chain_neumann_deflates_the_constant_of_every_piece():
     rep = estimate_chain_check("neumann", cat, c, samples=20, ground_mode=mode)
     assert rep.ok()
     assert rep.worst_first == pytest.approx(1.0, abs=1e-9)  # tight at ground
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 48])
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_interior_residual_is_the_adjoint_matvec_bit_for_bit(shape, n):
+    cat = OperatorCatalog(build_domain(shape, n))
+    dom = cat.domain
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=dom.n_cells) * 10.0 ** rng.integers(-6, 7, dom.n_cells)
+    f = rng.normal(size=dom.n_cells)
+    u[:3] = -0.0
+    for depth in (1, 2):
+        ring = dom.ring_cells(depth)
+        if ring.size == 0:
+            assert interior_residual_norm(cat, u, f, depth) == 0.0
+            continue
+        adjoint = (cat.free_laplacian if depth == 1
+                   else cat.interior_biharmonic.adjoint())
+        expect = adjoint.apply_raw(u)
+        assert free_stencil(dom, depth, u).tobytes() == expect.tobytes()
+        old = dom.ring_space(depth).norm(expect - f[ring])
+        assert interior_residual_norm(cat, u, f, depth) == old

@@ -889,3 +889,55 @@ def test_augmented_solve_reuses_factor_and_guards():
                                uniform_space("a", 2), uniform_space("b", 3))
     with pytest.raises(BizooError, match="not injective"):
         linalg.augmented_solve(dependent, Field(dependent.codomain_space, np.ones(3)))
+
+
+def bmat_augmented(op):
+    """(norm bound, scale, matrix) of the augmented factor as sp.bmat and
+    sp.diags products built them before the arrays were filled directly."""
+    scaled = abs(sp.diags(np.sqrt(op.codomain_space.weights)) @ op.matrix
+                 @ sp.diags(1.0 / np.sqrt(op.domain_space.weights)))
+    bound = np.sqrt(np.asarray(scaled.sum(axis=0)).max(initial=0.0)
+                    * np.asarray(scaled.sum(axis=1)).max(initial=0.0))
+    scale = 2.0 ** round(0.5 * np.log2(bound)) if bound > 0 else 1.0
+    matrix = sp.bmat([[scale * sp.identity(op.shape[0]), op.matrix],
+                      [op.adjoint().matrix, None]], format="csc")
+    return bound, scale, matrix
+
+
+def assert_factor_matches_bmat(op, key):
+    bound, scale, expect = bmat_augmented(op)
+    factor = linalg._AugmentedLU(op, key)
+    assert factor.norm_bound == bound and factor.scale == scale, key
+    got = factor.matrix
+    assert got.format == "csc" and got.shape == expect.shape, key
+    assert np.array_equal(got.indptr, expect.indptr), key
+    assert np.array_equal(got.indices, expect.indices), key
+    assert got.data.tobytes() == expect.data.tobytes(), key
+
+
+def unpinned_first_order(op):
+    """op's recorded B without its kernel's pinned columns, as the stall
+    route of direct_solve factors it."""
+    free = np.ones(op.domain_space.dim, dtype=bool)
+    free[op.kernel[1]] = False
+    sub = DofSpace("unpinned", int(free.sum()), op.domain_space.weights[free])
+    return SparseOperator(op.first_order.matrix[:, free], sub, op.first_order.codomain_space)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_augmented_factor_arrays_match_the_bmat_construction(shape, n):
+    cat = OperatorCatalog(build_domain(shape, n))
+    ops = {"regularized": cat.regularized.first_order,
+           "hessian unpinned": unpinned_first_order(cat.hessian_normal),
+           "hessian dirichlet": cat.hessian_dirichlet_normal.first_order}
+    if cat.domain.ring_cells(2).size:
+        ops["interior_biharmonic"] = cat.interior_biharmonic
+    assert not np.all(ops["hessian unpinned"].codomain_space.weights == cat.domain.h**2)
+    for key, op in ops.items():
+        assert_factor_matches_bmat(op, key)
+
+
+@pytest.mark.parametrize("seed", [30, 31, 32])
+def test_augmented_factor_arrays_match_on_nonuniform_weights(seed):
+    assert_factor_matches_bmat(weighted_injective(seed)[0], "weighted")

@@ -6,6 +6,7 @@ from bizoo import (
     EmptyDomainError,
     GridDomain,
     OperatorCatalog,
+    SparseOperator,
     StencilReachError,
     build_domain,
 )
@@ -18,6 +19,7 @@ from bizoo.operators import (
     assemble_pad,
 )
 from test_linalg import neumann_small_piece, two_piece_mask
+from test_operator_golden import golden_domains
 
 
 def test_two_cell_neumann_laplacian_exact():
@@ -292,3 +294,60 @@ def test_interior_normal_is_thirteen_point():
                     expect[pos[int(dom.index_of(*kk))], c] += v / h4
         scale = 20.0 / h4
         assert np.abs(K - expect).max() <= 1e-12 * scale
+
+
+def coo_gradient(domain, include_boundary=False):
+    """The gradient as the COO construction before its CSR arrays were
+    written directly."""
+    rows, cols, vals = [], [], []
+    e = domain.face_cells.shape[0]
+    for axis in (0, 1):
+        faces = np.flatnonzero(domain.face_axes == axis)
+        owners = domain.face_cells[faces, 0]
+        at = domain.cells[owners]
+        step = (1, 0) if axis == 0 else (0, 1)
+        rows += [faces, faces]
+        cols += [owners, domain.cell_at(at[:, 0] + step[0], at[:, 1] + step[1])]
+        vals += [np.repeat([-1.0, 1.0], faces.size) / domain.h]
+    codomain = domain.edge_space
+    if include_boundary:
+        owners = np.nonzero(domain.neighbors < 0)[0]
+        rows.append(e + np.arange(owners.size))
+        cols.append(owners)
+        vals.append(np.repeat([-np.sqrt(2.0)], owners.size) / domain.h)
+        codomain = domain.all_face_space
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(codomain.dim, domain.n_cells),
+    )
+
+
+def assert_same_csr(got, expect, key):
+    assert got.shape == expect.shape, key
+    assert np.array_equal(got.indptr, expect.indptr), key
+    assert np.array_equal(got.indices, expect.indices), key
+    assert got.data.tobytes() == expect.data.tobytes(), key
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 48])
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_gradients_and_laplacians_match_the_coo_construction(shape, n):
+    dom = build_domain(shape, n, labels={"left": "neumann", "top": "neumann"})
+    for boundary in (False, True):
+        assert_same_csr(assemble_gradient(dom, boundary).matrix,
+                        coo_gradient(dom, boundary), boundary)
+    reference = SparseOperator(coo_gradient(dom), dom.cell_space, dom.edge_space)
+    for kind in ("neumann", "dirichlet", "mixed"):
+        assert_same_csr(assemble_laplacian(dom, kind).matrix,
+                        assemble_laplacian(dom, kind, reference).matrix, kind)
+
+
+def test_gradients_match_the_coo_construction_on_odd_masks():
+    for name, dom in golden_domains().items():
+        for boundary in (False, True):
+            assert_same_csr(assemble_gradient(dom, boundary).matrix,
+                            coo_gradient(dom, boundary), (name, boundary))
+    single = GridDomain([(0, 0)], 1.0)
+    assert assemble_gradient(single).shape == (0, 1)
+    assert_same_csr(assemble_gradient(single, True).matrix,
+                    coo_gradient(single, True), "single cell")

@@ -168,6 +168,31 @@ def test_one_sided_and_extra_rows_reproduce_recorded_reports(shape):
         _assert_report_matches(report, golden[f"{shape}/{label}"], f"{shape}/{label}")
 
 
+TWO_STAGE = tuple(label for label in WELL_POSED if label not in ("over", "under"))
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_two_stage_rows_reproduce_recorded_reports(shape):
+    """to_dict() without wall_time_ms, recorded before the deep-interior
+    residual was summed over the neighbor table instead of the assembled
+    adjoint (numpy 2.4, scipy 1.17), compared as the rows above."""
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    cat = OperatorCatalog(build_domain(shape, 16))
+    for label in TWO_STAGE:
+        f = compatible_data(cat, resolve_problem(label).data_space, seed=61)
+        report = solve_zoo(label, cat, f).to_dict()
+        del report["wall_time_ms"]
+        _assert_report_matches(report, golden[f"{shape}/{label}"], f"{shape}/{label}")
+
+
+@pytest.mark.parametrize("label", TWO_STAGE)
+def test_two_stage_rows_leave_the_bilaplacian_unassembled(label):
+    cat = OperatorCatalog(build_domain("annulus", 16))
+    f = compatible_data(cat, resolve_problem(label).data_space, seed=62)
+    solve_zoo(label, cat, f)
+    assert "interior_biharmonic" not in cat._cache
+
+
 def test_adjoint_column():
     adj = {r["label"]: r["adjoint"] for r in classify_zoo()
            if r["status"] == "well-posed"}
