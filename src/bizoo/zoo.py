@@ -52,7 +52,7 @@ from .laplace import (
     LaplacianKind,
     _energy,
     clamped_preimage,
-    harmonic_defect,  # noqa: F401  bench/test_bench.py checks the tracer rebinds it
+    harmonic_defect,
     interior_residual_norm,
     invert_laplacian,
     measure_constraint as _measure_constraint,  # the name bench/tracer.py wraps
@@ -85,7 +85,21 @@ def _two_stages(prob, catalog, f, cfg, factors):
 
 
 def _doubly_constrained(prob, catalog, f, cfg, factors):
+    # Two gates.  B = A M: the 13-point stencil B is the 5-point interior
+    # stencil A applied to M, the 5-point stencil of the zero extension,
+    # so range(B) lies in range(A) and the harmonic defect is a lower
+    # bound of B's range defect ("at least").  Data with a harmonic part
+    # are refused on A's banded factor, which is not stored and so is
+    # freed before B's augmented LU is built; data that pass are solved
+    # through that LU and gated on B's exact range defect.  B is assembled
+    # first, so a mask with no depth-2 cell still raises EmptyDomainError.
     b = catalog.interior_biharmonic
+    compatibility_gate(
+        harmonic_defect(catalog, f.values, cfg)[0], f.norm(),
+        "discrete biharmonics",
+        "data has a component outside the deep-interior range of "
+        "relative size at least {rel:.3e}",
+    )
     _, x, iterations, _ = augmented_solve(
         b, f, cfg=cfg, factors=factors, name="doubly constrained"
     )

@@ -8,6 +8,7 @@ import pytest
 from bizoo import (
     CompatibilityError,
     ConvergenceFailure,
+    EmptyDomainError,
     Field,
     ForbiddenCompositionError,
     GridDomain,
@@ -183,6 +184,21 @@ def test_two_stage_rows_reproduce_recorded_reports(shape):
         report = solve_zoo(label, cat, f).to_dict()
         del report["wall_time_ms"]
         _assert_report_matches(report, golden[f"{shape}/{label}"], f"{shape}/{label}")
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_over_reproduces_recorded_reports_at_n24_and_n32(shape):
+    """over at two more sizes (h = 1/24 is not a power of two), recorded
+    before over gated its data on the 5-point range first (numpy 2.4,
+    scipy 1.17), compared as the rows above."""
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    for n in (24, 32):
+        cat = OperatorCatalog(build_domain(shape, n))
+        f = compatible_data(cat, resolve_problem("over").data_space, seed=61)
+        report = solve_zoo("over", cat, f).to_dict()
+        del report["wall_time_ms"]
+        key = f"{shape}/over/n{n}"
+        _assert_report_matches(report, golden[key], key)
 
 
 @pytest.mark.parametrize("label", TWO_STAGE)
@@ -581,6 +597,65 @@ def test_one_sided_problems_match_dense_operators():
         dense = dense_solution_operator(cat, label) @ data.values
         live = solve_zoo(label, cat, data).solution.values
         assert space.norm(live - dense) <= 1e-10 * space.norm(dense), label
+
+
+def _count_augmented_factors(monkeypatch):
+    built = []
+    init = linalg._AugmentedLU.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg._AugmentedLU, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_over_refuses_harmonic_data_before_building_its_lu(monkeypatch, n):
+    # range(B) lies in range(A), so data with a discrete-harmonic part are
+    # refused on A's banded factor, and the message says the 13-point
+    # defect is at least the reported one
+    built = _count_augmented_factors(monkeypatch)
+    cat = OperatorCatalog(build_domain("square", n))
+    dom = cat.domain
+    for f in (Field(dom.cell_space, np.ones(dom.n_cells)),
+              Expression("exp(x)*cos(3*y)+x*y").on_domain(dom)):
+        with pytest.raises(CompatibilityError) as err:
+            solve_zoo("over", cat, f)
+        assert err.value.subspace == "discrete biharmonics"
+        assert "relative size at least" in str(err.value)
+        assert err.value.defect == pytest.approx(
+            harmonic_defect(cat, f.values)[0], rel=1e-12)
+    assert built == []
+
+
+@pytest.mark.parametrize("shape,n", [("square", 16), ("annulus", 32)])
+def test_over_refuses_five_point_range_data_on_the_13_point_gate(monkeypatch, shape, n):
+    # A y passes the 5-point gate but misses range(B): the augmented solve
+    # runs and its exact defect refuses the data
+    built = _count_augmented_factors(monkeypatch)
+    cat = OperatorCatalog(build_domain(shape, n))
+    dom = cat.domain
+    y = np.random.default_rng(n).normal(size=dom.ring_cells(1).size)
+    f = Field(dom.cell_space, cat.interior_laplacian.apply_raw(y))
+    assert harmonic_defect(cat, f.values)[0] <= 1e-8 * f.norm()
+    with pytest.raises(CompatibilityError) as err:
+        solve_zoo("over", cat, f)
+    assert err.value.subspace == "discrete biharmonics"
+    message = str(err.value)
+    assert "relative size " in message and "at least" not in message
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("shape,n", [("square", 4), ("annulus", 8)])
+def test_over_without_deep_cells_raises_empty_domain(shape, n):
+    # B is assembled before the 5-point gate reads the data, so constants
+    # (harmonic, and refused there) still meet the empty-stencil error
+    cat = OperatorCatalog(build_domain(shape, n))
+    assert cat.domain.ring_cells(2).size == 0
+    with pytest.raises(EmptyDomainError):
+        solve_zoo("over", cat, Field(cat.domain.cell_space, np.ones(cat.domain.n_cells)))
 
 
 @pytest.mark.parametrize("shape", ("square", "lshape", "annulus"))
