@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -240,8 +241,7 @@ def _cmd_convergence(args) -> int:
         raise _UsageError(f"levels must come from {_LEVELS_ALLOWED}")
     case = MANUFACTURED[args.manufactured]
     if args.problem and args.problem != case.problem:
-        case = type(case)(case.name, args.problem, case.solution_source,
-                          case.data_source, case.expected_order)
+        case = dataclasses.replace(case, problem=args.problem)
     table = run_convergence(case, ns=levels)
     _emit(table.to_dict(), None)
     return 0

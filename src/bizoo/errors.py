@@ -31,7 +31,7 @@ class ForbiddenCompositionError(BizooError):
 
 
 class ConvergenceFailure(BizooError):
-    """Iterative solver exhausted its iteration budget."""
+    """A solve missed its residual target: refinement stalled or CG ran out."""
 
     def __init__(self, message, residual_history=None):
         super().__init__(message)

@@ -1,29 +1,21 @@
 """The five scalar Laplacian solves on the ambient cell space.
 
-`invert_laplacian` is the one table of the five inverses; `solve_laplace`
-measures its answers, and the stages of the biharmonic family compose
-them.  Dirichlet, Neumann and mixed are direct solves by banded Cholesky
-factors with the kernel their catalog operator carries: none, or the
-constants on each piece (for mixed, on each piece with no
-Dirichlet-labelled face), pinned out, with output orthogonal to them.
-The overdetermined solve imposes both boundary conditions and only
-accepts data in the range of the interior stencil: it gates on the
-harmonic defect before it solves for the preimage, so its verdict never
-waits on that solve.  The underdetermined solve imposes none, returns
-the minimum-norm preimage, and reports the boundary ring data it never
-looks at.  Both, and the harmonic defect, solve with one factor of the
-interior normal product per call; the defect's projection and the
-underdetermined answer are refined against the interior stencil's
-adjoint rather than the normal product (direct_solve's min_norm).
-Mixed interpolates between Dirichlet and Neumann through the face
-labels.  The 13-point biharmonic defect solves the augmented system of
-the interior bilaplacian rather than its normal product, whose
-conditioning is that of the stencil squared.
+`KINDS` is the one table of the five kinds: each names its stage in the
+biharmonic family, the catalog operators that realize it, its report
+constraints and its inverse.  `invert_laplacian` applies an inverse,
+`invert_stages` composes the zoo's stages, and `solve_laplace` measures
+one kind's answer.  The penalized kinds (Dirichlet, Neumann, and mixed,
+which interpolates between them through the face labels) are banded
+Cholesky solves with the kernel their catalog operator carries; the
+overdetermined and underdetermined kinds, and the harmonic defect, solve
+with one factor of the interior normal product per call.
 
 Every report recomputes its residual and constraint norms from the
-returned solution; nothing is copied out of solver internals.
-`measure_constraint` measures the constraints of both orders: the
-(display name, measurement id) pairs of each kind here and of `zoo`'s rows.
+returned solution (the overdetermined residual is the defect its inverse
+measures on the preimage that solution pads); nothing is copied out of
+solver internals.  `measure_constraint` measures the constraints of both
+orders: the (display name, measurement id) pairs of each kind here and
+of `zoo`'s rows.
 """
 
 from __future__ import annotations
@@ -31,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as _dc_field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -155,47 +148,102 @@ def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
     return domain.ring_space(depth).norm(free_stencil(domain, depth, u) - f[ring])
 
 
+# -- the five kinds ---------------------------------------------------------------
+
+def _clamped_inverse(kind, catalog, values, cfg, factors):
+    domain = catalog.domain
+    compatibility_gate(
+        harmonic_defect(catalog, values, cfg, factors)[0],
+        domain.cell_space.norm(values), "discrete harmonics",
+        "data has a discrete-harmonic component of relative size "
+        "{rel:.3e}; the doubly constrained solve needs data in the "
+        "interior stencil's range",
+    )
+    x = clamped_preimage(catalog, values, cfg, factors)
+    defect = domain.cell_space.norm(values - catalog.interior_laplacian.apply_raw(x))
+    return catalog.pad1.apply_raw(x), 0, defect, 0.0
+
+
+def _free_inverse(kind, catalog, values, cfg, factors):
+    k, domain = catalog.interior_normal, catalog.domain
+    res = direct_solve(k, Field(k.domain_space, values[domain.ring_cells(1)]), cfg,
+                       min_norm=True, factors=factors, name="minimum-norm laplacian")
+    return res.field.values, res.iterations, 0.0, strip_norm(domain, values, 0)
+
+
+def _penalized_inverse(kind, catalog, values, cfg, factors):
+    res = direct_solve(getattr(catalog, KINDS[kind].operator),
+                       Field(catalog.domain.cell_space, values), cfg,
+                       factors=factors, name=f"{kind.value} laplacian")
+    return res.field.values, res.iterations, res.compatibility_defect, 0.0
+
+
+@dataclass(frozen=True)
+class KindEntry:
+    """One Laplacian kind: its zoo stage letter and composition name (None
+    for mixed), its report's (display name, measurement id) pairs, its
+    inverse (kind, catalog, values, cfg, factors) -> (values, iterations,
+    compatibility defect, discarded mass), and for the penalized kinds the
+    catalog names of their Laplacian and (chain kinds) gradient, and the
+    id measuring that Laplacian's depth-0 rows."""
+    kind: LaplacianKind
+    letter: str | None
+    stage: str | None
+    constraints: tuple
+    inverse: Callable
+    operator: str | None = None
+    rows: str | None = None
+    gradient: str | None = None
+
+
+KINDS = {entry.kind: entry for entry in (
+    KindEntry(LaplacianKind.DIRICHLET, "d", "dirichlet",
+              (("zero trace on boundary faces", "drows_u"),),
+              _penalized_inverse, "laplacian_dirichlet", "drows", "gradient_dirichlet"),
+    KindEntry(LaplacianKind.NEUMANN, "n", "neumann",
+              (("zero flux on boundary faces", "nrows_u"),
+               ("mean-free solution", "mean_u")),
+              _penalized_inverse, "laplacian_neumann", "nrows", "gradient"),
+    KindEntry(LaplacianKind.MIXED, None, None, (("labeled boundary rows", "mrows_u"),),
+              _penalized_inverse, "laplacian_mixed", "mrows"),
+    KindEntry(LaplacianKind.OVERDETERMINED, "c", "clamped",
+              (("zero trace on boundary ring", "strip_u"),
+               ("zero normal difference on boundary", "ndiff_u")), _clamped_inverse),
+    KindEntry(LaplacianKind.UNDERDETERMINED, "f", "free",
+              (("no discrete-harmonic component", "harm_u"),), _free_inverse),
+)}
+STAGES = {e.letter: e for e in KINDS.values() if e.letter}
+_ROWS = {e.rows: e for e in KINDS.values() if e.rows}
+
+
 # -- solves ---------------------------------------------------------------------
 
 def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
                      cfg: SolverConfig | None, factors: dict | None = None):
-    """Apply one of the five Laplacian inverses to a cell field.
+    """Apply one of the five Laplacian inverses (KINDS) to a cell field.
 
     Returns (values, iterations, compatibility defect, discarded mass).
     The overdetermined inverse gates its data on the harmonic defect, then
-    pads the preimage and returns that preimage's defect; the
+    pads the preimage and returns that preimage's defect; it counts none
+    of the two refined solves it makes, so its iterations are 0.  The
     underdetermined one returns the minimum-norm preimage and discards the
     boundary ring data.  The penalized kinds solve with the kernel their
     catalog operator carries.  `factors` is passed on to direct_solve.
     """
     kind = LaplacianKind(kind)
-    domain = catalog.domain
-    if kind is LaplacianKind.OVERDETERMINED:
-        compatibility_gate(
-            harmonic_defect(catalog, values, cfg, factors)[0],
-            domain.cell_space.norm(values), "discrete harmonics",
-            "data has a discrete-harmonic component of relative size "
-            "{rel:.3e}; the doubly constrained solve needs data in the "
-            "interior stencil's range",
-        )
-        x = clamped_preimage(catalog, values, cfg, factors)
-        defect = domain.cell_space.norm(
-            values - catalog.interior_laplacian.apply_raw(x)
-        )
-        return catalog.pad1.apply_raw(x), 0, defect, 0.0
-    if kind is LaplacianKind.UNDERDETERMINED:
-        k = catalog.interior_normal
-        res = direct_solve(
-            k, Field(k.domain_space, values[domain.ring_cells(1)]), cfg,
-            min_norm=True, factors=factors, name="minimum-norm laplacian",
-        )
-        return res.field.values, res.iterations, 0.0, strip_norm(domain, values, 0)
-    op = getattr(catalog, f"laplacian_{kind.value}")
-    res = direct_solve(
-        op, Field(domain.cell_space, values), cfg, factors=factors,
-        name=f"{kind.value} laplacian",
-    )
-    return res.field.values, res.iterations, res.compatibility_defect, 0.0
+    return KINDS[kind].inverse(kind, catalog, values, cfg, factors)
+
+
+def invert_stages(letters: str, catalog: OperatorCatalog, values: np.ndarray,
+                  cfg: SolverConfig | None, factors: dict | None = None) -> tuple:
+    """invert_laplacian through the stages the zoo letters name, first
+    inverted first, each stage's values the next one's data.  Returns
+    invert_laplacian's four outputs, each as a tuple over the stages."""
+    out = []
+    for letter in letters:
+        out.append(invert_laplacian(STAGES[letter].kind, catalog, values, cfg, factors))
+        values = out[-1][0]
+    return tuple(zip(*out))
 
 
 def _energy(catalog: OperatorCatalog, u: np.ndarray) -> float:
@@ -220,9 +268,8 @@ def measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
         return strip_norm(domain, v, 1)
     if measurement == "ndiff":
         return normal_difference_norm(domain, v)
-    rows = {"drows": "dirichlet", "nrows": "neumann", "mrows": "mixed"}
-    if measurement in rows:  # depth-0 rows of the penalized Laplacian
-        op = getattr(catalog, f"laplacian_{rows[measurement]}")
+    if measurement in _ROWS:  # depth-0 rows of the kind's penalized Laplacian
+        op = getattr(catalog, _ROWS[measurement].operator)
         return boundary_row_residual(domain, op, v, data)
     if measurement == "mean":
         return mean_defect(domain, v)
@@ -238,18 +285,6 @@ def measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
     raise ValueError(f"unknown measurement {mid!r}")
 
 
-# (display name, measurement id) pairs of each kind, in report order
-_KIND_CONSTRAINTS = {
-    LaplacianKind.DIRICHLET: (("zero trace on boundary faces", "drows_u"),),
-    LaplacianKind.NEUMANN: (("zero flux on boundary faces", "nrows_u"),
-                            ("mean-free solution", "mean_u")),
-    LaplacianKind.MIXED: (("labeled boundary rows", "mrows_u"),),
-    LaplacianKind.OVERDETERMINED: (("zero trace on boundary ring", "strip_u"),
-                                   ("zero normal difference on boundary", "ndiff_u")),
-    LaplacianKind.UNDERDETERMINED: (("no discrete-harmonic component", "harm_u"),),
-}
-
-
 def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
                   cfg: SolverConfig | None = None) -> LaplaceSolveReport:
     kind = LaplacianKind(kind)
@@ -258,19 +293,13 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         raise SpaceMismatchError("Laplacian data must live on the cell space")
     require_finite(kind.value, f)  # cells no solve reads still enter the report
     factors = {}  # the harmonic-defect measurement reuses the solve's factor
-    u, iterations, defect, lost = invert_laplacian(
-        kind, catalog, f.values, cfg, factors
-    )
-    if kind is LaplacianKind.OVERDETERMINED:
-        x = u[domain.ring_cells(1)]
-        pde = domain.cell_space.norm(
-            catalog.interior_laplacian.apply_raw(x) - f.values
-        )
-    else:
-        pde = interior_residual_norm(catalog, u, f.values)
+    u, iterations, defect, lost = invert_laplacian(kind, catalog, f.values, cfg, factors)
+    # the overdetermined defect is |f - A x| on all cells, x the preimage u pads
+    pde = (defect if kind is LaplacianKind.OVERDETERMINED
+           else interior_residual_norm(catalog, u, f.values))
     constraints = {
         name: measure_constraint(mid, catalog, u, f.values, None, cfg, factors)
-        for name, mid in _KIND_CONSTRAINTS[kind]
+        for name, mid in KINDS[kind].constraints
     }
     return LaplaceSolveReport(
         kind, Field(domain.cell_space, u), pde, constraints,
@@ -311,16 +340,11 @@ def estimate_chain_check(kind, catalog: OperatorCatalog, constant: float,
     which guards against an accidentally oversized constant.
     """
     kind = LaplacianKind(kind)
-    domain = catalog.domain
-    space = domain.cell_space
-    if kind is LaplacianKind.DIRICHLET:
-        grad = catalog.gradient_dirichlet
-        lap = catalog.laplacian_dirichlet
-    elif kind is LaplacianKind.NEUMANN:
-        grad = catalog.gradient
-        lap = catalog.laplacian_neumann
-    else:
+    entry = KINDS[kind]
+    if entry.gradient is None:
         raise ValueError("estimate chains are defined for dirichlet and neumann")
+    grad, lap = getattr(catalog, entry.gradient), getattr(catalog, entry.operator)
+    space = catalog.domain.cell_space
 
     rng = np.random.default_rng(seed)
     fields = [rng.standard_normal(space.dim) for _ in range(samples)]

@@ -316,9 +316,11 @@ class OperatorCatalog:
 
     Operators whose kernel the domain's topology determines carry it
     (SparseOperator.kernel): the gradient's is the constants on each
-    4-connected piece, with one pinned cell per piece, and the Neumann
-    Laplacian shares it; the Dirichlet gradient and Laplacian, the
-    interior Laplacian and the curl adjoint are injective.
+    4-connected piece, with one pinned cell per piece, which the Neumann
+    Laplacian shares, and the one-sided Hessian's the affine functions on
+    each piece, which its normal product shares; the Dirichlet gradient
+    and Laplacian, both interior stencils and the curl adjoint are
+    injective.
     """
 
     def __init__(self, domain: GridDomain):
@@ -381,9 +383,8 @@ class OperatorCatalog:
 
     @property
     def interior_biharmonic(self) -> SparseOperator:
-        return self._get(
-            "interior_biharmonic", lambda: assemble_interior_biharmonic(self.domain)
-        )
+        return self._get("interior_biharmonic", lambda: _with_kernel(
+            assemble_interior_biharmonic(self.domain)))
 
     @property
     def free_laplacian(self) -> SparseOperator:
@@ -401,17 +402,18 @@ class OperatorCatalog:
 
     @property
     def hessian(self) -> SparseOperator:
-        return self._get("hessian", lambda: assemble_hessian(self.domain))
+        """The one-sided Hessian; kernel: the affine functions on each piece."""
+        d = self.domain
+        return self._get("hessian", lambda: _with_kernel(
+            assemble_hessian(d),
+            piecewise_affine(d.cell_space, d.component_labels, d.cell_centers()),
+        ))
 
     @property
     def hessian_normal(self) -> SparseOperator:
-        """adjoint(H) H, H the one-sided Hessian; kernel: the affine
-        functions on each connected piece."""
-        d = self.domain
+        """adjoint(H) H, H the one-sided Hessian, sharing its kernel."""
         return self._get("hessian_normal", lambda: _with_kernel(
-            normal_product(self.hessian),
-            piecewise_affine(d.cell_space, d.component_labels, d.cell_centers()),
-        ))
+            normal_product(self.hessian), self.hessian.kernel))
 
     @property
     def hessian_zero_extension(self) -> SparseOperator:

@@ -3,12 +3,12 @@
 A DualPair bundles an operator with its weighted adjoint and lazily found
 kernels.  An operator from the catalog carries its kernel, which the
 domain's topology determines (the constants on each piece for the
-gradient, nothing for the injective operators); only other operators have
-theirs discovered, by a dense SVD up to DENSE_SVD_LIMIT unknowns, and
-above it are refused unless a kernel is passed.  Laziness matters: several
-pairs in this package have one huge kernel (for example the divergence
-side of the gradient pair), and the solves routed through a pair only ever
-touch the small one.
+gradient, the affine functions for the Hessian, nothing for the injective
+operators); only others have theirs discovered, by a dense SVD up to
+DENSE_SVD_LIMIT unknowns, and above it are refused unless a kernel is
+passed.  Laziness matters: several pairs in this package have one huge
+kernel (for example the divergence side of the gradient pair), and the
+solves routed through a pair only ever touch the small one.
 
 Each side's kernel, once found, is set on that side's normal operator,
 never on the operator itself.  The range projections and the reduced

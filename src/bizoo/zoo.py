@@ -1,14 +1,12 @@
 """The biharmonic family: every composition of two Laplacian solves.
 
 A fourth-order problem here is a pair of stage letters <first>_<second>,
-each letter one of the Laplacian inverses of `laplace.invert_laplacian`
-    d  Dirichlet        (zero trace through penalty rows)
-    n  Neumann          (zero flux, mean-free, Fredholm-gated)
-    c  clamped          (the overdetermined inverse: both conditions; data
-                         must lie in the interior stencil's range)
-    f  free             (the underdetermined inverse: no conditions;
-                         minimum-norm preimage)
-The first letter is inverted first and carries the boundary data of the
+each the stage of one Laplacian kind of `laplace.KINDS`: d Dirichlet
+(zero trace through penalty rows), n Neumann (zero flux, mean-free,
+Fredholm-gated), c clamped (the overdetermined inverse: both conditions;
+data must lie in the interior stencil's range) and f free (the
+underdetermined inverse: no conditions; minimum-norm preimage).  The
+first letter is inverted first and carries the boundary data of the
 solution's Laplacian; the second letter produces the solution itself.
 Eleven orderings are well posed, two one-sided problems (doubly
 constrained, unconstrained) complete the solvable family, and five
@@ -49,39 +47,27 @@ from .linalg import (
 )
 from .laplace import (
     CHAIN_SLACK,
-    LaplacianKind,
+    STAGES,
     _energy,
     clamped_preimage,
     harmonic_defect,
     interior_residual_norm,
-    invert_laplacian,
+    invert_stages,
     measure_constraint as _measure_constraint,  # the name bench/tracer.py wraps
     strip_norm,
 )
 from .operators import OperatorCatalog
-
-STAGE_NAMES = {"d": "dirichlet", "n": "neumann", "c": "clamped", "f": "free"}
-_STAGE_KINDS = {
-    "d": LaplacianKind.DIRICHLET,
-    "n": LaplacianKind.NEUMANN,
-    "c": LaplacianKind.OVERDETERMINED,
-    "f": LaplacianKind.UNDERDETERMINED,
-}
-
 
 # -- stage solvers ---------------------------------------------------------------
 # (row, catalog, data, config, factors) -> (u, laplacian stage w or None, pde
 # residual, compatibility defect, discarded mass, iterations, extras)
 
 def _two_stages(prob, catalog, f, cfg, factors):
-    w, it1, defect1, lost1 = invert_laplacian(
-        _STAGE_KINDS[prob.first], catalog, f.values, cfg, factors
-    )
-    u, it2, defect2, lost2 = invert_laplacian(
-        _STAGE_KINDS[prob.second], catalog, w, cfg, factors
+    (w, u), its, defects, lost = invert_stages(
+        prob.first + prob.second, catalog, f.values, cfg, factors
     )
     pde = interior_residual_norm(catalog, u, f.values, depth=2)
-    return u, w, pde, max(defect1, defect2), lost1 + lost2, it1 + it2, {}
+    return u, w, pde, max(defects), lost[0] + lost[1], its[0] + its[1], {}
 
 
 def _doubly_constrained(prob, catalog, f, cfg, factors):
@@ -177,7 +163,7 @@ class ZooProblem:
 
     @property
     def composition(self) -> str:
-        return self.title or f"{STAGE_NAMES[self.first]} * {STAGE_NAMES[self.second]}"
+        return self.title or f"{STAGES[self.first].stage} * {STAGES[self.second].stage}"
 
 
 _WELL_POSED = (
@@ -492,7 +478,7 @@ def solve_hessian(kind: str, catalog_or_domain, f: Field,
 
 def exchange_identity_check(catalog_or_domain, f: Field,
                             cfg: SolverConfig | None = None) -> dict:
-    """Deviations of the three inverse-exchange identities for data in the
+    """Deviations of the four inverse-exchange identities for data in the
     interior stencil's range.  The first clamped inverse gates the data:
     anything else raises CompatibilityError("discrete harmonics") before
     any identity is evaluated.
@@ -515,24 +501,16 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     """
     catalog = _as_catalog(catalog_or_domain)
     cfg = cfg or SolverConfig(rel_tolerance=1e-12)
-    domain = catalog.domain
-    space = domain.cell_space
+    space = catalog.domain.cell_space
     factors = {}  # shared by every solve made here
     a = catalog.interior_laplacian
-    ring = domain.ring_cells(1)
-
-    def inverse(stages, values):  # stage letters, first inverted first
-        for letter in stages:
-            values = invert_laplacian(
-                _STAGE_KINDS[letter], catalog, values, cfg, factors
-            )[0]
-        return values
+    ring = catalog.domain.ring_cells(1)
 
     def neumann_type_algebraic(values):
         # A K^-2 A* with K = A* A: the ungated clamped preimage, then the
         # free inverse of its padding
-        x = clamped_preimage(catalog, values, cfg, factors)
-        return inverse("f", catalog.pad1.apply_raw(x))
+        x = catalog.pad1.apply_raw(clamped_preimage(catalog, values, cfg, factors))
+        return invert_stages("f", catalog, x, cfg, factors)[0][0]
 
     def free_operator(values):
         return catalog.pad1.apply_raw(a.adjoint().apply_raw(values))
@@ -542,25 +520,20 @@ def exchange_identity_check(catalog_or_domain, f: Field,
 
     devs = {}
 
-    w = inverse("c", f.values)  # gates f
-    lhs = inverse("f", w)
-    v = inverse("fc", w)
+    (w, lhs, v), *_ = invert_stages("cfc", catalog, f.values, cfg, factors)  # c gates f
     devs["neumann_via_dirichlet"] = space.norm(lhs - clamped_operator(v))
 
-    lhs = inverse("fc", f.values)
+    lhs = invert_stages("fc", catalog, f.values, cfg, factors)[0][1]
     v = neumann_type_algebraic(w)
     devs["dirichlet_via_neumann"] = space.norm(lhs - free_operator(v))
 
-    # free inverse of f, then the gated Neumann-type solve, then the free op
-    v = inverse("fcf", f.values)
+    # fcf of f, reusing lhs = fc of f, then the free operator
+    v = invert_stages("f", catalog, lhs, cfg, factors)[0][0]
     devs["dirichlet_via_neumann_free"] = space.norm(lhs - free_operator(v))
 
-    w = inverse("n", f.values)
-    lhs = inverse("d", w)
-    v = inverse("dd", w)
+    (w, lhs, v), *_ = invert_stages("ndd", catalog, f.values, cfg, factors)
     devs["mixed_second_order"] = space.norm(
-        lhs - catalog.laplacian_dirichlet.apply_raw(v)
-    )
+        lhs - catalog.laplacian_dirichlet.apply_raw(v))
 
     devs["max"] = max(devs.values())
     devs["data_norm"] = f.norm()

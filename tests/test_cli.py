@@ -154,6 +154,16 @@ def test_convergence_runs(capsys):
     assert doc["l2_order"][0] > 1.9
 
 
+def test_convergence_problem_override(capsys):
+    # navier is d_d's alias, so the override reproduces the case's table
+    args = ["convergence", "--manufactured", "navier_sine", "--levels", "8,16"]
+    assert main(args) == 0
+    canonical = json.loads(capsys.readouterr().out)
+    assert main(args + ["--problem", "d_d"]) == 0
+    assert json.loads(capsys.readouterr().out) == canonical
+    assert main(args + ["--problem", "c_c"]) == 3
+
+
 def test_domain_make_roundtrip(tmp_path, capsys):
     path = tmp_path / "lshape.json"
     assert main(["domain", "make", "--shape", "lshape", "--n", "8",

@@ -46,10 +46,15 @@ def test_make_pair_rejects_corrupted_adjoint():
     make_pair(op)  # the honest one passes
 
 
+def bare(op):
+    """op without the kernel the catalog gives it."""
+    return SparseOperator(op.matrix, op.domain_space, op.codomain_space)
+
+
 def test_kernel_discovery_dense_matches_svd():
     dom = build_domain("square", 5)
     cat = OperatorCatalog(dom)
-    pair = make_pair(cat.hessian)
+    pair = make_pair(bare(cat.hessian))
     basis = pair.kernel_basis("forward")
     assert len(basis) == 3
     # discovered basis spans the affine fields
@@ -121,7 +126,7 @@ def test_swapped_pair_shares_hints(monkeypatch):
         return _discover_kernel(op)
 
     monkeypatch.setattr(pairs_module, "_discover_kernel", counting)
-    hess = make_pair(cat.hessian)
+    hess = make_pair(bare(cat.hessian))
     assert hess.kernel_basis("forward") is hess.swapped().kernel_basis("adjoint")
     assert hess.swapped().kernel_basis("forward") is hess.kernel_basis("adjoint")
     assert calls == [hess.forward, hess.adjoint]
@@ -381,6 +386,39 @@ def lowest_eigenvectors_found_zero(op, basis):
     vals, vecs = eigsh(sym, k=len(basis) + 2, sigma=-1e-3 * sym.diagonal().mean(),
                        which="LM", v0=np.ones(sym.shape[0]))
     return [vecs[:, i] / s for i in range(vals.size) if vals[i] <= 1e-10 * bound]
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_hessian_and_bilaplacian_pairs_use_their_catalog_kernels(monkeypatch, shape):
+    # 1024 or fewer unknowns, past the dense SVD limit: a pair that had to
+    # discover its kernel would refuse
+    def refuse(op):
+        raise AssertionError("kernel discovery was called")
+
+    monkeypatch.setattr(pairs_module, "_discover_kernel", refuse)
+    dom = build_domain(shape, 32)
+    cat = OperatorCatalog(dom)
+    for op, dim in ((cat.hessian, 3 * dom.n_components), (cat.interior_biharmonic, 0)):
+        assert op.domain_space.dim > DENSE_SVD_LIMIT
+        pair = make_pair(op)
+        assert len(pair.kernel_basis("forward")) == dim
+        assert best_constant(pair) > 0
+    assert cat.hessian_normal.kernel is cat.hessian.kernel
+
+
+@pytest.mark.parametrize("name", ["square8", "lshape8", "annulus16",
+                                  "rectangle6w2", "two_piece_negative"])
+def test_catalog_hessian_kernel_spans_the_discovered_one(name):
+    dom = golden_domains()[name]
+    h = OperatorCatalog(dom).hessian
+    basis, pinned = h.kernel
+    found = _discover_kernel(bare(h))
+    assert len(found) == len(basis) == len(pinned) == 3 * dom.n_components
+    for v in found:
+        rest = v.copy()
+        for b in basis:
+            rest -= dom.cell_space.inner(b, rest) * b
+        assert dom.cell_space.norm(rest) < 1e-8
 
 
 @pytest.mark.parametrize("name", sorted(cross_check_domains()))

@@ -201,6 +201,16 @@ def test_over_reproduces_recorded_reports_at_n24_and_n32(shape):
         _assert_report_matches(report, golden[key], key)
 
 
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_exchange_identities_reproduce_recorded_deviations(shape):
+    """Recorded before the stages were composed through laplace's kinds
+    table (numpy 2.4, scipy 1.17), compared as the rows above."""
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    cat = OperatorCatalog(build_domain(shape, 16))
+    devs = exchange_identity_check(cat, compatible_data(cat, "L2_no_harmonic", seed=61))
+    _assert_report_matches(devs, golden[f"exchange/{shape}"], f"exchange/{shape}")
+
+
 @pytest.mark.parametrize("label", TWO_STAGE)
 def test_two_stage_rows_leave_the_bilaplacian_unassembled(label):
     cat = OperatorCatalog(build_domain("annulus", 16))
