@@ -9,15 +9,15 @@ banded Cholesky factor of its lower band (cells are numbered row by row, so
 a stencil of reach k has a band of about k grid rows) followed by
 iterative refinement; the kernel the operator carries (the constants or
 the affine functions on each connected piece) is pinned out at a few cells
-and gated.  For a normal product B* B that records B, `min_norm=True`
-returns B x and refines it against B* u = b instead.  `augmented_solve`
-handles the least-squares and minimum-norm problems of an injective B
-through a sparse LU factor of [[a I, B], [B*, 0]], whose conditioning
-follows B's rather than B* B's.  It is also direct_solve's one route
-where refinement stalls: a normal product records its B
-(`normal_product`), and the stalled solve is finished through B's
-augmented system; an operator with no recorded B fails there.  No solve
-path runs CG.  A caller-owned dict lets several solves share a factor.
+and gated.  For a normal product B* B that records B (`normal_product`),
+`min_norm=True` returns B x and refines it against B* u = b instead
+(seminormal equations, Bjorck 1996, sections 2.9 and 6.6); every
+minimum-norm solve starts this way, `under` included.  `augmented_solve`
+solves with a sparse LU factor of [[a I, B], [B*, 0]], B injective, whose
+conditioning follows B's rather than B* B's: for `over`, which needs x
+itself, and as direct_solve's one route where refinement stalls, through
+the B the operator records (with none, the solve fails).  No solve path
+runs CG.  A caller-owned dict lets several solves share a factor.
 `cg_solve` and `deflated_cg_solve` are conjugate gradients, stopped when
 the true residual stagnates; `normal_cg_solve` runs them on the normal
 equations.
@@ -555,13 +555,10 @@ def direct_solve(
 
     Iterative refinement follows until the weighted residual meets
     cfg.rel_tolerance.  If it stops improving first, the solve is finished
-    through the augmented system of B = op.first_order: its solution
-    [r; x] for data [0; b] has x = -(B* B)^-1 b, so the answer is -x, or
-    r = -B x with min_norm.  A kernel's pinned columns are dropped from
-    B, which makes it injective; the answer is zero at the pins, then
-    projected off the kernel.  That route stops on the augmented
-    residual (augmented_solve), not on the plain one, which the result
-    still reports.  With no recorded B, or where the augmented route
+    through the augmented system of B = op.first_order, a kernel's pinned
+    columns dropped (_stalled_normal_solve); that route stops on the
+    augmented residual, not on the plain one the result still reports.
+    With no recorded B, or where the augmented route
     fails as well, ConvergenceFailure states the attained and target
     residuals.  Refinement starts from zero, so `iterations` counts every
     solve with the factor, the first one included, plus the augmented
@@ -628,10 +625,11 @@ def require_finite(name: str, *data):
 def _stalled_normal_solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig,
                           factors: dict | None, name: str):
     """Solve op y = rhs, op = B* B with B = op.first_order, through the
-    augmented system of B with its kernel's pinned columns dropped, data
-    [0; rhs].  Returns (y, r, augmented solves): y is solved with zeros at
-    the pins and projected off the kernel, and r = B y is the minimum-norm
-    solution of B* r = rhs."""
+    augmented system of B with its kernel's pinned columns dropped, which
+    makes B injective, data [0; rhs]: its solution [r; x] has
+    x = -(B* B)^-1 rhs.  Returns (y, r, augmented solves): y = -x with
+    zeros at the pins, projected off the kernel, and r = B y is the
+    minimum-norm solution of B* r = rhs."""
     b, space = op.first_order, op.domain_space
     if b is None:
         raise BizooError("no first-order operator is recorded")

@@ -466,6 +466,7 @@ class OperatorCatalog:
 
     @property
     def biharmonic_normal(self) -> SparseOperator:
+        """adjoint(B) B, B the 13-point interior stencil; `under`'s factor."""
         return self._get(
             "biharmonic_normal", lambda: normal_product(self.interior_biharmonic)
         )

@@ -99,14 +99,12 @@ def _doubly_constrained(prob, catalog, f, cfg, factors):
 
 
 def _unconstrained(prob, catalog, f, cfg, factors):
-    b = catalog.interior_biharmonic
-    data = Field(b.domain_space, f.values[catalog.domain.ring_cells(2)])
-    uf, _, iterations, _ = augmented_solve(
-        b, g=data, cfg=cfg, factors=factors, name="unconstrained"
-    )
-    u = uf.values
+    k = catalog.biharmonic_normal
+    data = Field(k.domain_space, f.values[catalog.domain.ring_cells(2)])
+    res = direct_solve(k, data, cfg, min_norm=True, factors=factors, name="unconstrained")
+    u = res.field.values
     pde = interior_residual_norm(catalog, u, f.values, depth=2)
-    return u, None, pde, 0.0, strip_norm(catalog.domain, f.values, 1), iterations, {}
+    return u, None, pde, 0.0, strip_norm(catalog.domain, f.values, 1), res.iterations, {}
 
 
 def _regularized(prob, catalog, f, cfg, factors):

@@ -208,6 +208,13 @@ def test_compatibility_error_is_constructed_by_the_gate_alone():
         ("linalg.py", "compatibility_gate")]
 
 
+def test_augmented_solve_serves_over_and_the_stall_route_alone():
+    # every minimum-norm solve goes through direct_solve's banded factor;
+    # the augmented LU is for over's preimage and for stalled refinement
+    assert construction_sites("augmented_solve") == [
+        ("linalg.py", "_stalled_normal_solve"), ("zoo.py", "_doubly_constrained")]
+
+
 def test_solver_config_validation():
     assert SolverConfig().rel_tolerance == 1e-10
     with pytest.raises(ValueError):
