@@ -188,7 +188,14 @@ class KindEntry:
     inverse (kind, catalog, values, cfg, factors) -> (values, iterations,
     compatibility defect, discarded mass), and for the penalized kinds the
     catalog names of their Laplacian and (chain kinds) gradient, and the
-    id measuring that Laplacian's depth-0 rows."""
+    id measuring that Laplacian's depth-0 rows.
+
+    The stage kinds carry three facts the zoo derives its rows from, as
+    ranks in the nested classes L2 (0) > mean-free (1) > range of the
+    interior stencil (2): `data_rank`, the class the inverse accepts;
+    `output_rank`, the class its output lies in; and `adjoint`, the letter
+    of its adjoint stage (clamped and free swap, the others are their own).
+    """
     kind: LaplacianKind
     letter: str | None
     stage: str | None
@@ -197,23 +204,30 @@ class KindEntry:
     operator: str | None = None
     rows: str | None = None
     gradient: str | None = None
+    data_rank: int | None = None
+    output_rank: int | None = None
+    adjoint: str | None = None
 
 
 KINDS = {entry.kind: entry for entry in (
     KindEntry(LaplacianKind.DIRICHLET, "d", "dirichlet",
               (("zero trace on boundary faces", "drows_u"),),
-              _penalized_inverse, "laplacian_dirichlet", "drows", "gradient_dirichlet"),
+              _penalized_inverse, "laplacian_dirichlet", "drows", "gradient_dirichlet",
+              data_rank=0, output_rank=0, adjoint="d"),
     KindEntry(LaplacianKind.NEUMANN, "n", "neumann",
               (("zero flux on boundary faces", "nrows_u"),
                ("mean-free solution", "mean_u")),
-              _penalized_inverse, "laplacian_neumann", "nrows", "gradient"),
+              _penalized_inverse, "laplacian_neumann", "nrows", "gradient",
+              data_rank=1, output_rank=1, adjoint="n"),
     KindEntry(LaplacianKind.MIXED, None, None, (("labeled boundary rows", "mrows_u"),),
               _penalized_inverse, "laplacian_mixed", "mrows"),
     KindEntry(LaplacianKind.OVERDETERMINED, "c", "clamped",
               (("zero trace on boundary ring", "strip_u"),
-               ("zero normal difference on boundary", "ndiff_u")), _clamped_inverse),
+               ("zero normal difference on boundary", "ndiff_u")), _clamped_inverse,
+              data_rank=2, output_rank=0, adjoint="f"),
     KindEntry(LaplacianKind.UNDERDETERMINED, "f", "free",
-              (("no discrete-harmonic component", "harm_u"),), _free_inverse),
+              (("no discrete-harmonic component", "harm_u"),), _free_inverse,
+              data_rank=0, output_rank=2, adjoint="c"),
 )}
 STAGES = {e.letter: e for e in KINDS.values() if e.letter}
 _ROWS = {e.rows: e for e in KINDS.values() if e.rows}

@@ -8,14 +8,21 @@ data must lie in the interior stencil's range) and f free (the
 underdetermined inverse: no conditions; minimum-norm preimage).  The
 first letter is inverted first and carries the boundary data of the
 solution's Laplacian; the second letter produces the solution itself.
-Eleven orderings are well posed, two one-sided problems (doubly
-constrained, unconstrained) complete the solvable family, and five
-orderings are rejected because the first inverse's range misses the
-second's data class.  Three more rows share the table without being
-compositions of that classification: the regularized free bilaplacian
-and the Neumann and Dirichlet Hessian normal products.  Every row names
-its stage solver and its constraints; `solve_zoo` alone solves, measures
-and reports each of them.
+
+The sixteen orderings follow from each stage's data class, output class
+and adjoint letter (`KindEntry`) by two rules.  An ordering is well posed
+exactly when the first inverse's output class lies in the second's data
+class, and its data class is then the first's: eleven are, and five are
+refused.  Its adjoint reverses the order and swaps clamped with free;
+where that ordering is forbidden, the adjoint is its projection-repaired
+form.  Its constraints are both stages' own, the first stage's measured
+on the laplacian stage w: boundary conditions before the side conditions
+(harmonic, mean), u before w.  Two one-sided problems (doubly
+constrained, unconstrained) complete the solvable family.  Three more
+rows share the table without being compositions of that classification:
+the regularized free bilaplacian and the Neumann and Dirichlet Hessian
+normal products.  Every row names its stage solver and its constraints;
+`solve_zoo` alone solves, measures and reports each of them.
 
 Sign convention: all stage operators are negative Laplacians, so the two
 signs cancel and the intermediate stage field equals minus the solution's
@@ -142,7 +149,8 @@ def _hessian_dirichlet(prob, catalog, f, cfg, factors):
         extras = {"clamped_comparison_l2": None,
                   "clamped_comparison_failure": str(exc)}
     pde = op.domain_space.norm(op.apply_raw(x) - data.values)
-    return u, None, pde, 0.0, 0.0, res.iterations, extras
+    lost = strip_norm(catalog.domain, f.values, 0)  # the ring the product never reads
+    return u, None, pde, 0.0, lost, res.iterations, extras
 
 
 @dataclass(frozen=True)
@@ -164,196 +172,107 @@ class ZooProblem:
         return self.title or f"{STAGES[self.first].stage} * {STAGES[self.second].stage}"
 
 
-_WELL_POSED = (
-    ZooProblem(
-        "f_c", ("dirichlet",), "f", "c", "L2",
-        (
-            ("u vanishes on the boundary ring", "strip_u"),
-            ("normal difference of u vanishes", "ndiff_u"),
-            ("laplacian stage has no discrete-harmonic component", "harm_w"),
-        ),
-        "well-posed", adjoint="self",
-    ),
-    ZooProblem(
-        "c_f", ("neumann",), "c", "f", "L2_no_harmonic",
-        (
-            ("laplacian stage vanishes on the boundary ring", "strip_w"),
-            ("normal difference of the laplacian stage vanishes", "ndiff_w"),
-            ("u has no discrete-harmonic component", "harm_u"),
-        ),
-        "well-posed", adjoint="self",
-    ),
-    ZooProblem(
-        "f_f", (), "f", "f", "L2",
-        (
-            ("u has no discrete-harmonic component", "harm_u"),
-            ("laplacian stage has no discrete-harmonic component", "harm_w"),
-        ),
-        "well-posed", adjoint="repaired c_c",
-    ),
-    ZooProblem(
-        "d_f", (), "d", "f", "L2",
-        (
-            ("Dirichlet boundary rows of the laplacian stage", "drows_w"),
-            ("u has no discrete-harmonic component", "harm_u"),
-        ),
-        "well-posed", adjoint="c_d",
-    ),
-    ZooProblem(
-        "n_f", (), "n", "f", "L2_mean_free",
-        (
-            ("Neumann boundary rows of the laplacian stage", "nrows_w"),
-            ("u has no discrete-harmonic component", "harm_u"),
-            ("laplacian stage is mean-free", "mean_w"),
-        ),
-        "well-posed", adjoint="repaired c_n",
-    ),
-    ZooProblem(
-        "f_n", (), "f", "n", "L2",
-        (
-            ("Neumann boundary rows of the u-stage", "nrows_u"),
-            ("u is mean-free", "mean_u"),
-            ("laplacian stage has no discrete-harmonic component", "harm_w"),
-        ),
-        "well-posed", adjoint="repaired n_c",
-    ),
-    ZooProblem(
-        "n_n", ("riquier",), "n", "n", "L2_mean_free",
-        (
-            ("Neumann boundary rows of the u-stage", "nrows_u"),
-            ("Neumann boundary rows of the laplacian stage", "nrows_w"),
-            ("u is mean-free", "mean_u"),
-            ("laplacian stage is mean-free", "mean_w"),
-        ),
-        "well-posed", adjoint="self",
-    ),
-    ZooProblem(
-        "c_d", (), "c", "d", "L2_no_harmonic",
-        (
-            ("Dirichlet boundary rows of the u-stage", "drows_u"),
-            ("laplacian stage vanishes on the boundary ring", "strip_w"),
-            ("normal difference of the laplacian stage vanishes", "ndiff_w"),
-        ),
-        "well-posed", adjoint="d_f",
-    ),
-    ZooProblem(
-        "f_d", (), "f", "d", "L2",
-        (
-            ("Dirichlet boundary rows of the u-stage", "drows_u"),
-            ("laplacian stage has no discrete-harmonic component", "harm_w"),
-        ),
-        "well-posed", adjoint="repaired d_c",
-    ),
-    ZooProblem(
-        "d_d", ("navier",), "d", "d", "L2",
-        (
-            ("Dirichlet boundary rows of the u-stage", "drows_u"),
-            ("Dirichlet boundary rows of the laplacian stage", "drows_w"),
-        ),
-        "well-posed", adjoint="self",
-    ),
-    ZooProblem(
-        "n_d", (), "n", "d", "L2_mean_free",
-        (
-            ("Dirichlet boundary rows of the u-stage", "drows_u"),
-            ("Neumann boundary rows of the laplacian stage", "nrows_w"),
-            ("laplacian stage is mean-free", "mean_w"),
-        ),
-        "well-posed", adjoint="repaired d_n",
-    ),
-    ZooProblem(
-        "over", ("overdetermined",), None, None, "L2_no_biharmonic",
-        (
-            ("u vanishes to third order at the boundary (two rings)", "strip2_u"),
-            ("normal difference of u vanishes", "ndiff_u"),
-        ),
-        "well-posed", adjoint="under", solver=_doubly_constrained,
-        title="doubly constrained bilaplacian",
-    ),
-    ZooProblem(
-        "under", ("underdetermined",), None, None, "L2",
-        (
-            ("u has no discrete-biharmonic component", "biharm_u"),
-        ),
-        "well-posed", adjoint="over", solver=_unconstrained,
-        title="unconstrained bilaplacian",
-    ),
-)
+# report name of every measurement id a row lists (laplace.measure_constraint)
+_NAMES = {
+    "strip_u": "u vanishes on the boundary ring",
+    "strip_w": "laplacian stage vanishes on the boundary ring",
+    "strip2_u": "u vanishes to third order at the boundary (two rings)",
+    "ndiff_u": "normal difference of u vanishes",
+    "ndiff_w": "normal difference of the laplacian stage vanishes",
+    "drows_u": "Dirichlet boundary rows of the u-stage",
+    "drows_w": "Dirichlet boundary rows of the laplacian stage",
+    "nrows_u": "Neumann boundary rows of the u-stage",
+    "nrows_w": "Neumann boundary rows of the laplacian stage",
+    "harm_u": "u has no discrete-harmonic component",
+    "harm_w": "laplacian stage has no discrete-harmonic component",
+    "mean_u": "u is mean-free",
+    "mean_w": "laplacian stage is mean-free",
+    "biharm_u": "u has no discrete-biharmonic component",
+    "energy_u": "energy bound excess",
+    "affine_u": "solution orthogonal to linears",
+}
+_SIDE_CONDITIONS = ("harm", "mean")  # listed after the boundary conditions
+_DATA_SPACES = ("L2", "L2_mean_free", "L2_no_harmonic")  # by KindEntry rank
+_ALIASES = {"f_c": ("dirichlet",), "c_f": ("neumann",), "n_n": ("riquier",),
+            "d_d": ("navier",)}
+_REFUSALS = {
+    "c_c": "data for the clamped inverse must lie in the interior stencil's "
+           "range, but the clamped inverse's own output generally does not",
+    "d_c": "data for the clamped inverse must lie in the interior stencil's "
+           "range, but the Dirichlet inverse's output generally does not",
+    "n_c": "data for the clamped inverse must lie in the interior stencil's "
+           "range, but the Neumann inverse's output generally does not",
+    "c_n": "data for the Neumann inverse must be mean-free, but the clamped "
+           "inverse's output generally is not",
+    "d_n": "data for the Neumann inverse must be mean-free, but the Dirichlet "
+           "inverse's output generally is not",
+}
 
-_FORBIDDEN = (
-    ZooProblem(
-        "c_c", (), "c", "c", "-", (), "forbidden",
-        "data for the clamped inverse must lie in the interior stencil's "
-        "range, but the clamped inverse's own output generally does not",
-    ),
-    ZooProblem(
-        "d_c", (), "d", "c", "-", (), "forbidden",
-        "data for the clamped inverse must lie in the interior stencil's "
-        "range, but the Dirichlet inverse's output generally does not",
-    ),
-    ZooProblem(
-        "n_c", (), "n", "c", "-", (), "forbidden",
-        "data for the clamped inverse must lie in the interior stencil's "
-        "range, but the Neumann inverse's output generally does not",
-    ),
-    ZooProblem(
-        "c_n", (), "c", "n", "-", (), "forbidden",
-        "data for the Neumann inverse must be mean-free, but the clamped "
-        "inverse's output generally is not",
-    ),
-    ZooProblem(
-        "d_n", (), "d", "n", "-", (), "forbidden",
-        "data for the Neumann inverse must be mean-free, but the Dirichlet "
-        "inverse's output generally is not",
-    ),
+
+def _constraints(*mids) -> tuple:
+    return tuple((_NAMES[mid], mid) for mid in mids)
+
+
+def _well_posed(first: str, second: str) -> bool:
+    return STAGES[first].output_rank >= STAGES[second].data_rank
+
+
+def _composition(first: str, second: str) -> ZooProblem:
+    label = f"{first}_{second}"
+    if not _well_posed(first, second):
+        return ZooProblem(label, (), first, second, "-", (), "forbidden", _REFUSALS[label])
+    mids = [mid for _, mid in STAGES[second].constraints]
+    mids += [mid.removesuffix("_u") + "_w" for _, mid in STAGES[first].constraints]
+    mids.sort(key=lambda mid: (mid.split("_")[0] in _SIDE_CONDITIONS, mid.endswith("_w")))
+    adjoint = f"{STAGES[second].adjoint}_{STAGES[first].adjoint}"
+    if adjoint == label:
+        adjoint = "self"
+    elif not _well_posed(*adjoint.split("_")):
+        adjoint = f"repaired {adjoint}"
+    return ZooProblem(label, _ALIASES.get(label, ()), first, second,
+                      _DATA_SPACES[STAGES[first].data_rank], _constraints(*mids),
+                      "well-posed", adjoint=adjoint)
+
+
+_COMPOSITIONS = [_composition(first, second) for second in "cfnd" for first in "cfdn"]
+if sorted(_REFUSALS) != sorted(p.label for p in _COMPOSITIONS if p.status == "forbidden"):
+    raise RuntimeError("zoo: every forbidden ordering needs one refusal sentence")
+
+_TABLE = (
+    [p for p in _COMPOSITIONS if p.status == "well-posed"]
+    + [
+        ZooProblem("over", ("overdetermined",), None, None, "L2_no_biharmonic",
+                   _constraints("strip2_u", "ndiff_u"), "well-posed", adjoint="under",
+                   solver=_doubly_constrained, title="doubly constrained bilaplacian"),
+        ZooProblem("under", ("underdetermined",), None, None, "L2",
+                   _constraints("biharm_u"), "well-posed", adjoint="over",
+                   solver=_unconstrained, title="unconstrained bilaplacian"),
+    ]
+    + [p for p in _COMPOSITIONS if p.status == "forbidden"]
 )
 
 # rows solved like the others but outside the 18 compositions
-_OTHERS = (
-    ZooProblem(
-        "regularized", (), None, None, "L2",
-        (("energy bound excess", "energy_u"),),
-        "well-posed", adjoint="self", solver=_regularized,
-        title="regularized free bilaplacian",
-    ),
-    ZooProblem(
-        "hessian_neumann", (), None, None, "L2_no_affine",
-        (("solution orthogonal to linears", "affine_u"),),
-        "well-posed", adjoint="self", solver=_hessian_neumann,
-        title="Hessian normal product",
-    ),
-    ZooProblem(
-        "hessian_dirichlet", (), None, None, "L2",
-        (
-            ("u vanishes on the boundary ring", "strip_u"),
-            ("normal difference of u vanishes", "ndiff_u"),
-        ),
-        "well-posed", adjoint="self", solver=_hessian_dirichlet,
-        title="zero-extension Hessian normal product",
-    ),
-)
+_OTHERS = [
+    ZooProblem("regularized", (), None, None, "L2", _constraints("energy_u"),
+               "well-posed", adjoint="self", solver=_regularized,
+               title="regularized free bilaplacian"),
+    ZooProblem("hessian_neumann", (), None, None, "L2_no_affine", _constraints("affine_u"),
+               "well-posed", adjoint="self", solver=_hessian_neumann,
+               title="Hessian normal product"),
+    ZooProblem("hessian_dirichlet", (), None, None, "L2",
+               _constraints("strip_u", "ndiff_u"), "well-posed", adjoint="self",
+               solver=_hessian_dirichlet, title="zero-extension Hessian normal product"),
+]
 
-_BY_NAME = {name: p for p in _WELL_POSED + _FORBIDDEN + _OTHERS
-            for name in (p.label, *p.aliases)}
+_BY_NAME = {name: p for p in _TABLE + _OTHERS for name in (p.label, *p.aliases)}
 
 
 def classify_zoo():
     """All 18 composition rows: 13 well posed, 5 forbidden."""
-    rows = []
-    for p in _WELL_POSED + _FORBIDDEN:
-        rows.append(
-            {
-                "label": p.label,
-                "aliases": list(p.aliases),
-                "composition": p.composition,
-                "data_space": p.data_space,
-                "constraints": [name for name, _ in p.constraints],
-                "status": p.status,
-                "reason": p.reason,
-                "adjoint": p.adjoint,
-            }
-        )
-    return rows
+    return [{"label": p.label, "aliases": list(p.aliases), "composition": p.composition,
+             "data_space": p.data_space, "constraints": [name for name, _ in p.constraints],
+             "status": p.status, "reason": p.reason, "adjoint": p.adjoint}
+            for p in _TABLE]
 
 
 def resolve_problem(name: str) -> ZooProblem:

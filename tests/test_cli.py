@@ -14,6 +14,7 @@ from bizoo import build_domain, cli, read_field_csv, solve_zoo
 from bizoo.cli import main
 from bizoo.expressions import Expression
 from test_linalg import two_piece_mask
+from test_zoo import GOLDEN_REPORTS
 
 
 def test_zoo_list(capsys):
@@ -23,6 +24,12 @@ def test_zoo_list(capsys):
     assert "f_c (dirichlet)" in out
     assert "forbidden" in out
     assert "free * clamped" in out
+
+
+def test_zoo_list_reproduces_recorded_output(capsys):
+    """Recorded while every row was still written out by hand."""
+    assert main(["zoo", "list"]) == 0
+    assert capsys.readouterr().out == json.loads(GOLDEN_REPORTS.read_text())["zoo/list"]
 
 
 def test_solve_writes_report_and_csv(tmp_path, capsys):

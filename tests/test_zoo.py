@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import gc
 import json
 from pathlib import Path
@@ -30,9 +32,17 @@ from bizoo import (
     solve_regularized,
     solve_zoo,
 )
-from bizoo import linalg
+from bizoo import linalg, zoo
+from bizoo.zoo import dense_stage_inverses
 from bizoo.expressions import Expression
-from bizoo.laplace import harmonic_defect, interior_residual_norm, invert_laplacian
+from bizoo.laplace import (
+    STAGES,
+    harmonic_defect,
+    interior_residual_norm,
+    invert_laplacian,
+    mean_defect,
+    strip_norm,
+)
 from bizoo.linalg import piecewise_affine
 from test_linalg import construction_sites
 
@@ -230,6 +240,99 @@ def test_adjoint_column():
     assert adj["f_n"] == "repaired n_c"
     assert adj["f_d"] == "repaired d_c"
     assert adj["n_d"] == "repaired d_n"
+
+
+def _problem_fields(problem):
+    fields = {f.name: getattr(problem, f.name) for f in dataclasses.fields(problem)}
+    fields.update(solver=problem.solver.__name__, composition=problem.composition)
+    return json.loads(json.dumps(fields))
+
+
+def test_table_reproduces_recorded_rows():
+    """Recorded while every row was still written out by hand (numpy 2.4,
+    scipy 1.17) and compared exactly: the classification, each label's and
+    alias's fields in table order, the refusals and the unknown-label
+    message."""
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    assert classify_zoo() == golden["zoo/classify"]
+    problems = {name: _problem_fields(p) for name, p in zoo._BY_NAME.items()}
+    assert list(problems) == list(golden["zoo/problems"])
+    assert problems == golden["zoo/problems"]
+    dom = build_domain("square", 8)
+    refusals = {}
+    for label in FORBIDDEN:
+        with pytest.raises(ForbiddenCompositionError) as err:
+            solve_zoo(label, dom, dom.cell_space.ones())
+        refusals[label] = str(err.value)
+    assert refusals == golden["zoo/refusals"]
+    with pytest.raises(ValueError) as err:
+        resolve_problem("q_q")
+    assert str(err.value) == golden["zoo/unknown"]
+
+
+def _strings_outside_docstrings(path):
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docstrings]
+
+
+def test_composition_rows_are_derived():
+    """No composition row is written out in zoo: each report name is
+    spelled once, and the two narrower data classes and the repaired
+    adjoint at most once each."""
+    strings = _strings_outside_docstrings(Path(zoo.__file__))
+    names = {name for p in zoo._BY_NAME.values() for name, _ in p.constraints}
+    assert len(names) == 16
+    for name in names:
+        assert strings.count(name) == 1, name
+    for word in ("L2_mean_free", "L2_no_harmonic", "repaired"):
+        assert sum(word in s for s in strings) <= 1, word
+
+
+DENSE_GRIDS = [("square", 8), ("lshape", 8), ("lshape", 12), ("annulus", 16)]
+
+
+@pytest.mark.parametrize("shape,n", DENSE_GRIDS)
+def test_dense_operators_confirm_the_adjoint_column(shape, n):
+    """The transpose of each well-posed row's solution operator is the
+    operator of the row its adjoint column names, or of the forbidden
+    ordering it repairs."""
+    cat = OperatorCatalog(build_domain(shape, n))
+    for row in classify_zoo():
+        if row["status"] != "well-posed":
+            continue
+        label = row["label"]
+        adjoint = label if row["adjoint"] == "self" else row["adjoint"].split()[-1]
+        ops = (dense_solution_operator(cat, label), dense_solution_operator(cat, adjoint))
+        assert relerr(ops[0].T, ops[1]) <= 1e-12, (label, adjoint)
+
+
+DATA_CLASSES = ("L2", "L2_mean_free", "L2_no_harmonic")  # by rank, widest first
+
+
+@pytest.mark.parametrize("shape,n", DENSE_GRIDS)
+def test_each_stage_maps_its_data_class_into_its_output_class(shape, n):
+    """The premise of the status rule: on data of its data class, each
+    stage inverse's output lies in every class up to its output rank and
+    in none past it (mean defect for rank 1, distance from the interior
+    stencil's range for rank 2, both relative to the output)."""
+    cat = OperatorCatalog(build_domain(shape, n))
+    space = cat.domain.cell_space
+    a = cat.interior_laplacian.to_dense()
+    stages = dense_stage_inverses(cat)
+    for letter, entry in STAGES.items():
+        data = compatible_data(cat, DATA_CLASSES[entry.data_rank], seed=71)
+        out = stages[letter] @ data.values
+        defects = (0.0, mean_defect(cat.domain, out),
+                   space.norm(out - a @ np.linalg.lstsq(a, out, rcond=None)[0]))
+        for rank, defect in enumerate(defects):
+            if rank <= entry.output_rank:
+                assert defect <= 1e-12 * space.norm(out), (letter, rank)
+            else:
+                assert defect >= 1e-2 * space.norm(out), (letter, rank)
 
 
 @pytest.mark.parametrize("label", WELL_POSED)
@@ -507,6 +610,20 @@ def test_hessian_dirichlet_tracks_clamped_solution():
         gaps[n] = rep.extras["clamped_comparison_l2"]
     assert gaps[16] < gaps[8]
     assert 3.0 < gaps[8] / gaps[16] < 5.0  # second-order shrink
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_hessian_dirichlet_reports_the_ring_data_it_discards(shape):
+    # the restricted normal product never reads f on the depth-0 cells,
+    # and on normal data that part is about half of |f|
+    cat = OperatorCatalog(build_domain(shape, 16))
+    f = compatible_data(cat, "L2", seed=61)
+    rep = solve_zoo("hessian_dirichlet", cat, f)
+    assert rep.discarded_mass == strip_norm(cat.domain, f.values, 0)
+    assert rep.discarded_mass > 0.4 * f.norm()
+    inner = np.where(cat.domain.depth == 0, 0.0, f.values)
+    same = solve_zoo("hessian_dirichlet", cat, Field(cat.domain.cell_space, inner))
+    assert np.array_equal(same.solution.values, rep.solution.values)
 
 
 def test_hessian_dirichlet_product_is_built_once_per_catalog(cat8):
