@@ -160,6 +160,7 @@ class GridDomain:
         mask = np.zeros((nj, ni), dtype=bool)
         mask[arr[:, 1] - self._origin[1], arr[:, 0] - self._origin[0]] = True
         jj, ii = np.nonzero(mask)  # row-major, duplicates collapsed
+        self._flat = jj * ni + ii  # each cell's place in the raveled image
         self.cells = np.column_stack([ii, jj]) + self._origin
         self._image = np.full(mask.shape, -1, dtype=np.int64)
         self._image[jj, ii] = np.arange(jj.size)
@@ -230,9 +231,16 @@ class GridDomain:
         """
         return self._image[j - self._origin[1], i - self._origin[0]]
 
-    def shifted(self, di: int, dj: int) -> np.ndarray:
-        """Per cell, the cell number at offset (di, dj), -1 outside the mask."""
-        return self.cell_at(self.cells[:, 0] + di, self.cells[:, 1] + dj)
+    def shifted(self, di, dj) -> np.ndarray:
+        """Per cell, the cell number at offset (di, dj), -1 outside the mask.
+
+        Offsets reach at most PAD cells.  Array offsets broadcast against
+        each other and against the cells along their first axis, so an
+        offset may differ per cell (first axis n_cells) or not (length 1).
+        """
+        step = np.multiply(dj, self._image.shape[1]) + di
+        cells = self._flat.reshape((-1,) + (1,) * (np.ndim(step) - 1))
+        return self._image.ravel()[cells + step]
 
     def _find(self, i: int, j: int) -> int:
         a, b = j - self._origin[1], i - self._origin[0]
@@ -264,7 +272,7 @@ class GridDomain:
         hit = self.neighbors < 0
         if bc is not None:
             hit[hit] = self.face_labels == bc  # same (cell, direction) order
-        return hit.sum(axis=1)
+        return hit @ np.ones(4, dtype=np.int64)
 
     @cached_property
     def diameter(self) -> float:

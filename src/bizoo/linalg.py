@@ -154,7 +154,14 @@ class SparseOperator:
                 # the scalars agree
                 mat = self.matrix.T if du == cu else (cu / du) * self.matrix.T
             else:
-                mat = sp.diags(1.0 / wd) @ self.matrix.T @ sp.diags(wc)
+                # the bits, order and dropped zeros of
+                # diags(1/wd) @ M.T @ diags(wc), duplicate entries summed
+                mat = self.matrix.T.tocsr()
+                rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+                mat.data = (1.0 / wd)[rows] * mat.data
+                mat.sum_duplicates()
+                mat.data *= wc[mat.indices]
+                mat.eliminate_zeros()
             adj = SparseOperator(mat.tocsr(), self.codomain_space, self.domain_space)
             adj._adjoint_of = weakref.ref(self)
             self._adjoint = adj
@@ -462,9 +469,11 @@ def _lower_band(op: SparseOperator, pinned: np.ndarray) -> np.ndarray:
     mat = op.matrix
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     cols = mat.indices
-    free = np.ones(w.size, dtype=bool)
-    free[pinned] = False
-    keep = (cols <= rows) & free[rows] & free[cols]
+    keep = cols <= rows
+    if pinned.size:
+        free = np.ones(w.size, dtype=bool)
+        free[pinned] = False
+        keep &= free[rows] & free[cols]
     rows, cols = rows[keep], cols[keep]
     diag = rows - cols
     width = int(diag.max(initial=0)) + 1

@@ -7,19 +7,26 @@ GridDomain.  Conventions:
   * Laplacians are the negative ones (positive semidefinite);
   * Dirichlet values enter through penalty rows of weight sqrt(2)/h on
     boundary faces, equivalently a 2/h^2 diagonal penalty on the owner
-    cell, so the penalized operator is again a gradient normal product;
+    cell, so the penalized operator equals a gradient normal product
+    (a tested identity: the Laplacians are not built as one);
   * the interior Laplacian maps depth>=1 cells to the ambient space by
     applying the raw 5-point stencil to the zero extension.
 
 With h = 1/n all stencil coefficients are exact small integers times n^2,
 so several identities below hold to the last bit, not just to rounding.
-Every stencil is an offset/coefficient table read off the domain's index
-image for all its cells at once (_triplets); the gradient writes its CSR
-arrays straight from the faces, and free_stencil sums the interior
-stencils' adjoints over the neighbor table without assembling them.
+Every operator's compressed arrays are written straight from the domain's
+tables for all its cells at once, in the stored order that a COO or
+sparse-product construction would give: the gradient from the faces, the
+Laplacians from the neighbor table and boundary-face counts, the interior
+stencils (and free_stencil, which applies their adjoints without
+assembling them) from walks over the neighbor table, the Hessians from a
+table of each cell's rows by its stencil variants.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,16 +41,15 @@ from .linalg import (
     piecewise_affine,
 )
 
-# offset/coefficient tables; values are divided by h^2 (h^4 for the
-# 13-point bilaplacian, h for first differences) at assembly
+# offset/coefficient tables in cell order, by (dj, di); values are divided
+# by h^2 (h^4 for the 13-point bilaplacian) at assembly
 _LAPLACIAN_STENCIL = (
-    ((0, 0), 4.0), ((1, 0), -1.0), ((-1, 0), -1.0), ((0, 1), -1.0), ((0, -1), -1.0),
+    ((0, -1), -1.0), ((-1, 0), -1.0), ((0, 0), 4.0), ((1, 0), -1.0), ((0, 1), -1.0),
 )
 _BIHARMONIC_STENCIL = (
-    ((0, 0), 20.0),
-    ((1, 0), -8.0), ((-1, 0), -8.0), ((0, 1), -8.0), ((0, -1), -8.0),
-    ((1, 1), 2.0), ((1, -1), 2.0), ((-1, 1), 2.0), ((-1, -1), 2.0),
-    ((2, 0), 1.0), ((-2, 0), 1.0), ((0, 2), 1.0), ((0, -2), 1.0),
+    ((0, -2), 1.0), ((-1, -1), 2.0), ((0, -1), -8.0), ((1, -1), 2.0),
+    ((-2, 0), 1.0), ((-1, 0), -8.0), ((0, 0), 20.0), ((1, 0), -8.0), ((2, 0), 1.0),
+    ((-1, 1), 2.0), ((0, 1), -8.0), ((1, 1), 2.0), ((0, 2), 1.0),
 )
 # the interior stencils of reach k = 1, 2, with the power of h dividing each
 _INTERIOR = ((_LAPLACIAN_STENCIL, 2), (_BIHARMONIC_STENCIL, 4))
@@ -62,38 +68,28 @@ _FIRST = (
     ((0, -1.5), (1, 2.0), (2, -0.5)),
     ((-2, 0.5), (-1, -2.0), (0, 1.5)),
 )
+# per x-variant, the offsets of its first difference, padded with 0
+_FIRST_OFFSETS = np.array([[t for t, _ in table] + [0] * (3 - len(table)) for table in _FIRST])
 
 
-def _step(axis, t):
-    return (t, 0) if axis == 0 else (0, t)
-
-
-def _along(axis, table):
-    """A 1D offset table as 2D offsets along the given axis."""
-    return tuple((_step(axis, t), c) for t, c in table)
-
-
-def _mixed(first_x, first_y):
-    """Table of a first difference in x composed with one in y."""
-    return tuple(((ti, tj), ci * cj) for ti, ci in first_x for tj, cj in first_y)
-
-
-def _triplets(domain: GridDomain, cells, rows, table, scale: float):
-    """COO triplets of an offset/coefficient table read around cells.
-
-    Entry ((di, dj), c) of the table puts c / scale at (rows[p], the cell
-    at cells[p] + (di, dj)) for every position p; that column is -1 where
-    the offset leaves the mask.
+@functools.cache
+def _hessian_slots():
+    """A cell's Hessian entries per variant signature (vx, vy, w0, w1, w2),
+    numbered in base 3: its x- and y-variants and the y-variants of the
+    cells at its x-difference's offsets, whose y-differences the xy row
+    composes.  Returns (di, dj, coefficient) arrays of shape (243, 15):
+    the xx row in slots 0-2, xy in 3-11, yy in 12-14, each by (dj, di),
+    which is cell order; unused slots are zero.
     """
-    at = domain.cells[cells]
-    cols = [domain.cell_at(at[:, 0] + di, at[:, 1] + dj) for (di, dj), _ in table]
-    vals = np.repeat([c for _, c in table], len(cells)) / scale
-    return np.tile(rows, len(table)), np.concatenate(cols), vals
-
-
-def _csr(parts, shape):
-    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
-    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    table = np.zeros((243, 15, 3))
+    for s, (vx, vy, *w) in enumerate(itertools.product(range(3), repeat=5)):
+        xy = sorted((tj, ti, ci * cj) for (ti, ci), wk in zip(_FIRST[vx], w)
+                    for tj, cj in _FIRST[wk])
+        rows = ([(t, 0, c) for t, c in _SECOND[vx]], [(ti, tj, c) for tj, ti, c in xy],
+                [(0, t, c) for t, c in _SECOND[vy]])
+        for first, row in zip((0, 3, 12), rows):
+            table[s, first:first + len(row)] = row
+    return table[..., 0].astype(np.int64), table[..., 1].astype(np.int64), table[..., 2]
 
 
 def assemble_gradient(domain: GridDomain, include_boundary: bool = False) -> SparseOperator:
@@ -124,45 +120,97 @@ def assemble_gradient(domain: GridDomain, include_boundary: bool = False) -> Spa
     return SparseOperator(mat, domain.cell_space, codomain)
 
 
-def assemble_laplacian(domain: GridDomain, kind: str,
-                       gradient: SparseOperator | None = None) -> SparseOperator:
+def assemble_laplacian(domain: GridDomain, kind: str) -> SparseOperator:
     """Cell-centered Laplacian: "neumann", "dirichlet", or "mixed".
 
     All three share the interior stencil; they differ only in the 2/h^2
     diagonal penalty (none, every boundary face, Dirichlet-labeled faces).
     The mixed kind with no Dirichlet-labeled face equals the Neumann one
     entrywise, and with all faces labeled Dirichlet equals the Dirichlet
-    one entrywise.  `gradient` is the domain's interior gradient when the
-    caller already holds it; otherwise it is assembled here.
+    one entrywise.  Each equals adjoint(G) G, G the interior gradient,
+    plus the penalty diagonal, bit for bit and in stored order: a tested
+    identity, not the construction.
+
+    The CSR arrays are written from domain.neighbors: -(1/h)(1/h) per
+    interior face off the diagonal; on it (1/h)(1/h) added once per face,
+    from zero, plus (2/h^2) times the penalized face count.  A row stores
+    its columns in the order they first appear over the cell's faces in
+    face order (-y, -x, +x, +y): [-y, self, -x, +x, +y], or [-x, self,
+    +x, +y] without a -y face, or [self, +x, +y] without either.  The
+    kind without a penalty stores its rows reversed, as the sparse
+    product does before a diagonal is added to it.
     """
-    grad = gradient if gradient is not None else assemble_gradient(domain)
-    base = (grad.adjoint() @ grad).matrix
     if kind == "neumann":
-        counts = None
+        counts = np.zeros(domain.n_cells, dtype=np.int64)
     elif kind == "dirichlet":
         counts = domain.count_boundary_faces()
     elif kind == "mixed":
         counts = domain.count_boundary_faces(DIRICHLET)
     else:
         raise ValueError(f"unknown Laplacian kind {kind!r}")
-    if counts is not None and counts.any():
-        base = base + sp.diags((2.0 / domain.h**2) * counts.astype(float))
-    return SparseOperator(base.tocsr(), domain.cell_space, domain.cell_space)
+    has = domain.neighbors >= 0
+    off = (1.0 / domain.h) * (1.0 / domain.h)
+    diag = np.cumsum(np.r_[0.0, np.full(4, off)])[has @ np.ones(4, dtype=np.int64)]
+    penalized = bool(counts.any())
+    if penalized:
+        diag = diag + (2.0 / domain.h**2) * counts
+    xp, xm, yp, ym = domain.neighbors.T
+    hxp, hxm, hyp, hym = has.T
+    me = np.arange(domain.n_cells)
+    # (column, present, is the cell itself) per slot, in first-appearance order
+    slots = (
+        (me, ~(hym | hxm) & (hxp | hyp | (counts > 0)), True), (ym, hym, False),
+        (me, hym, True), (xm, hxm, False), (me, hxm & ~hym, True),
+        (xp, hxp, False), (yp, hyp, False),
+    )
+    if not penalized:
+        slots = slots[::-1]
+    cols, keep, mine = zip(*slots)
+    keep = np.column_stack(keep)
+    at = np.flatnonzero(keep)
+    indptr = np.concatenate([[0], np.cumsum(keep @ np.ones(7, dtype=np.int64))])
+    data = np.where(mine, diag[:, None], -off).ravel()[at]
+    mat = sp.csr_matrix((data, np.column_stack(cols).ravel()[at], indptr),
+                        shape=(domain.n_cells,) * 2)
+    return SparseOperator(mat, domain.cell_space, domain.cell_space)
+
+
+def _reach(domain: GridDomain, k: int):
+    """The depth>=k cells and, per coefficient of the interior stencil of
+    reach k in cell order, its value over h^2 or h^4 and the cells at its
+    offset from them, reached by walking domain.neighbors first along x,
+    then along y: from a depth>=k cell no walk of k steps leaves the mask.
+    """
+    table, power = _INTERIOR[k - 1]
+    steps = np.ascontiguousarray(domain.neighbors.T)  # +x, -x, +y, -y
+    ring = domain.ring_cells(k)
+    coefs, cells = [], []
+    for (di, dj), c in table:
+        at = ring
+        for d in [0] * di + [1] * -di + [2] * dj + [3] * -dj:
+            at = steps[d][at]
+        coefs.append(c / domain.h**power)
+        cells.append(at)
+    return ring, coefs, cells
 
 
 def _interior_stencil(domain: GridDomain, k: int) -> SparseOperator:
     """Zero-extension stencil from depth>=k cells to all cells.
 
     A cell at depth >= k has every cell within taxicab distance k in the
-    mask, so a table of reach k never leaves it.
+    mask, so a table of reach k never leaves it.  Its CSC arrays are
+    written directly, one column per ring cell with the table's cells in
+    cell order; they are also its adjoint's CSR arrays.
     """
-    ring = domain.ring_cells(k)
+    ring, coefs, cells = _reach(domain, k)
     if ring.size == 0:
         raise EmptyDomainError(f"no cells of depth >= {k}: interior stencil is empty")
-    table, power = _INTERIOR[k - 1]
-    # the table is read around each ring cell; that cell's position is the column
-    pos, nb, vals = _triplets(domain, ring, np.arange(ring.size), table, domain.h**power)
-    mat = sp.csr_matrix((vals, (nb, pos)), shape=(domain.n_cells, ring.size))
+    width = len(coefs)
+    mat = sp.csc_matrix(
+        (np.tile(coefs, ring.size), np.column_stack(cells).ravel(),
+         np.arange(0, width * ring.size + 1, width)),
+        shape=(domain.n_cells, ring.size),
+    )
     return SparseOperator(mat, domain.ring_space(k), domain.cell_space)
 
 
@@ -192,34 +240,24 @@ def free_stencil(domain: GridDomain, k: int, u: np.ndarray) -> np.ndarray:
     """The raw 5-point (k = 1) or 13-point (k = 2) stencil of a cell field
     on the depth>=k cells, without assembling an operator.
 
-    Each offset's cells are reached by walking domain.neighbors, first
-    along x, then along y; from a depth>=k cell every step of a walk of
-    at most k steps stays in the mask.  The result equals the adjoint of
-    the interior stencil applied to u to the last bit: each coefficient is
-    the table value over h^2 or h^4, as assembled, and the terms are added
-    from zero in increasing cell order, which is the order of that
-    adjoint's CSR matvec.
+    The result equals the adjoint of the interior stencil applied to u to
+    the last bit: each coefficient is the table value over h^2 or h^4, as
+    assembled, and the terms are added from zero in increasing cell
+    order, which is the order of that adjoint's CSR matvec.
     """
-    table, power = _INTERIOR[k - 1]
-    steps = np.ascontiguousarray(domain.neighbors.T)  # +x, -x, +y, -y
-    ring = domain.ring_cells(k)
+    ring, coefs, cells = _reach(domain, k)
     total = np.zeros(ring.size)
-    # cells are numbered row by row: order the offsets by (dj, di)
-    for (di, dj), c in sorted(table, key=lambda entry: entry[0][::-1]):
-        cells = ring
-        for d in [0] * di + [1] * -di + [2] * dj + [3] * -dj:
-            cells = steps[d][cells]
-        total += c / domain.h**power * u[cells]
+    for c, at in zip(coefs, cells):
+        total += c * u[at]
     return total
 
 
 def assemble_pad(domain: GridDomain, k: int) -> SparseOperator:
     """Zero extension of depth>=k cells into the ambient cell space."""
-    ring = domain.ring_cells(k)
-    mat = sp.csr_matrix(
-        (np.ones(ring.size), (ring, np.arange(ring.size))),
-        shape=(domain.n_cells, ring.size),
-    )
+    deep = domain.depth >= k
+    size = int(deep.sum())
+    mat = sp.csr_matrix((np.ones(size), np.arange(size), np.concatenate([[0], np.cumsum(deep)])),
+                        shape=(domain.n_cells, size))
     return SparseOperator(mat, domain.ring_space(k), domain.cell_space)
 
 
@@ -229,24 +267,23 @@ def assemble_curl_pair(domain: GridDomain):
     Rows live on lattice vertices all of whose four incident cells exist.
     Composed with the gradient the curl vanishes identically: the two
     1/h^2 contributions a cell sends around each vertex cancel exactly.
+    A row's four faces, in face order, are the x- and y-faces of its
+    south-west cell sw, the y-face of the cell right of sw and the
+    x-face of the cell above sw.
     """
     verts = domain.interior_vertices
     e = domain.face_cells.shape[0]
     face_row = np.full((domain.n_cells, 2), -1, dtype=np.int64)
     face_row[domain.face_cells[:, 0], domain.face_axes] = np.arange(e)
     sw = domain.cell_at(verts[:, 0] - 1, verts[:, 1] - 1)
-    parts = []
-    for axis, table in (
-        (0, (((0, 0), 1.0), ((0, 1), -1.0))),  # bottom and top x-faces
-        (1, (((0, 0), -1.0), ((1, 0), 1.0))),  # left and right y-faces
-    ):
-        rows, owners, vals = _triplets(
-            domain, sw, np.arange(sw.size), table, domain.h
-        )
-        parts.append((rows, face_row[owners, axis], vals))
-    curl = SparseOperator(
-        _csr(parts, (verts.shape[0], e)), domain.edge_space, domain.vertex_space
+    faces = np.column_stack([face_row[sw], face_row[domain.neighbors[sw, 0], 1],
+                             face_row[domain.neighbors[sw, 2], 0]])
+    mat = sp.csr_matrix(
+        (np.tile(np.array([1.0, -1.0, 1.0, -1.0]) / domain.h, sw.size), faces.ravel(),
+         np.arange(0, 4 * sw.size + 1, 4)),
+        shape=(sw.size, e),
     )
+    curl = SparseOperator(mat, domain.edge_space, domain.vertex_space)
     return curl, curl.adjoint()
 
 
@@ -262,47 +299,42 @@ def assemble_hessian(domain: GridDomain, zero_extension: bool = False) -> Sparse
     out-of-mask neighbours read as zero.  That variant is only meaningful
     on fields vanishing near the boundary (its kernel is trivial, not the
     affine functions), which is exactly the padded-subspace use.
+
+    Each cell's three rows are one row of a table indexed by the cell's
+    variant signature (_hessian_slots), which lists them in cell order, so
+    the CSR arrays are read off it for all cells at once.
     """
-    h2 = domain.h**2
-    cells = np.arange(domain.n_cells)
+    n = domain.n_cells
     if zero_extension:  # the centered variant at every cell
-        variants = 1
-        variant = [np.zeros(domain.n_cells, dtype=np.int64)] * 2
+        sig = np.zeros(n, dtype=np.int64)
     else:
-        variants = 3
-        variant = [
-            np.select(
-                [(domain.shifted(*_step(axis, a)) >= 0)
-                 & (domain.shifted(*_step(axis, b)) >= 0) for a, b in _RUNS],
-                [0, 1, 2], -1,
-            )
-            for axis in (0, 1)
-        ]
-        short = np.flatnonzero((variant[0] < 0) | (variant[1] < 0))
+        t = np.arange(-2, 3)[None]
+        vx, vy = (
+            np.select([(line[:, a + 2] >= 0) & (line[:, b + 2] >= 0) for a, b in _RUNS],
+                      [0, 1, 2], -1)
+            for line in (domain.shifted(t, 0), domain.shifted(0, t))
+        )
+        short = np.flatnonzero((vx < 0) | (vy < 0))
         if short.size:
             k = int(short[0])
             i, j = map(int, domain.cells[k])
-            axis = 0 if variant[0][k] < 0 else 1
+            axis = 0 if vx[k] < 0 else 1
             raise StencilReachError(f"cell ({i}, {j}) has no 3-cell run along axis {axis}")
-    parts = []
-    for v in range(variants):
-        for comp, axis in ((0, 0), (2, 1)):
-            at = cells[variant[axis] == v]
-            parts.append(_triplets(domain, at, 3 * at + comp, _along(axis, _SECOND[v]), h2))
-        at = cells[variant[0] == v]
-        for ti, ci in _FIRST[v]:
-            # the y-difference is the one of the column's cell (i + ti, j)
-            column = variant[1][domain.shifted(ti, 0)[at]]
-            for w in range(variants):
-                sub = at[column == w]
-                parts.append(_triplets(
-                    domain, sub, 3 * sub + 1, _mixed(((ti, ci),), _FIRST[w]), h2
-                ))
+        columns = domain.shifted(_FIRST_OFFSETS[vx], 0)
+        sig = (vx * 3 + vy) * 27 + vy[columns] @ np.array([9, 3, 1])
+    di, dj, coef = _hessian_slots()
+    cols = domain.shifted(di[sig], dj[sig])
+    coef = coef[sig]
+    keep = coef != 0
     if zero_extension:  # out-of-mask cells read as zero
-        r, c, x = (np.concatenate(a) for a in zip(*parts))
-        parts = [(r[c >= 0], c[c >= 0], x[c >= 0])]
-    shape = (3 * domain.n_cells, domain.n_cells)
-    return SparseOperator(_csr(parts, shape), domain.cell_space, domain.hessian_space)
+        keep &= cols >= 0
+    at = np.flatnonzero(keep)
+    ends = np.cumsum(keep).reshape(n, 15)[:, [2, 11, 14]]  # of each row
+    mat = sp.csr_matrix(
+        (coef.ravel()[at] / domain.h**2, cols.ravel()[at], np.concatenate([[0], ends.ravel()])),
+        shape=(3 * n, n),
+    )
+    return SparseOperator(mat, domain.cell_space, domain.hessian_space)
 
 
 def _with_kernel(op: SparseOperator, kernel=None) -> SparseOperator:
@@ -333,11 +365,15 @@ class OperatorCatalog:
         return self._cache[key]
 
     @property
+    def _constants(self):
+        """The constants on each piece, with one pinned cell per piece."""
+        return self._get("constants", lambda: _piecewise_constants(
+            self.domain.cell_space, self.domain.component_labels))
+
+    @property
     def gradient(self) -> SparseOperator:
         return self._get("gradient", lambda: _with_kernel(
-            assemble_gradient(self.domain),
-            _piecewise_constants(self.domain.cell_space, self.domain.component_labels),
-        ))
+            assemble_gradient(self.domain), self._constants))
 
     @property
     def gradient_dirichlet(self) -> SparseOperator:
@@ -349,15 +385,12 @@ class OperatorCatalog:
     @property
     def laplacian_neumann(self) -> SparseOperator:
         return self._get("laplacian_neumann", lambda: _with_kernel(
-            assemble_laplacian(self.domain, "neumann", self.gradient),
-            self.gradient.kernel,
-        ))
+            assemble_laplacian(self.domain, "neumann"), self._constants))
 
     @property
     def laplacian_dirichlet(self) -> SparseOperator:
         return self._get("laplacian_dirichlet", lambda: _with_kernel(
-            assemble_laplacian(self.domain, "dirichlet", self.gradient)
-        ))
+            assemble_laplacian(self.domain, "dirichlet")))
 
     @property
     def laplacian_mixed(self) -> SparseOperator:
@@ -366,9 +399,9 @@ class OperatorCatalog:
             labels = self.domain.component_labels
             faces = np.bincount(labels, self.domain.count_boundary_faces(DIRICHLET))
             free = faces[labels] == 0  # cells of the pieces with no such face
-            basis, pinned = self.gradient.kernel
+            basis, pinned = self._constants
             return _with_kernel(
-                assemble_laplacian(self.domain, "mixed", self.gradient),
+                assemble_laplacian(self.domain, "mixed"),
                 ([b for b in basis if not b[~free].any()], pinned[free[pinned]]),
             )
 

@@ -459,31 +459,35 @@ def exchange_identity_check(catalog_or_domain, f: Field,
 
 # -- dense solution operators (small domains; tests and classification) ---------
 
-def dense_stage_inverses(catalog_or_domain) -> dict:
-    """Ambient dense matrices of the four Laplacian inverses.
+def dense_stage_inverses(catalog_or_domain, letters: str = "dncf") -> dict:
+    """Ambient dense matrices of the Laplacian inverses named by letters.
 
     Pseudo-inverses stand in where the stage is singular or rectangular,
     matching the gated solvers on their admissible data and extending them
     by orthogonal projection elsewhere.  Intended for small domains.
     """
     catalog = _as_catalog(catalog_or_domain)
-    ld = catalog.laplacian_dirichlet.to_dense()
-    ln = catalog.laplacian_neumann.to_dense()
-    a = catalog.interior_laplacian.to_dense()
-    p = catalog.pad1.to_dense()
-    kinv = np.linalg.inv(a.T @ a)
-    return {
-        "d": np.linalg.inv(ld),
-        "n": np.linalg.pinv(ln, rcond=1e-12),
-        "c": p @ kinv @ a.T,
-        "f": a @ kinv @ p.T,
-    }
+    stages = {}
+    if "d" in letters:
+        stages["d"] = np.linalg.inv(catalog.laplacian_dirichlet.to_dense())
+    if "n" in letters:
+        stages["n"] = np.linalg.pinv(catalog.laplacian_neumann.to_dense(), rcond=1e-12)
+    if "c" in letters or "f" in letters:
+        a = catalog.interior_laplacian.to_dense()
+        p = catalog.pad1.to_dense()
+        kinv = np.linalg.inv(a.T @ a)
+        stages["c"] = p @ kinv @ a.T
+        stages["f"] = a @ kinv @ p.T
+    return {letter: stages[letter] for letter in letters}
 
 
-def dense_solution_operator(catalog_or_domain, label: str) -> np.ndarray:
+def dense_solution_operator(catalog_or_domain, label: str,
+                            stages: dict | None = None) -> np.ndarray:
     """Dense ambient solution operator for any two-letter label, gated
     compositions and projection-repaired forbidden ones alike, plus the
-    one-sided problems."""
+    one-sided problems.  `stages` is a dense_stage_inverses set to compose
+    from, for a caller sweeping labels on one domain; without it, the two
+    stages the label composes are computed."""
     catalog = _as_catalog(catalog_or_domain)
     if label in ("over", "under"):
         # the SVD pseudo-inverse, (B^T B)^-1 B^T without squaring B's
@@ -493,8 +497,9 @@ def dense_solution_operator(catalog_or_domain, label: str) -> np.ndarray:
         if label == "over":
             return p2 @ pinv
         return pinv.T @ p2.T
-    stages = dense_stage_inverses(catalog)
     first, second = label.split("_")
+    if stages is None:
+        stages = dense_stage_inverses(catalog, first + second)
     return stages[second] @ stages[first]
 
 

@@ -26,6 +26,7 @@ from bizoo import (
     solve_regularized,
     solve_zoo,
 )
+from bizoo.zoo import dense_stage_inverses
 
 CONTINUUM_C_F = 1 / (np.sqrt(2) * np.pi)
 
@@ -306,7 +307,8 @@ def test_criterion_10_regularized_energy_bound():
 
 def test_criterion_11_dense_adjoint_table():
     cat = OperatorCatalog(build_domain("square", 8))
-    ops = {label: dense_solution_operator(cat, label)
+    stages = dense_stage_inverses(cat)
+    ops = {label: dense_solution_operator(cat, label, stages)
            for label in ("f_c", "c_f", "n_n", "d_d", "over", "under",
                          "n_d", "d_n", "n_f", "f_n")}
 

@@ -80,7 +80,6 @@ def test_harmonic_data_exits_2_at_n128(capsys, label):
     assert f"{message} 8.439e-01" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered in scalar divide:RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["solve", "--problem", "d_d", "--rhs", "0/0"],
     ["solve", "--problem", "f_c", "--rhs", "0/0"],
@@ -102,6 +101,8 @@ def test_non_finite_data_exit_1(argv, capsys):
     ["solve", "--problem", "d_d", "--rhs", "1/0"],
     ["solve", "--problem", "d_d", "--rhs", "exp(1000*x)"],
     ["helmholtz", "--field", "0/0,x"],
+    ["solve", "--problem", "f_c", "--rhs", "0/0"],
+    ["solve", "--problem", "over", "--rhs", "1/0"],
 ])
 def test_non_finite_data_warn_nothing(argv, capsys):
     # numpy's division and overflow warnings would precede the error line

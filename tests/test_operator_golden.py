@@ -3,12 +3,15 @@
 The digests in golden_operators.json were recorded from the per-cell
 assembly loops this package used before its padded-index-image rewrite;
 the vectorised assembly must reproduce them bit for bit (indptr, indices
-as int64, data as float64, in stored order, no re-sorting).  A catalog
-key that raises on a domain records the exception class instead.
+as int64, data as float64, in stored order, no re-sorting).  The normal
+products and the regularized operator (NORMAL_KEYS) were recorded later,
+from weighted adjoints formed as diags(1/w_dom) @ M.T @ diags(w_cod).  A
+catalog key that raises on a domain records the exception class instead.
 """
 
 import hashlib
 import json
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,11 @@ CATALOG_KEYS = (
     "laplacian_dirichlet", "laplacian_mixed", "interior_laplacian",
     "interior_biharmonic", "curl", "hessian", "hessian_zero_extension",
     "pad1", "pad2", "interior_normal", "biharmonic_normal",
+)
+# a dotted key is an attribute path: the stack B recorded on `regularized`
+NORMAL_KEYS = (
+    "hessian_normal", "hessian_dirichlet_normal", "regularized",
+    "regularized.first_order",
 )
 
 
@@ -60,9 +68,9 @@ def _sha(arr, dtype) -> str:
 def operator_digests(domain) -> dict:
     catalog = OperatorCatalog(domain)
     out = {}
-    for key in CATALOG_KEYS:
+    for key in CATALOG_KEYS + NORMAL_KEYS:
         try:
-            mat = getattr(catalog, key).matrix
+            mat = reduce(getattr, key.split("."), catalog).matrix
         except Exception as exc:  # the raising class is part of the record
             out[key] = {"raises": type(exc).__name__}
             continue
@@ -80,5 +88,5 @@ def test_catalog_operators_match_golden_digests(name):
     expected = json.loads(GOLDEN.read_text())[name]
     got = operator_digests(golden_domains()[name])
     assert sorted(got) == sorted(expected)
-    for key in CATALOG_KEYS:
+    for key in CATALOG_KEYS + NORMAL_KEYS:
         assert got[key] == expected[key], f"{name}: {key}"

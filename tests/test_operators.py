@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from bizoo import (
+    DofSpace,
     EmptyDomainError,
     GridDomain,
     OperatorCatalog,
@@ -336,10 +337,14 @@ def test_gradients_and_laplacians_match_the_coo_construction(shape, n):
     for boundary in (False, True):
         assert_same_csr(assemble_gradient(dom, boundary).matrix,
                         coo_gradient(dom, boundary), boundary)
+    # the Laplacians equal the gradient normal product (plus the penalty)
+    # in stored order, though neither product is formed to build them
     reference = SparseOperator(coo_gradient(dom), dom.cell_space, dom.edge_space)
+    assert_same_csr(assemble_laplacian(dom, "neumann").matrix,
+                    (reference.adjoint() @ reference).matrix, "normal product")
     for kind in ("neumann", "dirichlet", "mixed"):
         assert_same_csr(assemble_laplacian(dom, kind).matrix,
-                        assemble_laplacian(dom, kind, reference).matrix, kind)
+                        ref_laplacian(dom, kind), kind)
 
 
 def test_gradients_match_the_coo_construction_on_odd_masks():
@@ -351,3 +356,193 @@ def test_gradients_match_the_coo_construction_on_odd_masks():
     assert assemble_gradient(single).shape == (0, 1)
     assert_same_csr(assemble_gradient(single, True).matrix,
                     coo_gradient(single, True), "single cell")
+
+
+# -- reference constructions ---------------------------------------------------
+# The operators as they were built before their compressed arrays were
+# written straight from the neighbor table: Laplacians as the gradient
+# normal product plus a diagonal penalty, stencils, pads, Hessians and the
+# curl through COO triplets, weighted adjoints through diagonal products.
+
+REF_LAPLACIAN = (((0, 0), 4.0), ((1, 0), -1.0), ((-1, 0), -1.0), ((0, 1), -1.0),
+                 ((0, -1), -1.0))
+REF_BIHARMONIC = (
+    ((0, 0), 20.0),
+    ((1, 0), -8.0), ((-1, 0), -8.0), ((0, 1), -8.0), ((0, -1), -8.0),
+    ((1, 1), 2.0), ((1, -1), 2.0), ((-1, 1), 2.0), ((-1, -1), 2.0),
+    ((2, 0), 1.0), ((-2, 0), 1.0), ((0, 2), 1.0), ((0, -2), 1.0),
+)
+REF_RUNS = ((-1, 1), (1, 2), (-1, -2))
+REF_SECOND = (((-1, 1.0), (0, -2.0), (1, 1.0)),
+              ((0, 1.0), (1, -2.0), (2, 1.0)),
+              ((-2, 1.0), (-1, -2.0), (0, 1.0)))
+REF_FIRST = (((-1, -0.5), (1, 0.5)),
+             ((0, -1.5), (1, 2.0), (2, -0.5)),
+             ((-2, 0.5), (-1, -2.0), (0, 1.5)))
+
+
+def ref_triplets(domain, cells, rows, table, scale):
+    at = domain.cells[cells]
+    cols = [domain.cell_at(at[:, 0] + di, at[:, 1] + dj) for (di, dj), _ in table]
+    vals = np.repeat([c for _, c in table], len(cells)) / scale
+    return np.tile(rows, len(table)), np.concatenate(cols), vals
+
+
+def ref_csr(parts, shape):
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
+
+
+def ref_laplacian(domain, kind):
+    grad = coo_gradient(domain)
+    base = grad.T.tocsr() @ grad
+    counts = {"neumann": None, "dirichlet": domain.count_boundary_faces(),
+              "mixed": domain.count_boundary_faces("dirichlet")}[kind]
+    if counts is not None and counts.any():
+        base = base + sp.diags((2.0 / domain.h**2) * counts.astype(float))
+    return base.tocsr()
+
+
+def ref_interior_stencil(domain, k):
+    ring = domain.ring_cells(k)
+    if ring.size == 0:
+        raise EmptyDomainError("no deep cells")
+    table, power = ((REF_LAPLACIAN, 2), (REF_BIHARMONIC, 4))[k - 1]
+    pos, nb, vals = ref_triplets(domain, ring, np.arange(ring.size), table,
+                                 domain.h**power)
+    return sp.csr_matrix((vals, (nb, pos)), shape=(domain.n_cells, ring.size))
+
+
+def ref_pad(domain, k):
+    ring = domain.ring_cells(k)
+    return sp.csr_matrix((np.ones(ring.size), (ring, np.arange(ring.size))),
+                         shape=(domain.n_cells, ring.size))
+
+
+def ref_curl(domain):
+    verts = domain.interior_vertices
+    e = domain.face_cells.shape[0]
+    face_row = np.full((domain.n_cells, 2), -1, dtype=np.int64)
+    face_row[domain.face_cells[:, 0], domain.face_axes] = np.arange(e)
+    sw = domain.cell_at(verts[:, 0] - 1, verts[:, 1] - 1)
+    parts = []
+    for axis, table in ((0, (((0, 0), 1.0), ((0, 1), -1.0))),
+                        (1, (((0, 0), -1.0), ((1, 0), 1.0)))):
+        rows, owners, vals = ref_triplets(domain, sw, np.arange(sw.size), table,
+                                          domain.h)
+        parts.append((rows, face_row[owners, axis], vals))
+    return ref_csr(parts, (verts.shape[0], e))
+
+
+def ref_hessian(domain, zero_extension=False):
+    def step(axis, t):
+        return (t, 0) if axis == 0 else (0, t)
+
+    h2 = domain.h**2
+    cells = np.arange(domain.n_cells)
+    if zero_extension:
+        variants, variant = 1, [np.zeros(domain.n_cells, dtype=np.int64)] * 2
+    else:
+        variants = 3
+        variant = [np.select([(domain.shifted(*step(axis, a)) >= 0)
+                              & (domain.shifted(*step(axis, b)) >= 0)
+                              for a, b in REF_RUNS], [0, 1, 2], -1)
+                   for axis in (0, 1)]
+        if (variant[0] < 0).any() or (variant[1] < 0).any():
+            raise StencilReachError("a cell has no 3-cell run")
+    parts = []
+    for v in range(variants):
+        for comp, axis in ((0, 0), (2, 1)):
+            at = cells[variant[axis] == v]
+            table = tuple((step(axis, t), c) for t, c in REF_SECOND[v])
+            parts.append(ref_triplets(domain, at, 3 * at + comp, table, h2))
+        at = cells[variant[0] == v]
+        for ti, ci in REF_FIRST[v]:
+            column = variant[1][domain.shifted(ti, 0)[at]]
+            for w in range(variants):
+                sub = at[column == w]
+                table = tuple(((ti, tj), ci * cj) for tj, cj in REF_FIRST[w])
+                parts.append(ref_triplets(domain, sub, 3 * sub + 1, table, h2))
+    if zero_extension:
+        r, c, x = (np.concatenate(a) for a in zip(*parts))
+        parts = [(r[c >= 0], c[c >= 0], x[c >= 0])]
+    return ref_csr(parts, (3 * domain.n_cells, domain.n_cells))
+
+
+def ref_adjoint(op):
+    wd, wc = op.domain_space.weights, op.codomain_space.weights
+    return (sp.diags(1.0 / wd) @ op.matrix.T @ sp.diags(wc)).tocsr()
+
+
+def reference_domains():
+    doms = {f"{shape}{n}": build_domain(shape, n)
+            for shape in ("square", "lshape", "annulus") for n in (4, 8, 16, 24, 48)}
+    doms.update({f"{shape}{n}_sides": build_domain(
+        shape, n, labels={"left": "neumann", "top": "neumann"})
+        for shape in ("square", "lshape", "annulus") for n in (8, 16)})
+    doms["rectangle10w0.7"] = build_domain("rectangle", 10, width=0.7)
+    doms["rectangle10w0.7_sides"] = build_domain("rectangle", 10, width=0.7,
+                                                 labels={"bottom": "neumann"})
+    doms.update(golden_domains())
+    return doms
+
+
+def same_or_same_refusal(build, reference, key):
+    try:
+        expect = reference()
+    except (EmptyDomainError, StencilReachError) as exc:
+        with pytest.raises(type(exc)):
+            build()
+        return
+    assert_same_csr(build(), expect, key)
+
+
+@pytest.mark.parametrize("name", sorted(reference_domains()))
+def test_assembly_matches_the_reference_constructions(name):
+    dom = reference_domains()[name]
+    for kind in ("neumann", "dirichlet", "mixed"):
+        assert_same_csr(assemble_laplacian(dom, kind).matrix,
+                        ref_laplacian(dom, kind), kind)
+    for k, build in ((1, assemble_interior_laplacian), (2, assemble_interior_biharmonic)):
+        same_or_same_refusal(lambda: build(dom).matrix,
+                             lambda: ref_interior_stencil(dom, k), ("stencil", k))
+        same_or_same_refusal(lambda: build(dom).adjoint().matrix,
+                             lambda: ref_interior_stencil(dom, k).T.tocsr(),
+                             ("stencil adjoint", k))
+        assert_same_csr(assemble_pad(dom, k).matrix, ref_pad(dom, k), ("pad", k))
+    for zero in (False, True):
+        same_or_same_refusal(lambda: assemble_hessian(dom, zero).matrix,
+                             lambda: ref_hessian(dom, zero), ("hessian", zero))
+    assert_same_csr(OperatorCatalog(dom).curl.matrix, ref_curl(dom), "curl")
+
+
+@pytest.mark.parametrize("name", sorted(reference_domains()))
+def test_weighted_adjoints_match_the_diagonal_products(name):
+    cat = OperatorCatalog(reference_domains()[name])
+    ops = {"pad1 then zero-extension Hessian":
+           lambda: cat.hessian_zero_extension @ cat.pad1,
+           "zero-extension Hessian": lambda: cat.hessian_zero_extension,
+           "one-sided Hessian": lambda: cat.hessian}
+    for key, build in ops.items():
+        try:
+            op = build()
+        except StencilReachError:
+            continue
+        assert_same_csr(op.adjoint().matrix, ref_adjoint(op), key)
+        # non-uniform weights on the domain side: the adjoint's adjoint
+        back = SparseOperator(ref_adjoint(op), op.codomain_space, op.domain_space)
+        assert_same_csr(back.adjoint().matrix, ref_adjoint(back), (key, "back"))
+
+
+def test_weighted_adjoint_of_a_hand_built_matrix_matches_the_diagonal_products():
+    # (0, 1) is stored twice, (1, 2) twice with cancelling values, (2, 0)
+    # as an explicit zero: the products sum the first, drop the other two
+    dom = DofSpace("d", 3, np.array([0.5, 3.0, 0.125]))
+    cod = DofSpace("c", 3, np.array([0.1, 7.0, 0.3]))
+    data = np.array([1.0 / 3, 2.5, 0.7, -0.7, 0.0, 1e-3, 5.0])
+    indices = np.array([1, 1, 2, 2, 0, 1, 2])
+    indptr = np.array([0, 2, 4, 7])
+    op = SparseOperator(sp.csr_matrix((data, indices, indptr), shape=(3, 3)), dom, cod)
+    assert op.matrix.nnz == 7
+    assert_same_csr(op.adjoint().matrix, ref_adjoint(op), "hand-built")
+    assert op.adjoint().matrix.nnz == 3

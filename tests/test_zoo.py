@@ -229,6 +229,16 @@ def test_two_stage_rows_leave_the_bilaplacian_unassembled(label):
     assert "interior_biharmonic" not in cat._cache
 
 
+@pytest.mark.parametrize("label", ["d_d", "n_n", "d_f"])
+def test_laplacian_stages_leave_the_gradient_unassembled(label):
+    # the penalized Laplacians are written from the neighbor table, and
+    # the Neumann kernel is built without the gradient
+    cat = OperatorCatalog(build_domain("annulus", 16))
+    f = compatible_data(cat, resolve_problem(label).data_space, seed=62)
+    solve_zoo(label, cat, f)
+    assert "gradient" not in cat._cache
+
+
 def test_adjoint_column():
     adj = {r["label"]: r["adjoint"] for r in classify_zoo()
            if r["status"] == "well-posed"}
@@ -301,12 +311,14 @@ def test_dense_operators_confirm_the_adjoint_column(shape, n):
     operator of the row its adjoint column names, or of the forbidden
     ordering it repairs."""
     cat = OperatorCatalog(build_domain(shape, n))
+    stages = dense_stage_inverses(cat)
     for row in classify_zoo():
         if row["status"] != "well-posed":
             continue
         label = row["label"]
         adjoint = label if row["adjoint"] == "self" else row["adjoint"].split()[-1]
-        ops = (dense_solution_operator(cat, label), dense_solution_operator(cat, adjoint))
+        ops = (dense_solution_operator(cat, label, stages),
+               dense_solution_operator(cat, adjoint, stages))
         assert relerr(ops[0].T, ops[1]) <= 1e-12, (label, adjoint)
 
 
@@ -540,7 +552,8 @@ def relerr(m, ref):
 
 
 def test_dense_adjoint_table(cat8):
-    ops = {label: dense_solution_operator(cat8, label)
+    stages = dense_stage_inverses(cat8)
+    ops = {label: dense_solution_operator(cat8, label, stages)
            for label in WELL_POSED + FORBIDDEN}
     for label in ("f_c", "c_f", "n_n", "d_d"):
         assert relerr(ops[label], ops[label].T) <= 1e-12
@@ -553,6 +566,17 @@ def test_dense_adjoint_table(cat8):
         assert relerr(ops[label].T, ops[repaired]) <= 1e-12
     for wrong in ("n_f", "f_n"):
         assert relerr(ops["n_d"].T, ops[wrong]) > 0.1
+
+
+def test_dense_solution_operator_composes_only_its_two_stages(cat8):
+    stages = dense_stage_inverses(cat8)
+    assert list(dense_stage_inverses(cat8, "nd")) == ["n", "d"]
+    for label in ("d_f", "n_n", "c_d"):
+        first, second = label.split("_")
+        assert np.array_equal(dense_solution_operator(cat8, label),
+                              stages[second] @ stages[first])
+        assert np.array_equal(dense_solution_operator(cat8, label, stages),
+                              stages[second] @ stages[first])
 
 
 def test_dense_matches_iterative(cat8):
