@@ -84,9 +84,6 @@ class DofSpace:
     def field(self, values) -> "Field":
         return Field(self, np.array(values, dtype=float))
 
-    def zeros(self) -> "Field":
-        return Field(self, np.zeros(self.dim))
-
     def ones(self) -> "Field":
         return Field(self, np.ones(self.dim))
 
@@ -116,9 +113,6 @@ class Field:
                 f"inner product between {self.space.name} and {other.space.name}"
             )
         return self.space.inner(self.values, other.values)
-
-    def copy(self) -> "Field":
-        return Field(self.space, self.values.copy())
 
     def __add__(self, other: "Field") -> "Field":
         if not self.space.compatible(other.space):

@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .grid import Field, GridDomain
-from .linalg import SolverConfig, compatibility_gate, direct_solve, require_finite
+from .linalg import (
+    SolverConfig, _project_out, compatibility_gate, direct_solve, require_finite,
+)
 from .operators import OperatorCatalog, free_stencil
 
 
@@ -304,6 +306,13 @@ def measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
 
 def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
                   cfg: SolverConfig | None = None) -> LaplaceSolveReport:
+    """Solve one of the five second-order problems (a LaplacianKind or its
+    value) for cell data f and measure the constraints its KINDS entry
+    lists.  The PDE residual is that of the raw 5-point equation on the
+    depth>=1 cells, or for the overdetermined kind the data's distance
+    from the stencil's range.  Data off the cell space raise
+    SpaceMismatchError, data that are not finite ValueError, and data
+    outside the class the kind's inverse accepts CompatibilityError."""
     kind = LaplacianKind(kind)
     domain = catalog.domain
     if not f.space.compatible(domain.cell_space):
@@ -370,8 +379,7 @@ def estimate_chain_check(kind, catalog: OperatorCatalog, constant: float,
     worst1 = worst2 = 0.0
     rejected = 0
     for phi in fields:
-        for b in grad.kernel[0]:
-            phi = phi - space.inner(b, phi) * b
+        phi = _project_out(space, phi, grad.kernel[0])
         nrm = space.norm(phi)
         if nrm <= 1e-14:
             rejected += 1

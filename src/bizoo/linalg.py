@@ -220,17 +220,15 @@ def orthonormalize(vectors, space: DofSpace):
     """
     basis = []
     for vec in vectors:
-        v = np.asarray(vec.values if isinstance(vec, Field) else vec, dtype=float).copy()
+        v = np.asarray(vec.values if isinstance(vec, Field) else vec, dtype=float)
         original = space.norm(v)
         if original == 0.0:
             continue
         for _ in range(2):
-            for b in basis:
-                v -= space.inner(b, v) * b
+            v = _project_out(space, v, basis)
             nrm = space.norm(v)
             if nrm > _REORTH_THRESHOLD * original:
                 break
-        nrm = space.norm(v)
         if nrm <= _DROP_TOL * original:
             continue
         basis.append(v / nrm)

@@ -343,8 +343,27 @@ def _with_kernel(op: SparseOperator, kernel=None) -> SparseOperator:
     return op
 
 
+def _cached(build):
+    """A catalog entry: a property that calls build(catalog) on first
+    access and keeps the result in catalog._cache under build's name."""
+    key = build.__name__
+
+    @functools.wraps(build)
+    def get(self):
+        if key not in self._cache:
+            self._cache[key] = build(self)
+        return self._cache[key]
+
+    return property(get)
+
+
 class OperatorCatalog:
     """Caching facade over the assembly routines for one domain.
+
+    Each cached entry is a builder method declared with @_cached: its
+    first access builds it and stores it in self._cache under the
+    method's name, and every later access returns that same object.
+    free_laplacian alone is a plain property, derived on each access.
 
     Operators whose kernel the domain's topology determines carry it
     (SparseOperator.kernel): the gradient's is the constants on each
@@ -359,147 +378,111 @@ class OperatorCatalog:
         self.domain = domain
         self._cache = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @_cached
     def _constants(self):
         """The constants on each piece, with one pinned cell per piece."""
-        return self._get("constants", lambda: _piecewise_constants(
-            self.domain.cell_space, self.domain.component_labels))
+        return _piecewise_constants(self.domain.cell_space, self.domain.component_labels)
 
-    @property
+    @_cached
     def gradient(self) -> SparseOperator:
-        return self._get("gradient", lambda: _with_kernel(
-            assemble_gradient(self.domain), self._constants))
+        return _with_kernel(assemble_gradient(self.domain), self._constants)
 
-    @property
+    @_cached
     def gradient_dirichlet(self) -> SparseOperator:
-        return self._get(
-            "gradient_dirichlet",
-            lambda: _with_kernel(assemble_gradient(self.domain, True)),
-        )
+        return _with_kernel(assemble_gradient(self.domain, True))
 
-    @property
+    @_cached
     def laplacian_neumann(self) -> SparseOperator:
-        return self._get("laplacian_neumann", lambda: _with_kernel(
-            assemble_laplacian(self.domain, "neumann"), self._constants))
+        return _with_kernel(assemble_laplacian(self.domain, "neumann"), self._constants)
 
-    @property
+    @_cached
     def laplacian_dirichlet(self) -> SparseOperator:
-        return self._get("laplacian_dirichlet", lambda: _with_kernel(
-            assemble_laplacian(self.domain, "dirichlet")))
+        return _with_kernel(assemble_laplacian(self.domain, "dirichlet"))
 
-    @property
+    @_cached
     def laplacian_mixed(self) -> SparseOperator:
         """Kernel: the constants on each piece with no Dirichlet-labelled face."""
-        def build():
-            labels = self.domain.component_labels
-            faces = np.bincount(labels, self.domain.count_boundary_faces(DIRICHLET))
-            free = faces[labels] == 0  # cells of the pieces with no such face
-            basis, pinned = self._constants
-            return _with_kernel(
-                assemble_laplacian(self.domain, "mixed"),
-                ([b for b in basis if not b[~free].any()], pinned[free[pinned]]),
-            )
-
-        return self._get("laplacian_mixed", build)
-
-    @property
-    def interior_laplacian(self) -> SparseOperator:
-        return self._get(
-            "interior_laplacian",
-            lambda: _with_kernel(assemble_interior_laplacian(self.domain)),
+        labels = self.domain.component_labels
+        faces = np.bincount(labels, self.domain.count_boundary_faces(DIRICHLET))
+        free = faces[labels] == 0  # cells of the pieces with no such face
+        basis, pinned = self._constants
+        return _with_kernel(
+            assemble_laplacian(self.domain, "mixed"),
+            ([b for b in basis if not b[~free].any()], pinned[free[pinned]]),
         )
 
-    @property
+    @_cached
+    def interior_laplacian(self) -> SparseOperator:
+        return _with_kernel(assemble_interior_laplacian(self.domain))
+
+    @_cached
     def interior_biharmonic(self) -> SparseOperator:
-        return self._get("interior_biharmonic", lambda: _with_kernel(
-            assemble_interior_biharmonic(self.domain)))
+        return _with_kernel(assemble_interior_biharmonic(self.domain))
 
     @property
     def free_laplacian(self) -> SparseOperator:
         """Raw 5-point values on depth>=1 cells; adjoint of interior_laplacian."""
         return self.interior_laplacian.adjoint()
 
-    @property
+    @_cached
     def curl(self) -> SparseOperator:
-        def build():
-            curl, adjoint = assemble_curl_pair(self.domain)
-            _with_kernel(adjoint)
-            return curl
+        curl, adjoint = assemble_curl_pair(self.domain)
+        _with_kernel(adjoint)
+        return curl
 
-        return self._get("curl", build)
-
-    @property
+    @_cached
     def hessian(self) -> SparseOperator:
         """The one-sided Hessian; kernel: the affine functions on each piece."""
         d = self.domain
-        return self._get("hessian", lambda: _with_kernel(
+        return _with_kernel(
             assemble_hessian(d),
             piecewise_affine(d.cell_space, d.component_labels, d.cell_centers()),
-        ))
+        )
 
-    @property
+    @_cached
     def hessian_normal(self) -> SparseOperator:
         """adjoint(H) H, H the one-sided Hessian, sharing its kernel."""
-        return self._get("hessian_normal", lambda: _with_kernel(
-            normal_product(self.hessian), self.hessian.kernel))
+        return _with_kernel(normal_product(self.hessian), self.hessian.kernel)
 
-    @property
+    @_cached
     def hessian_zero_extension(self) -> SparseOperator:
-        return self._get(
-            "hessian_zero_extension",
-            lambda: assemble_hessian(self.domain, zero_extension=True),
-        )
+        return assemble_hessian(self.domain, zero_extension=True)
 
-    @property
+    @_cached
     def pad1(self) -> SparseOperator:
-        return self._get("pad1", lambda: assemble_pad(self.domain, 1))
+        return assemble_pad(self.domain, 1)
 
-    @property
+    @_cached
     def pad2(self) -> SparseOperator:
-        return self._get("pad2", lambda: assemble_pad(self.domain, 2))
+        return assemble_pad(self.domain, 2)
 
-    @property
+    @_cached
     def interior_normal(self) -> SparseOperator:
         """adjoint(A) A on depth>=1 cells, the workhorse of clamped solves."""
-        return self._get(
-            "interior_normal", lambda: normal_product(self.interior_laplacian)
-        )
+        return normal_product(self.interior_laplacian)
 
-    @property
+    @_cached
     def hessian_dirichlet_normal(self) -> SparseOperator:
         """adjoint(Hp) Hp on depth>=1 cells, Hp the zero-extension Hessian
         of the padded field; built once."""
-        return self._get(
-            "hessian_dirichlet_normal",
-            lambda: normal_product(self.hessian_zero_extension @ self.pad1),
-        )
+        return normal_product(self.hessian_zero_extension @ self.pad1)
 
-    @property
+    @_cached
     def regularized(self) -> SparseOperator:
         """L* L + 1 on all cells, L the free Laplacian, assembled as
         interior_laplacian @ free_laplacian + 1; its first-order operator
         is the stack [L; 1], into L's codomain and the cells side by side."""
-        def build():
-            space, lap = self.domain.cell_space, self.free_laplacian
-            cod = lap.codomain_space
-            both = DofSpace(f"{cod.name}+{space.name}", cod.dim + space.dim,
-                            np.concatenate([cod.weights, space.weights]))
-            op = self.interior_laplacian @ lap + identity_operator(space)
-            op.first_order = SparseOperator(
-                sp.vstack([lap.matrix, sp.identity(space.dim)]), space, both
-            )
-            return op
+        space, lap = self.domain.cell_space, self.free_laplacian
+        cod = lap.codomain_space
+        both = DofSpace(f"{cod.name}+{space.name}", cod.dim + space.dim,
+                        np.concatenate([cod.weights, space.weights]))
+        op = self.interior_laplacian @ lap + identity_operator(space)
+        op.first_order = SparseOperator(
+            sp.vstack([lap.matrix, sp.identity(space.dim)]), space, both
+        )
+        return op
 
-        return self._get("regularized", build)
-
-    @property
+    @_cached
     def biharmonic_normal(self) -> SparseOperator:
         """adjoint(B) B, B the 13-point interior stencil; `under`'s factor."""
-        return self._get(
-            "biharmonic_normal", lambda: normal_product(self.interior_biharmonic)
-        )
+        return normal_product(self.interior_biharmonic)

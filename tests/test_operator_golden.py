@@ -90,3 +90,22 @@ def test_catalog_operators_match_golden_digests(name):
     assert sorted(got) == sorted(expected)
     for key in CATALOG_KEYS + NORMAL_KEYS:
         assert got[key] == expected[key], f"{name}: {key}"
+
+
+def test_every_cached_catalog_entry_is_pinned_and_built_once():
+    # the catalog's properties are its cached entries, plus free_laplacian,
+    # derived on each access; every entry but the _constants kernel has a
+    # digest above
+    entries = {name for name, attr in vars(OperatorCatalog).items()
+               if isinstance(attr, property)} - {"free_laplacian"}
+    assert entries - {"_constants"} == {key.split(".")[0]
+                                        for key in CATALOG_KEYS + NORMAL_KEYS}
+    catalog = OperatorCatalog(build_domain("square", 8))
+    for name in sorted(entries):
+        first = getattr(catalog, name)
+        keys = set(catalog._cache)
+        assert name in keys
+        assert getattr(catalog, name) is first
+        assert set(catalog._cache) == keys
+    catalog.free_laplacian
+    assert set(catalog._cache) == entries

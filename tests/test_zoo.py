@@ -994,3 +994,37 @@ def test_c_f_answers_in_class_data_on_the_n128_square():
     ring = dom.ring_cells(1)
     assert dom.cell_space.norm(
         cat.interior_laplacian.apply_raw(w[ring]) - vals) <= 1e-9 * f.norm()
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+@pytest.mark.parametrize("n", [16, 32])
+def test_solver_residual_is_the_reported_pde_residual(monkeypatch, shape, n):
+    # under, regularized and hessian_dirichlet report the residual their
+    # solve returned; it equals the residual recomputed from the answer to
+    # the last bit, also after regularized's augmented stall route, which
+    # it takes at n=32 on every shape for both data (at n=16 for the
+    # smooth data only)
+    stalls = []
+    stalled = linalg._stalled_normal_solve
+    monkeypatch.setattr(linalg, "_stalled_normal_solve",
+                        lambda op, *a: stalls.append(op) or stalled(op, *a))
+    cat = OperatorCatalog(build_domain(shape, n))
+    dom = cat.domain
+    ring1 = dom.ring_cells(1)
+    smooth = Expression("exp(x)*cos(3*y)+x*y").on_domain(dom)
+    noise = Field(dom.cell_space, np.random.default_rng(n).normal(size=dom.n_cells))
+
+    def recomputed(label, u, f):
+        if label == "under":
+            return interior_residual_norm(cat, u, f, depth=2)
+        if label == "regularized":
+            return dom.cell_space.norm(cat.regularized.apply_raw(u) - f)
+        op = cat.hessian_dirichlet_normal
+        return op.domain_space.norm(op.apply_raw(u[ring1]) - f[ring1])
+
+    for f in (smooth, noise):
+        for label in ("under", "regularized", "hessian_dirichlet"):
+            rep = solve_zoo(label, cat, f)
+            assert rep.pde_residual_norm == recomputed(label, rep.solution.values, f.values)
+    if n == 32:
+        assert [op for op in stalls if op is cat.regularized] == [cat.regularized] * 2
