@@ -12,12 +12,14 @@ the affine functions on each connected piece) is pinned out at a few cells
 and gated.  For a normal product B* B that records B (`normal_product`),
 `min_norm=True` returns B x and refines it against B* u = b instead
 (seminormal equations, Bjorck 1996, sections 2.9 and 6.6); every
-minimum-norm solve starts this way, `under` included.  `augmented_solve`
-solves with a sparse LU factor of [[a I, B], [B*, 0]], B injective, whose
-conditioning follows B's rather than B* B's: for `over`, which needs x
-itself, and as direct_solve's one route where refinement stalls, through
-the B the operator records (with none, the solve fails).  No solve path
-runs CG.  A caller-owned dict lets several solves share a factor.
+minimum-norm solve starts this way, `under` included.  Where refinement
+stalls, direct_solve finishes on the same factor by refining the
+augmented system [[I, B], [B*, 0]] of the B the operator records
+(corrected seminormal equations; with no B, the solve fails).
+`augmented_solve` solves with a sparse LU factor of that system, B
+injective, whose conditioning follows B's rather than B* B's: for
+`over`, which needs x itself.  No solve path runs CG.  A caller-owned
+dict lets several solves share a factor.
 `cg_solve` and `deflated_cg_solve` are conjugate gradients, stopped when
 the true residual stagnates; `normal_cg_solve` runs them on the normal
 equations.
@@ -562,16 +564,17 @@ def direct_solve(
 
     Iterative refinement follows until the weighted residual meets
     cfg.rel_tolerance.  If it stops improving first, the solve is finished
-    through the augmented system of B = op.first_order, a kernel's pinned
-    columns dropped (_stalled_normal_solve); that route stops on the
-    augmented residual, not on the plain one the result still reports.
-    With no recorded B, or where the augmented route
-    fails as well, ConvergenceFailure states the attained and target
-    residuals.  Refinement starts from zero, so `iterations` counts every
-    solve with the factor, the first one included, plus the augmented
-    route's solves.  Given a `factors` dict, the factor is looked up there
-    by operator and stored on first use, so the caller decides how long it
-    lives; the augmented factor of a stalled solve is stored there too.
+    from the iterate it holds, on the same factor, through the augmented
+    system of B = op.first_order, a kernel's pinned columns dropped
+    (_stalled_normal_solve); that route stops on the augmented residual,
+    not on the plain one the result still reports.  With no recorded B,
+    or where the augmented route fails as well, ConvergenceFailure states
+    the attained and target residuals.  Refinement starts from zero, so
+    `iterations` counts every solve with the factor, the first one
+    included, the augmented route's too: at most 2 (_MAX_REFINEMENT + 1).
+    Given a `factors` dict, the factor is looked up there by operator and
+    stored on first use, so the caller decides how long it lives; a
+    stalled solve stores nothing more.
     """
     if not op.domain_space.compatible(op.codomain_space):
         raise SpaceMismatchError("direct_solve needs an endomorphism")
@@ -591,14 +594,17 @@ def direct_solve(
     rhs, defect = _gate_kernel(space, b, basis)
     history = [space.norm(rhs)]
     target = cfg.rel_tolerance * history[0]
-    y = np.zeros(out_space.dim)
+    x = np.zeros(space.dim)  # the iterate of op x = rhs; the answer y is x or B x
+    y = x if lift is None else np.zeros(out_space.dim)
     iterations = 0
     if history[0] > 0.0:
         factor = _factor(factors, op, lambda: _BandedCholesky(op, pinned, name))
         r = rhs
         while True:
             d = _project_out(space, factor.solve(r), basis)
-            y += d if lift is None else lift(d)
+            x += d
+            if lift is not None:
+                y += lift(d)
             r = _project_out(space, rhs - residual_of(y), basis)
             history.append(space.norm(r))
             iterations += 1
@@ -607,8 +613,8 @@ def direct_solve(
             if history[-1] >= history[-2] or iterations > _MAX_REFINEMENT:
                 best = min(history[1:])
                 try:
-                    x, u, it = _stalled_normal_solve(op, rhs, cfg, factors, name)
-                except BizooError as exc:  # no B, no convergence, or not injective
+                    x, u, it = _stalled_normal_solve(op, rhs, cfg, factor, x, name)
+                except BizooError as exc:  # no B, or no convergence
                     raise ConvergenceFailure(
                         f"{name}: refinement stopped at residual {best:.3e}, "
                         f"target {target:.3e} (relative {best / history[0]:.3e} "
@@ -630,35 +636,67 @@ def require_finite(name: str, *data):
 
 
 def _stalled_normal_solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig,
-                          factors: dict | None, name: str):
-    """Solve op y = rhs, op = B* B with B = op.first_order, through the
-    augmented system of B with its kernel's pinned columns dropped, which
-    makes B injective, data [0; rhs]: its solution [r; x] has
-    x = -(B* B)^-1 rhs.  Returns (y, r, augmented solves): y = -x with
-    zeros at the pins, projected off the kernel, and r = B y is the
-    minimum-norm solution of B* r = rhs."""
+                          factor: _BandedCholesky, x: np.ndarray, name: str):
+    """Finish op y = rhs, op = B* B with B = op.first_order, from the
+    iterate x on which banded refinement stalled, by refining (r, y) on
+    the augmented system r - B y = 0, B* r = rhs with its kernel's pinned
+    columns dropped, which makes B injective: the corrected seminormal
+    equations (Bjorck, Lin. Alg. Appl. 88/89, 1987; Bjorck 1996, sections
+    2.9 and 6.6).  With s = B y - r and t = rhs - B* r, each correction is
+    dy = F^-1 (t - B* s) and dr = s + B dy, F the banded factor of op,
+    whose pins hold dy at zero there, so F is the factor of B* B with
+    those columns dropped.  It converges while eps cond(B)^2 << 1, and
+    stops as augmented_solve does on [0; rhs], with rhs's pinned entries
+    dropped.  Returns (y, r, corrections): y projected off the kernel, and
+    r = B y the minimum-norm solution of B* r = rhs."""
     b, space = op.first_order, op.domain_space
     if b is None:
         raise BizooError("no first-order operator is recorded")
-    basis, pinned = op.kernel or ([], [])
-    free = np.ones(space.dim, dtype=bool)
-    free[np.asarray(pinned, dtype=np.int64)] = False
+    adjoint, pinned = b.adjoint(), factor.pinned
+    g = rhs.copy()
+    g[pinned] = 0.0
 
-    def unpinned():
-        sub = DofSpace(f"{space.name} unpinned", int(free.sum()), space.weights[free])
-        return SparseOperator(b.matrix[:, free], sub, b.codomain_space)
+    def unmet(r):  # t, the pinned entries dropped
+        t = g - adjoint.apply_raw(r)
+        t[pinned] = 0.0
+        return t
 
-    bf = b if free.all() else _factor(factors, ("unpinned", b), unpinned)
-    r, xf, iterations, _ = augmented_solve(
-        bf, g=Field(bf.domain_space, rhs[free]), cfg=cfg, factors=factors, name=name
-    )
-    y = np.zeros(space.dim)
-    y[free] = -xf.values
-    return _project_out(space, y, basis), r.values, iterations
+    y, r, s = x.copy(), b.apply_raw(x), np.zeros(b.shape[0])
+    t, history = unmet(r), []
+    while True:
+        dy = factor.solve(t - adjoint.apply_raw(s))
+        y += dy
+        r += s + b.apply_raw(dy)
+        s, t = b.apply_raw(y) - r, unmet(r)
+        history.append(max(b.codomain_space.norm(s) / b.codomain_space.norm(r),
+                           space.norm(t) / space.norm(g)))
+        if _augmented_converged(history, cfg, name):
+            basis = op.kernel[0] if op.kernel else []
+            return _project_out(space, y, basis), r, len(history)
+
+
+def _augmented_converged(history, cfg: SolverConfig, name: str) -> bool:
+    """The stop of an augmented refinement on its history of relative
+    augmented residuals: True once the last meets cfg.rel_tolerance;
+    ConvergenceFailure, with the attained and target values, once one
+    fails to improve on its predecessor or the step cap is passed."""
+    if history[-1] <= cfg.rel_tolerance:
+        return True
+    stalled = len(history) > 1 and history[-1] >= history[-2]
+    if stalled or len(history) > _MAX_REFINEMENT:
+        raise ConvergenceFailure(
+            f"{name}: refinement of the augmented system stopped at "
+            f"relative residual {min(history):.3e}, target "
+            f"{cfg.rel_tolerance:.1e}",
+            residual_history=history,
+        )
+    return False
 
 
 class _AugmentedLU:
-    """Sparse LU factor of the augmented matrix [[a I, B], [B*, 0]].
+    """Sparse LU factor of the augmented matrix [[a I, B], [B*, 0]], built
+    by augmented_solve for `over`'s preimage alone: a stalled direct_solve
+    refines the same system on the banded factor it already holds.
 
     It is nonsingular exactly when B is injective, and its conditioning
     follows B's rather than that of the normal product B* B (Arioli, Duff
@@ -719,7 +757,8 @@ def augmented_solve(
     factors: dict | None = None,
     name: str = "augmented solve",
 ):
-    """Solve [[I, B], [B*, 0]] [r; x] = [f; g] for an injective B = op.
+    """Solve [[I, B], [B*, 0]] [r; x] = [f; g] for an injective B = op,
+    by sparse LU: `over`'s route, which needs the least-squares x itself.
 
     f lives in B's codomain and g in its domain; a missing one is zero.
     With [f; 0], x is the least-squares solution of B x = f and r = f - B x
@@ -738,8 +777,9 @@ def augmented_solve(
     residual of B* r = g and the first says that r lies in B's range; for
     [f; 0] the second says that r is orthogonal to that range.  If
     refinement stops improving first, ConvergenceFailure states the
-    attained and target values.  `history` holds the relative size after
-    each solve with the factor, and `iterations` counts those solves.
+    attained and target values (_augmented_converged, the stop of
+    direct_solve's stall route too).  `history` holds the relative size
+    after each solve with the factor, and `iterations` counts those solves.
     Given a `factors` dict, the factor is looked up there and stored on
     first use, as in direct_solve.
     """
@@ -770,16 +810,8 @@ def augmented_solve(
                 / (fnorm + a * cod.norm(sol[: cod.dim])),
                 a * dom.norm(residual[cod.dim :]) / second_scale,
             ))
-            if history[-1] <= cfg.rel_tolerance:
+            if _augmented_converged(history, cfg, name):
                 break
-            stalled = len(history) > 1 and history[-1] >= history[-2]
-            if stalled or len(history) > _MAX_REFINEMENT:
-                raise ConvergenceFailure(
-                    f"{name}: refinement of the augmented system stopped at "
-                    f"relative residual {min(history):.3e}, target "
-                    f"{cfg.rel_tolerance:.1e}",
-                    residual_history=history,
-                )
     r, x = Field(cod, a * sol[: cod.dim]), Field(dom, sol[cod.dim :])
     return r, x, len(history), history
 

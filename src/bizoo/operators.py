@@ -471,15 +471,21 @@ class OperatorCatalog:
     def regularized(self) -> SparseOperator:
         """L* L + 1 on all cells, L the free Laplacian, assembled as
         interior_laplacian @ free_laplacian + 1; its first-order operator
-        is the stack [L; 1], into L's codomain and the cells side by side."""
+        is the stack [L; 1], into L's codomain and the cells side by side,
+        its CSR arrays written straight from L's with one unit entry per
+        cell row below them."""
         space, lap = self.domain.cell_space, self.free_laplacian
-        cod = lap.codomain_space
-        both = DofSpace(f"{cod.name}+{space.name}", cod.dim + space.dim,
+        cod, mat, n = lap.codomain_space, lap.matrix, space.dim
+        both = DofSpace(f"{cod.name}+{space.name}", cod.dim + n,
                         np.concatenate([cod.weights, space.weights]))
         op = self.interior_laplacian @ lap + identity_operator(space)
-        op.first_order = SparseOperator(
-            sp.vstack([lap.matrix, sp.identity(space.dim)]), space, both
+        stack = sp.csr_matrix(
+            (np.concatenate([mat.data, np.ones(n)]),
+             np.concatenate([mat.indices, np.arange(n)]),
+             np.concatenate([mat.indptr, mat.nnz + np.arange(1, n + 1)])),
+            shape=(mat.shape[0] + n, n),
         )
+        op.first_order = SparseOperator(stack, space, both)
         return op
 
     @_cached

@@ -1,4 +1,6 @@
 import ast
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -208,11 +210,11 @@ def test_compatibility_error_is_constructed_by_the_gate_alone():
         ("linalg.py", "compatibility_gate")]
 
 
-def test_augmented_solve_serves_over_and_the_stall_route_alone():
-    # every minimum-norm solve goes through direct_solve's banded factor;
-    # the augmented LU is for over's preimage and for stalled refinement
-    assert construction_sites("augmented_solve") == [
-        ("linalg.py", "_stalled_normal_solve"), ("zoo.py", "_doubly_constrained")]
+def test_augmented_solve_serves_over_alone():
+    # every minimum-norm solve, and every stalled one, goes through
+    # direct_solve's banded factor; the augmented LU is for over's preimage
+    assert construction_sites("augmented_solve") == [("zoo.py", "_doubly_constrained")]
+    assert construction_sites("_AugmentedLU") == [("linalg.py", "augmented_solve")]
 
 
 def test_solver_config_validation():
@@ -625,31 +627,64 @@ def test_solvers_refuse_non_finite_data(catalogs16, bad):
             linalg.augmented_solve(b, **data)
 
 
+def _counting_solves(monkeypatch, halved=0):
+    """The right-hand sides of every banded factor solve while the spy is
+    set; the first `halved` solves return only half their answer."""
+    solve, calls = linalg._BandedCholesky.solve, []
+
+    def counting(self, r):
+        calls.append(r)
+        return (0.5 if len(calls) <= halved else 1.0) * solve(self, r)
+
+    monkeypatch.setattr(linalg._BandedCholesky, "solve", counting)
+    return calls
+
+
 @pytest.mark.parametrize("min_norm", (False, True))
 def test_direct_solve_takes_the_augmented_route_when_refinement_stalls(
         monkeypatch, min_norm):
     cat = OperatorCatalog(build_domain("lshape", 16))
     op, a = cat.interior_normal, cat.interior_laplacian
-    solve = linalg._BandedCholesky.solve
-    # a factor that gets only half of each correction right stops
-    # refinement at the step cap, far above the target; the solve is then
-    # finished through the augmented system of the recorded first-order
-    # operator, whose factor the call's dict holds
-    monkeypatch.setattr(linalg._BandedCholesky, "solve",
-                        lambda self, r: 0.5 * solve(self, r))
+    # with no refinement step allowed, a first banded solve that gets only
+    # half of the answer right stops far above the target; the solve is
+    # then finished from that iterate through the augmented system of the
+    # recorded first-order operator, corrected on the same, exact, factor,
+    # and the call's dict holds that factor alone
+    monkeypatch.setattr(linalg, "_MAX_REFINEMENT", 0)
+    solves = _counting_solves(monkeypatch, halved=1)
     b = routed_data(op, False, 27)
     cfg = SolverConfig(rel_tolerance=1e-10)
     factors = {}
     res = direct_solve(op, b, cfg, min_norm=min_norm, factors=factors)
-    assert op.first_order is a and list(factors) == [op, ("augmented", a)]
-    assert len(res.residual_history) == linalg._MAX_REFINEMENT + 3
-    assert res.residual_history[-2] > 1e-4 * b.norm()
+    assert op.first_order is a and list(factors) == [op]
+    assert len(res.residual_history) == 3
+    assert res.residual_history[1] > 0.1 * b.norm()
+    assert res.iterations == len(solves) == 2
     assert res.residual_norm <= 1e-10 * b.norm()
-    assert res.iterations > linalg._MAX_REFINEMENT + 1
     x = cg_solve(op, b, SolverConfig(rel_tolerance=1e-13)).field.values
     expect = a.apply_raw(x) if min_norm else x
     got = res.field.values
     assert res.field.space.norm(got - expect) <= 1e-8 * res.field.space.norm(expect)
+
+
+def test_direct_solve_augmented_route_fails_on_a_wrong_factor(monkeypatch):
+    cat = OperatorCatalog(build_domain("lshape", 16))
+    op = cat.interior_normal
+    # a factor that gets only half of each correction right stops banded
+    # refinement at the step cap and the augmented refinement at its own
+    # cap, both far above the target
+    solves = _counting_solves(monkeypatch, halved=math.inf)
+    b = routed_data(op, False, 27)
+    with pytest.raises(ConvergenceFailure) as err:
+        direct_solve(op, b, SolverConfig(rel_tolerance=1e-10))
+    message = str(err.value)
+    plain = re.search(r"refinement stopped at residual \S+, target \S+ "
+                      r"\(relative (\S+) against 1\.0e-10\)", message)
+    augmented = re.search(r"augmented system stopped at relative residual "
+                          r"(\S+), target 1\.0e-10$", message)
+    assert float(plain[1]) > 1e-4 and float(augmented[1]) > 1e-8
+    assert len(err.value.residual_history) == linalg._MAX_REFINEMENT + 2
+    assert len(solves) == 2 * (linalg._MAX_REFINEMENT + 1)
 
 
 def test_direct_solve_augmented_route_drops_the_kernel_pins(monkeypatch):
@@ -657,9 +692,8 @@ def test_direct_solve_augmented_route_drops_the_kernel_pins(monkeypatch):
     op, h = cat.hessian_normal, cat.hessian
     space = op.domain_space
     basis, pinned = op.kernel
-    solve = linalg._BandedCholesky.solve
-    monkeypatch.setattr(linalg._BandedCholesky, "solve",
-                        lambda self, r: 0.5 * solve(self, r))
+    monkeypatch.setattr(linalg, "_MAX_REFINEMENT", 0)
+    solves = _counting_solves(monkeypatch, halved=1)
     b = rng(29).normal(size=space.dim)
     for v in basis:
         b -= space.inner(v, b) * v
@@ -667,16 +701,27 @@ def test_direct_solve_augmented_route_drops_the_kernel_pins(monkeypatch):
     factors = {}
     res = direct_solve(op, data, SolverConfig(rel_tolerance=1e-10),
                        factors=factors)
-    # H with the affine pins' columns dropped is injective
-    unpinned = factors[("unpinned", h)]
-    assert op.first_order is h and ("augmented", unpinned) in factors
-    assert unpinned.shape == (h.shape[0], space.dim - len(pinned))
+    assert op.first_order is h and list(factors) == [op]
+    assert res.iterations == len(solves) == 2
     x = res.field.values
     assert res.residual_norm <= 1e-10 * data.norm()
     assert max(abs(space.inner(v, x)) for v in basis) <= 1e-12 * space.norm(x)
     oracle = deflated_cg_solve(op, data, basis,
                                SolverConfig(rel_tolerance=1e-13)).field.values
     assert space.norm(x - oracle) <= 1e-8 * space.norm(oracle)
+    # H with the affine pins' columns dropped is injective: its augmented
+    # system's answer, zero at the pins, differs from x by a kernel vector
+    unpinned = unpinned_first_order(op)
+    assert unpinned.shape == (h.shape[0], space.dim - len(pinned))
+    free = np.ones(space.dim, dtype=bool)
+    free[pinned] = False
+    lu = np.zeros(space.dim)
+    lu[free] = -linalg.augmented_solve(
+        unpinned, g=Field(unpinned.domain_space, b[free]),
+        cfg=SolverConfig(rel_tolerance=1e-12))[1].values
+    for v in basis:
+        lu -= space.inner(v, lu) * v
+    assert space.norm(x - lu) <= 1e-8 * space.norm(lu)
 
 
 def test_direct_solve_pins_each_connected_piece():
@@ -923,8 +968,8 @@ def assert_factor_matches_bmat(op, key):
 
 
 def unpinned_first_order(op):
-    """op's recorded B without its kernel's pinned columns, as the stall
-    route of direct_solve factors it."""
+    """op's recorded B without its kernel's pinned columns: the injective
+    B whose augmented system direct_solve's stall route refines."""
     free = np.ones(op.domain_space.dim, dtype=bool)
     free[op.kernel[1]] = False
     sub = DofSpace("unpinned", int(free.sum()), op.domain_space.weights[free])

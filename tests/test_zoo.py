@@ -727,8 +727,8 @@ def test_one_sided_problems_recover_their_preimage(shape, n):
 @pytest.mark.parametrize("shape,n", ONE_SIDED_GRIDS[:-1])
 def test_under_meets_its_target_with_one_solve(shape, n):
     # the scaled identity block leaves the first augmented solve within
-    # the target, so no refinement step follows; that LU serves over and
-    # direct_solve's stall route, so its minimum-norm solve is called here
+    # the target, so no refinement step follows; that LU serves over alone,
+    # so its minimum-norm solve is called here
     cat = OperatorCatalog(build_domain(shape, n))
     dom = cat.domain
     b = cat.interior_biharmonic
@@ -978,6 +978,61 @@ def test_hessian_neumann_answers_on_the_n64_annulus():
         1e-12 * space.norm(u))
 
 
+def _spy_stalls(monkeypatch):
+    """The operator of every stalled direct solve while the spy is set."""
+    stalls, stalled = [], linalg._stalled_normal_solve
+    monkeypatch.setattr(linalg, "_stalled_normal_solve",
+                        lambda op, *a: stalls.append(op) or stalled(op, *a))
+    return stalls
+
+
+@pytest.mark.parametrize("shape", ("square", "lshape", "annulus"))
+def test_regularized_stall_route_reuses_its_banded_factor(monkeypatch, shape):
+    # refinement of L* L + 1 stalls at n=32 on the smooth data; the stall
+    # route corrects on the banded factor it stalled on, so one factor is
+    # built and no LU
+    cat = OperatorCatalog(build_domain(shape, 32))
+    f = Field(cat.domain.cell_space, smooth_data(cat.domain))
+    stalls = _spy_stalls(monkeypatch)
+    banded = _count_factors(monkeypatch, linalg._BandedCholesky)
+    augmented = _count_factors(monkeypatch, linalg._AugmentedLU)
+    rep = solve_regularized(cat, f)
+    assert stalls == [cat.regularized]
+    assert len(banded) == 1 and banded[0][0] is cat.regularized
+    assert augmented == []
+    assert rep.pde_residual_norm <= REGULARIZED_FLOOR[32] * f.norm()
+    assert rep.iterations <= 2 * (linalg._MAX_REFINEMENT + 1)
+
+
+@pytest.mark.slow
+def test_hessian_dirichlet_answers_past_its_banded_floor_at_n128(monkeypatch):
+    # banded refinement stalls here; the stall route corrects on the same
+    # factor in about 0.1 s, where a sparse LU of the augmented system, the
+    # oracle below, takes about 4 s (2-vCPU host, one BLAS thread)
+    cat = OperatorCatalog(build_domain("square", 128))
+    dom = cat.domain
+    f = Expression("sin(pi*x)*sin(pi*y)").on_domain(dom)
+    op = cat.hessian_dirichlet_normal
+    stalls = _spy_stalls(monkeypatch)
+    augmented = _count_factors(monkeypatch, linalg._AugmentedLU)
+    rep = solve_hessian("dirichlet", cat, f)
+    # the clamped reference, a diagnostic, stalls as well and answers
+    assert stalls == [op, cat.interior_normal] and augmented == []
+    assert rep.extras["clamped_comparison_l2"] is not None
+    assert rep.pde_residual_norm <= 1e-8 * f.norm()
+    for name, value in rep.constraint_norms.items():
+        assert value <= 1e-8 * f.norm(), (name, value)
+    # B = hessian_zero_extension @ pad1 is injective, so nothing is pinned,
+    # and its augmented LU, called directly, gives the same answer
+    assert op.kernel is None
+    b = op.first_order
+    x = -linalg.augmented_solve(
+        b, g=Field(b.domain_space, f.values[dom.ring_cells(1)]))[1].values
+    u = cat.pad1.apply_raw(x)
+    space = dom.cell_space
+    assert space.norm(rep.solution.values - u) <= 1e-8 * space.norm(u)
+
+
 def test_c_f_answers_in_class_data_on_the_n128_square():
     cat = OperatorCatalog(build_domain("square", 128))
     dom = cat.domain
@@ -1004,10 +1059,7 @@ def test_solver_residual_is_the_reported_pde_residual(monkeypatch, shape, n):
     # the last bit, also after regularized's augmented stall route, which
     # it takes at n=32 on every shape for both data (at n=16 for the
     # smooth data only)
-    stalls = []
-    stalled = linalg._stalled_normal_solve
-    monkeypatch.setattr(linalg, "_stalled_normal_solve",
-                        lambda op, *a: stalls.append(op) or stalled(op, *a))
+    stalls = _spy_stalls(monkeypatch)
     cat = OperatorCatalog(build_domain(shape, n))
     dom = cat.domain
     ring1 = dom.ring_cells(1)
