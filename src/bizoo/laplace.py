@@ -119,13 +119,15 @@ def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
 
 
 def clamped_preimage(catalog: OperatorCatalog, values: np.ndarray,
-                     cfg: SolverConfig | None,
-                     factors: dict | None = None) -> np.ndarray:
-    """x with A* A x = A* values, A the interior stencil: the ungated
-    least-squares preimage; `factors` is passed on to direct_solve."""
-    k = catalog.interior_normal
-    rhs = Field(k.domain_space, catalog.free_laplacian.apply_raw(values))
-    return direct_solve(k, rhs, cfg, factors=factors, name="clamped preimage").field.values
+                     cfg: SolverConfig | None, factors: dict | None = None,
+                     normal=None):
+    """direct_solve's result x of B* B x = B* values, B the first-order
+    operator of `normal` (by default catalog.interior_normal, whose B is
+    the interior stencil): the ungated least-squares preimage; `factors`
+    is passed on to direct_solve."""
+    k = normal or catalog.interior_normal
+    rhs = Field(k.domain_space, k.first_order.adjoint().apply_raw(values))
+    return direct_solve(k, rhs, cfg, factors=factors, name="clamped preimage")
 
 
 def biharmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
@@ -164,7 +166,7 @@ def _clamped_inverse(kind, catalog, values, cfg, factors):
         "{rel:.3e}; the doubly constrained solve needs data in the "
         "interior stencil's range",
     )
-    x = clamped_preimage(catalog, values, cfg, factors)
+    x = clamped_preimage(catalog, values, cfg, factors).field.values
     defect = domain.cell_space.norm(values - catalog.interior_laplacian.apply_raw(x))
     return catalog.pad1.apply_raw(x), 0, defect, 0.0
 

@@ -15,11 +15,9 @@ and gated.  For a normal product B* B that records B (`normal_product`),
 minimum-norm solve starts this way, `under` included.  Where refinement
 stalls, direct_solve finishes on the same factor by refining the
 augmented system [[I, B], [B*, 0]] of the B the operator records
-(corrected seminormal equations; with no B, the solve fails).
-`augmented_solve` solves with a sparse LU factor of that system, B
-injective, whose conditioning follows B's rather than B* B's: for
-`over`, which needs x itself.  No solve path runs CG.  A caller-owned
-dict lets several solves share a factor.
+(corrected seminormal equations; with no B, the solve fails).  Every
+inversion in the package is such a banded factor; no solve path runs CG
+or a sparse LU.  A caller-owned dict lets several solves share a factor.
 `cg_solve` and `deflated_cg_solve` are conjugate gradients, stopped when
 the true residual stagnates; `normal_cg_solve` runs them on the normal
 equations.
@@ -485,16 +483,6 @@ def _lower_band(op: SparseOperator, pinned: np.ndarray) -> np.ndarray:
     return band
 
 
-def _factor(factors: dict | None, key, build):
-    """The factor stored under key in a caller-owned dict, built and stored
-    on first use; without a dict, a fresh one."""
-    if factors is None:
-        return build()
-    if key not in factors:
-        factors[key] = build()
-    return factors[key]
-
-
 def pivoted_pins(basis) -> np.ndarray:
     """One cell per kernel vector to pin, by a column-pivoted QR of the
     basis (Businger & Golub 1965).
@@ -598,7 +586,10 @@ def direct_solve(
     y = x if lift is None else np.zeros(out_space.dim)
     iterations = 0
     if history[0] > 0.0:
-        factor = _factor(factors, op, lambda: _BandedCholesky(op, pinned, name))
+        factors = {} if factors is None else factors
+        if op not in factors:
+            factors[op] = _BandedCholesky(op, pinned, name)
+        factor = factors[op]
         r = rhs
         while True:
             d = _project_out(space, factor.solve(r), basis)
@@ -646,9 +637,10 @@ def _stalled_normal_solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig
     dy = F^-1 (t - B* s) and dr = s + B dy, F the banded factor of op,
     whose pins hold dy at zero there, so F is the factor of B* B with
     those columns dropped.  It converges while eps cond(B)^2 << 1, and
-    stops as augmented_solve does on [0; rhs], with rhs's pinned entries
-    dropped.  Returns (y, r, corrections): y projected off the kernel, and
-    r = B y the minimum-norm solution of B* r = rhs."""
+    stops on the larger of |s| / |r| and |t| / |rhs|, with rhs's pinned
+    entries dropped (_augmented_converged).  Returns (y, r, corrections):
+    y projected off the kernel, and r = B y the minimum-norm solution of
+    B* r = rhs."""
     b, space = op.first_order, op.domain_space
     if b is None:
         raise BizooError("no first-order operator is recorded")
@@ -676,10 +668,11 @@ def _stalled_normal_solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig
 
 
 def _augmented_converged(history, cfg: SolverConfig, name: str) -> bool:
-    """The stop of an augmented refinement on its history of relative
-    augmented residuals: True once the last meets cfg.rel_tolerance;
-    ConvergenceFailure, with the attained and target values, once one
-    fails to improve on its predecessor or the step cap is passed."""
+    """The stop of the stall route's augmented refinement on its history
+    of relative augmented residuals: True once the last meets
+    cfg.rel_tolerance; ConvergenceFailure, with the attained and target
+    values, once one fails to improve on its predecessor or the step cap
+    is passed."""
     if history[-1] <= cfg.rel_tolerance:
         return True
     stalled = len(history) > 1 and history[-1] >= history[-2]
@@ -691,129 +684,6 @@ def _augmented_converged(history, cfg: SolverConfig, name: str) -> bool:
             residual_history=history,
         )
     return False
-
-
-class _AugmentedLU:
-    """Sparse LU factor of the augmented matrix [[a I, B], [B*, 0]], built
-    by augmented_solve for `over`'s preimage alone: a stalled direct_solve
-    refines the same system on the banded factor it already holds.
-
-    It is nonsingular exactly when B is injective, and its conditioning
-    follows B's rather than that of the normal product B* B (Arioli, Duff
-    & de Rijk 1989).  The scale a is the power of two nearest
-    sqrt(|B|): with the unscaled identity the range block of the first
-    solve misses by a relative error growing like |B|, and a power of two
-    rescales the data and the residual block exactly.
-
-    The CSC arrays are filled straight from the columns of B and B*, and
-    the row and column sums of |W_cod^(1/2) B W_dom^(-1/2)| behind the
-    norm bound straight from B's CSR arrays, equal to the last bit to
-    what sp.bmat and products with sp.diags give: rows are summed in
-    sorted column order and without zero entries, which those products
-    drop and which would regroup numpy's pairwise row sums.
-    """
-
-    def __init__(self, op: SparseOperator, name: str):
-        m, n = op.shape
-        mat = op.matrix if op.matrix.has_sorted_indices else op.matrix.sorted_indices()
-        rows = np.repeat(np.arange(m), np.diff(mat.indptr))
-        scaled = np.abs(np.sqrt(op.codomain_space.weights)[rows] * mat.data
-                        * (1.0 / np.sqrt(op.domain_space.weights))[mat.indices])
-        kept = scaled != 0
-        counts = np.bincount(rows[kept], minlength=m)
-        starts = (np.cumsum(counts) - counts)[counts > 0]
-        row_sums = np.add.reduceat(scaled[kept], starts) if starts.size else np.zeros(0)
-        col_sums = np.bincount(mat.indices, weights=scaled, minlength=n)
-        # sqrt(|B|_1 |B|_inf) bounds the weighted operator norm of B
-        self.norm_bound = math.sqrt(col_sums.max(initial=0.0) * row_sums.max(initial=0.0))
-        self.scale = (
-            2.0 ** round(0.5 * math.log2(self.norm_bound))
-            if self.norm_bound > 0 else 1.0
-        )
-        # column j < m holds a at row j above B*'s column j (rows m + k),
-        # column m + k holds B's column k
-        lower, upper = op.adjoint().matrix.tocsc(), mat.tocsc()
-        head = lower.indptr + np.arange(m + 1)  # where column j < m starts
-        indptr = np.concatenate([head, head[-1] + upper.indptr[1:]])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        data = np.empty(indptr[-1])
-        indices[head[:-1]], data[head[:-1]] = np.arange(m), self.scale
-        below = np.arange(lower.nnz) + np.repeat(np.arange(1, m + 1), np.diff(lower.indptr))
-        indices[below], data[below] = lower.indices + m, lower.data
-        indices[head[-1]:], data[head[-1]:] = upper.indices, upper.data
-        self.matrix = sp.csc_matrix((data, indices, indptr), shape=(m + n, m + n))
-        try:
-            self.lu = spla.splu(self.matrix)
-        except RuntimeError as exc:  # exactly singular
-            raise BizooError(f"{name}: operator is not injective ({exc})") from None
-
-
-def augmented_solve(
-    op: SparseOperator,
-    f: Field | None = None,
-    g: Field | None = None,
-    cfg: SolverConfig | None = None,
-    *,
-    factors: dict | None = None,
-    name: str = "augmented solve",
-):
-    """Solve [[I, B], [B*, 0]] [r; x] = [f; g] for an injective B = op,
-    by sparse LU: `over`'s route, which needs the least-squares x itself.
-
-    f lives in B's codomain and g in its domain; a missing one is zero.
-    With [f; 0], x is the least-squares solution of B x = f and r = f - B x
-    its residual.  With [0; g], r is the minimum-norm solution of
-    B* r = g, which lies in B's range.  Returns (r, x, iterations,
-    history) with r and x as fields.  Data that are not finite raise
-    ValueError.
-
-    The factor is that of the scaled system [[a I, B], [B*, 0]], solved
-    for [r / a; x] with data [f; g / a] (see _AugmentedLU for a).  It is
-    refined on the augmented residual until its relative size, the larger
-    of
-        |f - r - B x| / (|f| + |r|)   and   |g - B* r| / (|g| + |B| |f|),
-    meets cfg.rel_tolerance, with |B| bounded by sqrt(|B|_1 |B|_inf) in
-    the weighted norms.  For [0; g] the second ratio is the relative
-    residual of B* r = g and the first says that r lies in B's range; for
-    [f; 0] the second says that r is orthogonal to that range.  If
-    refinement stops improving first, ConvergenceFailure states the
-    attained and target values (_augmented_converged, the stop of
-    direct_solve's stall route too).  `history` holds the relative size
-    after each solve with the factor, and `iterations` counts those solves.
-    Given a `factors` dict, the factor is looked up there and stored on
-    first use, as in direct_solve.
-    """
-    cod, dom = op.codomain_space, op.domain_space
-    cfg = cfg or SolverConfig()
-    for data, space, which in ((f, cod, "f"), (g, dom, "g")):
-        if data is not None and not data.space.compatible(space):
-            raise SpaceMismatchError(f"{which} lives in the wrong space")
-    require_finite(name, f, g)
-    fv = np.zeros(cod.dim) if f is None else f.values
-    gv = np.zeros(dom.dim) if g is None else g.values
-    sol = np.zeros(cod.dim + dom.dim)
-    history = []
-    a = 1.0
-    if fv.any() or gv.any():
-        factor = _factor(factors, ("augmented", op), lambda: _AugmentedLU(op, name))
-        # the factor solves for [r / a; x], with data [f; g / a]
-        a = factor.scale
-        rhs = np.concatenate([fv, gv / a])
-        fnorm = cod.norm(fv)
-        second_scale = dom.norm(gv) + factor.norm_bound * fnorm
-        residual = rhs
-        while True:
-            sol += factor.lu.solve(residual)
-            residual = rhs - factor.matrix @ sol
-            history.append(max(
-                cod.norm(residual[: cod.dim])
-                / (fnorm + a * cod.norm(sol[: cod.dim])),
-                a * dom.norm(residual[cod.dim :]) / second_scale,
-            ))
-            if _augmented_converged(history, cfg, name):
-                break
-    r, x = Field(cod, a * sol[: cod.dim]), Field(dom, sol[cod.dim :])
-    return r, x, len(history), history
 
 
 # -- eigenpairs -----------------------------------------------------------------

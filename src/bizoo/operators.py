@@ -175,15 +175,16 @@ def assemble_laplacian(domain: GridDomain, kind: str) -> SparseOperator:
     return SparseOperator(mat, domain.cell_space, domain.cell_space)
 
 
-def _reach(domain: GridDomain, k: int):
-    """The depth>=k cells and, per coefficient of the interior stencil of
-    reach k in cell order, its value over h^2 or h^4 and the cells at its
-    offset from them, reached by walking domain.neighbors first along x,
-    then along y: from a depth>=k cell no walk of k steps leaves the mask.
+def _reach(domain: GridDomain, k: int, d: int):
+    """The depth>=d cells (d >= k) and, per coefficient of the interior
+    stencil of reach k in cell order, its value over h^2 or h^4 and the
+    cells at its offset from them, reached by walking domain.neighbors
+    first along x, then along y: from a depth>=k cell no walk of k steps
+    leaves the mask.
     """
     table, power = _INTERIOR[k - 1]
     steps = np.ascontiguousarray(domain.neighbors.T)  # +x, -x, +y, -y
-    ring = domain.ring_cells(k)
+    ring = domain.ring_cells(d)
     coefs, cells = [], []
     for (di, dj), c in table:
         at = ring
@@ -194,24 +195,30 @@ def _reach(domain: GridDomain, k: int):
     return ring, coefs, cells
 
 
-def _interior_stencil(domain: GridDomain, k: int) -> SparseOperator:
-    """Zero-extension stencil from depth>=k cells to all cells.
+def _interior_stencil(domain: GridDomain, k: int, d: int) -> SparseOperator:
+    """Zero-extension stencil of reach k from depth>=d cells (d >= k) to
+    depth>=d-k cells, all cells where d = k.
 
     A cell at depth >= k has every cell within taxicab distance k in the
-    mask, so a table of reach k never leaves it.  Its CSC arrays are
-    written directly, one column per ring cell with the table's cells in
-    cell order; they are also its adjoint's CSR arrays.
+    mask, so a table of reach k never leaves it, and from depth >= d it
+    reaches no cell of depth below d - k.  Its CSC arrays are written
+    directly, one column per ring cell with the table's cells in cell
+    order, numbered among the depth>=d-k cells; they are also its
+    adjoint's CSR arrays.
     """
-    ring, coefs, cells = _reach(domain, k)
+    ring, coefs, cells = _reach(domain, k, d)
     if ring.size == 0:
-        raise EmptyDomainError(f"no cells of depth >= {k}: interior stencil is empty")
+        raise EmptyDomainError(f"no cells of depth >= {d}: interior stencil is empty")
     width = len(coefs)
+    rows = np.column_stack(cells).ravel()
+    if d > k:  # each cell's place among the depth>=d-k cells
+        rows = (np.cumsum(domain.depth >= d - k) - 1)[rows]
+    codomain = domain.ring_space(d - k)
     mat = sp.csc_matrix(
-        (np.tile(coefs, ring.size), np.column_stack(cells).ravel(),
-         np.arange(0, width * ring.size + 1, width)),
-        shape=(domain.n_cells, ring.size),
+        (np.tile(coefs, ring.size), rows, np.arange(0, width * ring.size + 1, width)),
+        shape=(codomain.dim, ring.size),
     )
-    return SparseOperator(mat, domain.ring_space(k), domain.cell_space)
+    return SparseOperator(mat, domain.ring_space(d), codomain)
 
 
 def assemble_interior_laplacian(domain: GridDomain) -> SparseOperator:
@@ -223,7 +230,7 @@ def assemble_interior_laplacian(domain: GridDomain) -> SparseOperator:
     and column by column everywhere.  The weighted adjoint maps a cell
     field to its raw 5-point Laplacian sampled on the depth>=1 cells.
     """
-    return _interior_stencil(domain, 1)
+    return _interior_stencil(domain, 1, 1)
 
 
 def assemble_interior_biharmonic(domain: GridDomain) -> SparseOperator:
@@ -231,9 +238,11 @@ def assemble_interior_biharmonic(domain: GridDomain) -> SparseOperator:
 
     Equals the square of the 5-point stencil applied to the zero extension,
     exactly, because the extension's Laplacian already vanishes outside the
-    mask for depth>=2 supports.
+    mask for depth>=2 supports: it is interior_laplacian @ M, M the 5-point
+    stencil of the zero extension from depth>=2 cells to depth>=1 cells
+    (OperatorCatalog.nested_normal records it).
     """
-    return _interior_stencil(domain, 2)
+    return _interior_stencil(domain, 2, 2)
 
 
 def free_stencil(domain: GridDomain, k: int, u: np.ndarray) -> np.ndarray:
@@ -245,7 +254,7 @@ def free_stencil(domain: GridDomain, k: int, u: np.ndarray) -> np.ndarray:
     assembled, and the terms are added from zero in increasing cell
     order, which is the order of that adjoint's CSR matvec.
     """
-    ring, coefs, cells = _reach(domain, k)
+    ring, coefs, cells = _reach(domain, k, k)
     total = np.zeros(ring.size)
     for c, at in zip(coefs, cells):
         total += c * u[at]
@@ -370,8 +379,8 @@ class OperatorCatalog:
     4-connected piece, with one pinned cell per piece, which the Neumann
     Laplacian shares, and the one-sided Hessian's the affine functions on
     each piece, which its normal product shares; the Dirichlet gradient
-    and Laplacian, both interior stencils and the curl adjoint are
-    injective.
+    and Laplacian, both interior stencils, the nested stencil M and the
+    curl adjoint are injective.
     """
 
     def __init__(self, domain: GridDomain):
@@ -492,3 +501,11 @@ class OperatorCatalog:
     def biharmonic_normal(self) -> SparseOperator:
         """adjoint(B) B, B the 13-point interior stencil; `under`'s factor."""
         return normal_product(self.interior_biharmonic)
+
+    @_cached
+    def nested_normal(self) -> SparseOperator:
+        """adjoint(M) M on depth>=2 cells, M the 5-point stencil of the zero
+        extension from depth>=2 cells to depth>=1 cells, with
+        interior_laplacian @ M equal to interior_biharmonic: `over`'s second
+        stage.  M is injective by interior_laplacian's argument."""
+        return _with_kernel(normal_product(_interior_stencil(self.domain, 1, 2)))

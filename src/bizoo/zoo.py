@@ -47,7 +47,6 @@ from .grid import Field, GridDomain
 from .linalg import (
     SolverConfig,
     _run_cg,  # noqa: F401  unused; bench/test_bench.py checks the tracer restores it
-    augmented_solve,
     compatibility_gate,
     direct_solve,
     require_finite,
@@ -56,6 +55,7 @@ from .laplace import (
     CHAIN_SLACK,
     STAGES,
     _energy,
+    biharmonic_defect,
     clamped_preimage,
     harmonic_defect,
     interior_residual_norm,
@@ -78,31 +78,34 @@ def _two_stages(prob, catalog, f, cfg, factors):
 
 
 def _doubly_constrained(prob, catalog, f, cfg, factors):
-    # Two gates.  B = A M: the 13-point stencil B is the 5-point interior
-    # stencil A applied to M, the 5-point stencil of the zero extension,
-    # so range(B) lies in range(A) and the harmonic defect is a lower
-    # bound of B's range defect ("at least").  Data with a harmonic part
-    # are refused on A's banded factor, which is not stored and so is
-    # freed before B's augmented LU is built; data that pass are solved
-    # through that LU and gated on B's exact range defect.  B is assembled
-    # first, so a mask with no depth-2 cell still raises EmptyDomainError.
+    # B = A M: the 13-point stencil B is the 5-point interior stencil A
+    # applied to M, the 5-point stencil of the zero extension from depth>=2
+    # to depth>=1 cells, so range(B) lies in range(A) and the harmonic
+    # defect is a lower bound of B's range defect ("at least").  Data with
+    # a harmonic part are refused on A's banded factor; data that pass are
+    # gated on B's least-squares range defect, on under's factor of B* B,
+    # which no later step reads and so is freed here.  x = M+ (A+ f) is
+    # then two clamped preimages, on A's factor and on M's, in two passes,
+    # the second on the remainder f - B x.  On data off range(B) that
+    # route is an oblique projection, whose defect overstates the
+    # least-squares one, so it decides nothing.  B is assembled first, so
+    # a mask with no depth-2 cell still raises EmptyDomainError.
     b = catalog.interior_biharmonic
-    compatibility_gate(
-        harmonic_defect(catalog, f.values, cfg)[0], f.norm(),
-        "discrete biharmonics",
-        "data has a component outside the deep-interior range of "
-        "relative size at least {rel:.3e}",
-    )
-    _, x, iterations, _ = augmented_solve(
-        b, f, cfg=cfg, factors=factors, name="doubly constrained"
-    )
-    defect = compatibility_gate(
-        catalog.domain.cell_space.norm(b.apply_raw(x.values) - f.values),
-        f.norm(), "discrete biharmonics",
-        "data has a component outside the deep-interior range of "
-        "relative size {rel:.3e}",
-    )
-    return catalog.pad2.apply_raw(x.values), None, defect, defect, 0.0, iterations, {}
+    refusal = ("data has a component outside the deep-interior range of "
+               "relative size {}{{rel:.3e}}")
+    compatibility_gate(harmonic_defect(catalog, f.values, cfg, factors)[0], f.norm(),
+                       "discrete biharmonics", refusal.format("at least "))
+    defect = compatibility_gate(biharmonic_defect(catalog, f.values, cfg, {})[0],
+                                f.norm(), "discrete biharmonics", refusal.format(""))
+    x, r, iterations = 0.0, f.values, 0
+    for _ in range(2):
+        y = clamped_preimage(catalog, r, cfg, factors)
+        z = clamped_preimage(catalog, y.field.values, cfg, factors, catalog.nested_normal)
+        x = x + z.field.values
+        iterations += y.iterations + z.iterations
+        r = f.values - b.apply_raw(x)
+    pde = catalog.domain.cell_space.norm(r)
+    return catalog.pad2.apply_raw(x), None, pde, defect, 0.0, iterations, {}
 
 
 def _unconstrained(prob, catalog, f, cfg, factors):
@@ -422,7 +425,7 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     def neumann_type_algebraic(values):
         # A K^-2 A* with K = A* A: the ungated clamped preimage, then the
         # free inverse of its padding
-        x = catalog.pad1.apply_raw(clamped_preimage(catalog, values, cfg, factors))
+        x = catalog.pad1.apply_raw(clamped_preimage(catalog, values, cfg, factors).field.values)
         return invert_stages("f", catalog, x, cfg, factors)[0][0]
 
     def free_operator(values):

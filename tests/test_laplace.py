@@ -381,7 +381,7 @@ def test_harmonic_defect_without_preimage_refines_the_projection():
     space = cat.domain.cell_space
     values = np.random.default_rng(5).normal(size=space.dim)
     # the preimage route: A x with A* A x = A* values
-    x = clamped_preimage(cat, values, SolverConfig())
+    x = clamped_preimage(cat, values, SolverConfig()).field.values
     inside = cat.interior_laplacian.apply_raw(x)
     defect = space.norm(values - inside)
     d2, inside2 = harmonic_defect(cat, values)

@@ -31,6 +31,7 @@ from bizoo import (
 from bizoo import linalg
 from bizoo.grid import DofSpace, GridDomain
 from bizoo.pairs import DENSE_SVD_LIMIT
+from augmented_reference import augmented_reference
 from test_operator_golden import golden_domains
 
 
@@ -210,11 +211,14 @@ def test_compatibility_error_is_constructed_by_the_gate_alone():
         ("linalg.py", "compatibility_gate")]
 
 
-def test_augmented_solve_serves_over_alone():
-    # every minimum-norm solve, and every stalled one, goes through
-    # direct_solve's banded factor; the augmented LU is for over's preimage
-    assert construction_sites("augmented_solve") == [("zoo.py", "_doubly_constrained")]
-    assert construction_sites("_AugmentedLU") == [("linalg.py", "augmented_solve")]
+def test_every_inversion_is_a_banded_factor():
+    # direct_solve and the eigensolver build the package's only factors;
+    # no sparse LU is left in it
+    assert sorted(construction_sites("_BandedCholesky")) == [
+        ("linalg.py", "direct_solve"), ("linalg.py", "smallest_eigenpairs")]
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "splu" not in text and "_AugmentedLU" not in text, path.name
 
 
 def test_solver_config_validation():
@@ -615,16 +619,11 @@ def test_direct_solve_min_norm_solves_through_the_recorded_first_order_operator(
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
 def test_solvers_refuse_non_finite_data(catalogs16, bad):
-    cat = catalogs16[False]
-    op, b = cat.laplacian_dirichlet, cat.interior_biharmonic
+    op = catalogs16[False].laplacian_dirichlet
     values = np.ones(op.domain_space.dim)
     values[3] = bad
     with pytest.raises(ValueError, match="direct solve: data are not finite"):
         direct_solve(op, Field(op.domain_space, values))
-    for data in ({"f": Field(b.codomain_space, values)},
-                 {"g": Field(b.domain_space, values[: b.domain_space.dim])}):
-        with pytest.raises(ValueError, match="augmented solve: data are not finite"):
-            linalg.augmented_solve(b, **data)
 
 
 def _counting_solves(monkeypatch, halved=0):
@@ -716,9 +715,7 @@ def test_direct_solve_augmented_route_drops_the_kernel_pins(monkeypatch):
     free = np.ones(space.dim, dtype=bool)
     free[pinned] = False
     lu = np.zeros(space.dim)
-    lu[free] = -linalg.augmented_solve(
-        unpinned, g=Field(unpinned.domain_space, b[free]),
-        cfg=SolverConfig(rel_tolerance=1e-12))[1].values
+    lu[free] = -augmented_reference(unpinned)(g=b[free])[1]
     for v in basis:
         lu -= space.inner(v, lu) * v
     assert space.norm(x - lu) <= 1e-8 * space.norm(lu)
@@ -884,89 +881,6 @@ def test_cg_stops_on_stagnation_long_before_its_budget():
     assert len(err.value.residual_history) < budget // 10
 
 
-def weighted_injective(seed):
-    """A sparse injective map between spaces with nonuniform weights."""
-    g = rng(seed)
-    dom = DofSpace("d", 6, g.uniform(0.5, 2.0, size=6))
-    cod = DofSpace("c", 10, g.uniform(0.5, 2.0, size=10))
-    mat = sp.random(10, 6, density=0.5, random_state=seed) + sp.eye(10, 6)
-    return SparseOperator(mat, dom, cod), g
-
-
-def test_augmented_solve_least_squares_and_min_norm():
-    op, g = weighted_injective(30)
-    cod, dom = op.codomain_space, op.domain_space
-    s = np.sqrt(cod.weights)
-    mat = op.to_dense()
-    f = Field(cod, g.normal(size=cod.dim))
-    r, x, iterations, history = linalg.augmented_solve(
-        op, f, cfg=SolverConfig(rel_tolerance=1e-12)
-    )
-    expect = np.linalg.lstsq(s[:, None] * mat, s * f.values, rcond=None)[0]
-    assert np.allclose(x.values, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
-    assert np.allclose(r.values, f.values - mat @ x.values, atol=1e-13)
-    assert iterations == len(history) >= 1
-    # r is orthogonal to the range in the weighted inner product
-    norm = np.linalg.norm(s[:, None] * mat / np.sqrt(dom.weights), 2)
-    assert dom.norm(op.adjoint().apply_raw(r.values)) <= 1e-12 * norm * f.norm()
-
-    b = Field(dom, g.normal(size=dom.dim))
-    u, _, _, _ = linalg.augmented_solve(op, g=b, cfg=SolverConfig(rel_tolerance=1e-12))
-    assert u.space is cod
-    assert dom.norm(op.adjoint().apply_raw(u.values) - b.values) <= 1e-12 * b.norm()
-    oracle = normal_cg_solve(op, b, "min_norm", SolverConfig(rel_tolerance=1e-14))
-    assert cod.norm(u.values - oracle.field.values) <= 1e-10 * oracle.field.norm()
-
-
-def test_augmented_solve_reuses_factor_and_guards():
-    op, g = weighted_injective(31)
-    factors = {}
-    f = Field(op.codomain_space, g.normal(size=10))
-    first = linalg.augmented_solve(op, f, factors=factors)
-    assert list(factors) == [("augmented", op)]
-    held = factors[("augmented", op)]
-    again = linalg.augmented_solve(op, f, factors=factors)
-    assert factors[("augmented", op)] is held
-    assert np.array_equal(first[1].values, again[1].values)
-    zero = linalg.augmented_solve(op)
-    assert zero[2] == 0 and not zero[0].values.any() and not zero[1].values.any()
-    with pytest.raises(SpaceMismatchError):
-        linalg.augmented_solve(op, Field(op.domain_space, np.ones(6)))
-    with pytest.raises(ConvergenceFailure) as err:
-        linalg.augmented_solve(op, g=Field(op.domain_space, np.ones(6)),
-                               cfg=SolverConfig(rel_tolerance=1e-18))
-    assert "target" in str(err.value)
-    assert len(err.value.residual_history) <= linalg._MAX_REFINEMENT + 1
-    dependent = SparseOperator(sp.csr_matrix(np.ones((3, 2))),
-                               uniform_space("a", 2), uniform_space("b", 3))
-    with pytest.raises(BizooError, match="not injective"):
-        linalg.augmented_solve(dependent, Field(dependent.codomain_space, np.ones(3)))
-
-
-def bmat_augmented(op):
-    """(norm bound, scale, matrix) of the augmented factor as sp.bmat and
-    sp.diags products built them before the arrays were filled directly."""
-    scaled = abs(sp.diags(np.sqrt(op.codomain_space.weights)) @ op.matrix
-                 @ sp.diags(1.0 / np.sqrt(op.domain_space.weights)))
-    bound = np.sqrt(np.asarray(scaled.sum(axis=0)).max(initial=0.0)
-                    * np.asarray(scaled.sum(axis=1)).max(initial=0.0))
-    scale = 2.0 ** round(0.5 * np.log2(bound)) if bound > 0 else 1.0
-    matrix = sp.bmat([[scale * sp.identity(op.shape[0]), op.matrix],
-                      [op.adjoint().matrix, None]], format="csc")
-    return bound, scale, matrix
-
-
-def assert_factor_matches_bmat(op, key):
-    bound, scale, expect = bmat_augmented(op)
-    factor = linalg._AugmentedLU(op, key)
-    assert factor.norm_bound == bound and factor.scale == scale, key
-    got = factor.matrix
-    assert got.format == "csc" and got.shape == expect.shape, key
-    assert np.array_equal(got.indptr, expect.indptr), key
-    assert np.array_equal(got.indices, expect.indices), key
-    assert got.data.tobytes() == expect.data.tobytes(), key
-
-
 def unpinned_first_order(op):
     """op's recorded B without its kernel's pinned columns: the injective
     B whose augmented system direct_solve's stall route refines."""
@@ -974,22 +888,3 @@ def unpinned_first_order(op):
     free[op.kernel[1]] = False
     sub = DofSpace("unpinned", int(free.sum()), op.domain_space.weights[free])
     return SparseOperator(op.first_order.matrix[:, free], sub, op.first_order.codomain_space)
-
-
-@pytest.mark.parametrize("n", [8, 16, 24])
-@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
-def test_augmented_factor_arrays_match_the_bmat_construction(shape, n):
-    cat = OperatorCatalog(build_domain(shape, n))
-    ops = {"regularized": cat.regularized.first_order,
-           "hessian unpinned": unpinned_first_order(cat.hessian_normal),
-           "hessian dirichlet": cat.hessian_dirichlet_normal.first_order}
-    if cat.domain.ring_cells(2).size:
-        ops["interior_biharmonic"] = cat.interior_biharmonic
-    assert not np.all(ops["hessian unpinned"].codomain_space.weights == cat.domain.h**2)
-    for key, op in ops.items():
-        assert_factor_matches_bmat(op, key)
-
-
-@pytest.mark.parametrize("seed", [30, 31, 32])
-def test_augmented_factor_arrays_match_on_nonuniform_weights(seed):
-    assert_factor_matches_bmat(weighted_injective(seed)[0], "weighted")

@@ -5,8 +5,10 @@ assembly loops this package used before its padded-index-image rewrite;
 the vectorised assembly must reproduce them bit for bit (indptr, indices
 as int64, data as float64, in stored order, no re-sorting).  The normal
 products and the regularized operator (NORMAL_KEYS) were recorded later,
-from weighted adjoints formed as diags(1/w_dom) @ M.T @ diags(w_cod).  A
-catalog key that raises on a domain records the exception class instead.
+from weighted adjoints formed as diags(1/w_dom) @ M.T @ diags(w_cod);
+`over`'s nested_normal and the stencil M it records were added when that
+entry was.  A catalog key that raises on a domain records the exception
+class instead.
 """
 
 import hashlib
@@ -30,7 +32,7 @@ CATALOG_KEYS = (
 # a dotted key is an attribute path: the stack B recorded on `regularized`
 NORMAL_KEYS = (
     "hessian_normal", "hessian_dirichlet_normal", "regularized",
-    "regularized.first_order",
+    "regularized.first_order", "nested_normal", "nested_normal.first_order",
 )
 
 

@@ -11,6 +11,7 @@ from bizoo import (
     StencilReachError,
     build_domain,
 )
+from bizoo import linalg
 from bizoo.operators import (
     assemble_gradient,
     assemble_hessian,
@@ -121,6 +122,31 @@ def test_interior_laplacian_is_stencil_columns():
     A = assemble_interior_laplacian(dom)
     M = five_point_zero_extension(dom)
     assert np.array_equal(A.to_dense(), M[:, dom.ring_cells(1)])
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_interior_biharmonic_is_interior_laplacian_after_nested_stencil(n):
+    # B = A M, M the 5-point stencil from depth>=2 to depth>=1 cells, the
+    # first-order operator of nested_normal; with h = 1/24, c / h^4 and the
+    # products of 1 / h^2 may differ in the last bit
+    domains = [build_domain(shape, n) for shape in ("square", "lshape", "annulus")]
+    for dom in domains + [two_piece_mask(n - 2 - n // 4, n // 4)]:
+        cat = OperatorCatalog(dom)
+        m = cat.nested_normal.first_order
+        assert m.domain_space is dom.ring_space(2) and m.codomain_space is dom.ring_space(1)
+        got = (cat.interior_laplacian.matrix @ m.matrix).tocsr()
+        want = cat.interior_biharmonic.matrix.tocsr()
+        for mat in (got, want):
+            mat.sum_duplicates()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        if n & (n - 1) == 0:
+            assert np.array_equal(got.data, want.data)
+        else:
+            assert np.allclose(got.data, want.data, rtol=2**-52, atol=0)
+        # M is injective: its normal product factors with no pinned cells
+        assert cat.nested_normal.kernel[1].size == 0
+        linalg._BandedCholesky(cat.nested_normal, cat.nested_normal.kernel[1], "nested")
 
 
 def test_annulus_8_has_no_deep_ring():
