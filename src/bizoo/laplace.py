@@ -8,8 +8,11 @@ one kind's answer.  The penalized kinds (Dirichlet, Neumann, and mixed,
 which interpolates between them through the face labels) are banded
 Cholesky solves with the kernel their catalog operator carries; the
 overdetermined and underdetermined kinds, and the harmonic defect, solve
-with one factor of the interior normal product per call, and the
-biharmonic defect with one of the 13-point normal product.
+with one factor of the interior normal product, and the biharmonic
+defect with one of the 13-point normal product.  Each kind names the one
+catalog operator its inverse factors (`factored`); `solve_laplace` and
+the zoo's rows carry those factors from one call to the next on a
+catalog (OperatorCatalog.carried_factors).
 
 Every report recomputes its residual and constraint norms from the
 returned solution (the overdetermined residual is the defect its inverse
@@ -190,9 +193,10 @@ class KindEntry:
     """One Laplacian kind: its zoo stage letter and composition name (None
     for mixed), its report's (display name, measurement id) pairs, its
     inverse (kind, catalog, values, cfg, factors) -> (values, iterations,
-    compatibility defect, discarded mass), and for the penalized kinds the
+    compatibility defect, discarded mass), for the penalized kinds the
     catalog names of their Laplacian and (chain kinds) gradient, and the
-    id measuring that Laplacian's depth-0 rows.
+    id measuring that Laplacian's depth-0 rows, and the catalog name of
+    the one operator the inverse factors (`factored`).
 
     The stage kinds carry three facts the zoo derives its rows from, as
     ranks in the nested classes L2 (0) > mean-free (1) > range of the
@@ -208,6 +212,7 @@ class KindEntry:
     operator: str | None = None
     rows: str | None = None
     gradient: str | None = None
+    factored: str | None = None
     data_rank: int | None = None
     output_rank: int | None = None
     adjoint: str | None = None
@@ -217,21 +222,21 @@ KINDS = {entry.kind: entry for entry in (
     KindEntry(LaplacianKind.DIRICHLET, "d", "dirichlet",
               (("zero trace on boundary faces", "drows_u"),),
               _penalized_inverse, "laplacian_dirichlet", "drows", "gradient_dirichlet",
-              data_rank=0, output_rank=0, adjoint="d"),
+              factored="laplacian_dirichlet", data_rank=0, output_rank=0, adjoint="d"),
     KindEntry(LaplacianKind.NEUMANN, "n", "neumann",
               (("zero flux on boundary faces", "nrows_u"),
                ("mean-free solution", "mean_u")),
               _penalized_inverse, "laplacian_neumann", "nrows", "gradient",
-              data_rank=1, output_rank=1, adjoint="n"),
+              factored="laplacian_neumann", data_rank=1, output_rank=1, adjoint="n"),
     KindEntry(LaplacianKind.MIXED, None, None, (("labeled boundary rows", "mrows_u"),),
-              _penalized_inverse, "laplacian_mixed", "mrows"),
+              _penalized_inverse, "laplacian_mixed", "mrows", factored="laplacian_mixed"),
     KindEntry(LaplacianKind.OVERDETERMINED, "c", "clamped",
               (("zero trace on boundary ring", "strip_u"),
                ("zero normal difference on boundary", "ndiff_u")), _clamped_inverse,
-              data_rank=2, output_rank=0, adjoint="f"),
+              factored="interior_normal", data_rank=2, output_rank=0, adjoint="f"),
     KindEntry(LaplacianKind.UNDERDETERMINED, "f", "free",
               (("no discrete-harmonic component", "harm_u"),), _free_inverse,
-              data_rank=0, output_rank=2, adjoint="c"),
+              factored="interior_normal", data_rank=0, output_rank=2, adjoint="c"),
 )}
 STAGES = {e.letter: e for e in KINDS.values() if e.letter}
 _ROWS = {e.rows: e for e in KINDS.values() if e.rows}
@@ -320,15 +325,16 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
     if not f.space.compatible(domain.cell_space):
         raise SpaceMismatchError("Laplacian data must live on the cell space")
     require_finite(kind.value, f)  # cells no solve reads still enter the report
-    factors = {}  # the harmonic-defect measurement reuses the solve's factor
-    u, iterations, defect, lost = invert_laplacian(kind, catalog, f.values, cfg, factors)
-    # the overdetermined defect is |f - A x| on all cells, x the preimage u pads
-    pde = (defect if kind is LaplacianKind.OVERDETERMINED
-           else interior_residual_norm(catalog, u, f.values))
-    constraints = {
-        name: measure_constraint(mid, catalog, u, f.values, None, cfg, factors)
-        for name, mid in KINDS[kind].constraints
-    }
+    # the harmonic-defect measurement reuses the solve's factor
+    with catalog.carried_factors((KINDS[kind].factored,)) as factors:
+        u, iterations, defect, lost = invert_laplacian(kind, catalog, f.values, cfg, factors)
+        # the overdetermined defect is |f - A x| on all cells, x the preimage u pads
+        pde = (defect if kind is LaplacianKind.OVERDETERMINED
+               else interior_residual_norm(catalog, u, f.values))
+        constraints = {
+            name: measure_constraint(mid, catalog, u, f.values, None, cfg, factors)
+            for name, mid in KINDS[kind].constraints
+        }
     return LaplaceSolveReport(
         kind, Field(domain.cell_space, u), pde, constraints,
         compatibility_defect=defect, discarded_ring_mass=lost,

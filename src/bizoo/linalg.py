@@ -17,7 +17,8 @@ stalls, direct_solve finishes on the same factor by refining the
 augmented system [[I, B], [B*, 0]] of the B the operator records
 (corrected seminormal equations; with no B, the solve fails).  Every
 inversion in the package is such a banded factor; no solve path runs CG
-or a sparse LU.  A caller-owned dict lets several solves share a factor.
+or a sparse LU.  A caller-owned dict lets several solves, and an
+eigensolve, share a factor.
 `cg_solve` and `deflated_cg_solve` are conjugate gradients, stopped when
 the true residual stagnates; `normal_cg_solve` runs them on the normal
 equations.
@@ -462,22 +463,35 @@ class _BandedCholesky:
 def _lower_band(op: SparseOperator, pinned: np.ndarray) -> np.ndarray:
     """Lower band of W A in LAPACK's lower banded layout, read straight
     off the CSR arrays, with each pinned cell's row and column replaced
-    by the identity's."""
+    by the identity's.  The row and diagonal indices stay in the CSR
+    index dtype, and each temporary the size of the matrix is dropped
+    once read: the band is the one array the factor keeps."""
     w = op.domain_space.weights
     mat = op.matrix
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     cols = mat.indices
+    rows = np.repeat(np.arange(w.size, dtype=cols.dtype), np.diff(mat.indptr))
     keep = cols <= rows
     if pinned.size:
         free = np.ones(w.size, dtype=bool)
         free[pinned] = False
-        keep &= free[rows] & free[cols]
-    rows, cols = rows[keep], cols[keep]
-    diag = rows - cols
-    width = int(diag.max(initial=0)) + 1
-    # summed at their flat Fortran index: a hand-built CSR matrix may hold
-    # duplicate entries
-    band = np.bincount(cols * width + diag, weights=w[rows] * mat.data[keep],
+        keep &= free[rows]
+        keep &= free[cols]
+    kept = np.flatnonzero(keep)
+    del keep
+    rows, cols = rows[kept], cols[kept]
+    values = w[rows]
+    values *= mat.data[kept]
+    del kept
+    rows -= cols  # now each entry's diagonal
+    width = int(rows.max(initial=0)) + 1
+    # summed at their flat Fortran index, in bincount's own index dtype: a
+    # hand-built CSR matrix may hold duplicate entries
+    flat = cols.astype(np.intp)
+    del cols
+    flat *= width
+    flat += rows
+    del rows
+    band = np.bincount(flat, weights=values,
                        minlength=w.size * width).reshape(w.size, width).T
     band[0, pinned] = 1.0
     return band
@@ -692,6 +706,7 @@ def smallest_eigenpairs(
     op: SparseOperator,
     count: int,
     cfg: SolverConfig | None = None,
+    factors: dict | None = None,
 ):
     """Smallest eigenpairs of a selfadjoint PSD endomorphism.
 
@@ -716,6 +731,9 @@ def smallest_eigenpairs(
     Eigenvectors come back weighted-orthonormal with the largest-magnitude
     entry positive; each satisfies
     |op v - lambda v| <= max(tol * lambda, 1e-11 * max |diag op|).
+    Given a `factors` dict, the factor is looked up there by operator and
+    stored on first use, as direct_solve does, so a later solve of op
+    reuses it.
     """
     if not op.domain_space.compatible(op.codomain_space):
         raise SpaceMismatchError("eigensolve needs an endomorphism")
@@ -740,7 +758,10 @@ def smallest_eigenpairs(
     def deflate(v):
         return v - kt @ (kt.T @ v) if kt.size else v
 
-    factor = _BandedCholesky(op, pinned, "eigensolve")
+    factors = {} if factors is None else factors
+    if op not in factors:
+        factors[op] = _BandedCholesky(op, pinned, "eigensolve")
+    factor = factors[op]
 
     def apply_inverse(v):
         return deflate(s * factor.solve(deflate(np.ravel(v)) / s))

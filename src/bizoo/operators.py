@@ -25,8 +25,11 @@ table of each cell's rows by its stencil variants.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import threading
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -352,6 +355,12 @@ def _with_kernel(op: SparseOperator, kernel=None) -> SparseOperator:
     return op
 
 
+# the one catalog that holds carried factors (OperatorCatalog.carried_factors),
+# by weak reference, and the lock that swaps it
+_HOLDER_LOCK = threading.Lock()
+_holder = None
+
+
 def _cached(build):
     """A catalog entry: a property that calls build(catalog) on first
     access and keeps the result in catalog._cache under build's name."""
@@ -381,11 +390,45 @@ class OperatorCatalog:
     each piece, which its normal product shares; the Dirichlet gradient
     and Laplacian, both interior stencils, the nested stencil M and the
     curl adjoint are injective.
+
+    A solve's banded factors carry over to the next solve on the catalog
+    (carried_factors), and at most one catalog in the process holds any.
     """
 
     def __init__(self, domain: GridDomain):
         self.domain = domain
         self._cache = {}
+        self._factors = {}  # carried factors, by operator
+
+    @contextlib.contextmanager
+    def carried_factors(self, names):
+        """The factors dict (linalg.direct_solve) of one solve that factors
+        the catalog entries `names`, seeded with the carried factors of
+        those entries whose pins are still their operator's.
+
+        Every other carried factor is dropped on entry, before the solve
+        assembles or factors anything, and so is every factor another
+        catalog carries: one catalog at a time holds factors.  A solve that
+        returns leaves its dict carried; one that raises leaves nothing.
+        """
+        wanted = {self._cache.get(name) for name in names}
+        factors = {op: factor for op, factor in self._swap_factors({}).items()
+                   if op in wanted
+                   and np.array_equal(factor.pinned, (op.kernel or ((), ()))[1])}
+        yield factors
+        self._swap_factors(factors)
+
+    def _swap_factors(self, factors: dict) -> dict:
+        """Carry `factors` here and none on any other catalog; returns what
+        this catalog carried."""
+        global _holder
+        with _HOLDER_LOCK:
+            held = _holder() if _holder is not None else None
+            if held is not None and held is not self:
+                held._factors = {}
+            _holder = weakref.ref(self)
+            carried, self._factors = self._factors, factors
+        return carried
 
     @_cached
     def _constants(self):

@@ -16,8 +16,9 @@ solves go through one pinned banded Cholesky factor of that normal
 operator (linalg.direct_solve), held in the pair's `factors` dict; a pair
 and its swap share normal operators, so kernels, and factors.  The best
 constants come from linalg.smallest_eigenpairs on the kernel's
-complement: Lanczos through a factor of the normal operator pinned the
-same way.  A kernel hint that misses part of the kernel leaves a zero
+complement: Lanczos through the same factor, kept in the same dict, so a
+pair that is both eigensolved and projected factors its normal operator
+once.  A kernel hint that misses part of the kernel leaves a zero
 eigenvalue or a singular factor and is refused as incomplete.
 """
 
@@ -179,7 +180,7 @@ def best_constant(pair: DualPair, check_swapped: bool = False,
     """
     if pair._constant is None:
         pair.kernel_basis("forward")
-        lam = smallest_eigenpairs(pair.normal("forward"), 1, cfg)[0][0]
+        lam = smallest_eigenpairs(pair.normal("forward"), 1, cfg, pair.factors)[0][0]
         pair._constant = 1.0 / np.sqrt(lam)
     if check_swapped:
         other = best_constant(pair.swapped(), False, cfg)

@@ -128,10 +128,9 @@ def constants_audit(catalog_or_domain, cfg: SolverConfig | None = None) -> dict:
     on a catalog or on a domain (given a domain, a fresh catalog)."""
     catalog = _as_catalog(catalog_or_domain)
     domain = catalog.domain
-    dirichlet_pair = make_pair(catalog.gradient_dirichlet)
-    neumann_pair = make_pair(catalog.gradient)
-    c_f = float(best_constant(dirichlet_pair, cfg=cfg))
-    c_p = float(best_constant(neumann_pair, cfg=cfg))
+    # each pair, and the factor it keeps, is dropped before the next is made
+    c_f = float(best_constant(make_pair(catalog.gradient_dirichlet), cfg=cfg))
+    c_p = float(best_constant(make_pair(catalog.gradient), cfg=cfg))
     d = float(domain.diameter)
     return {
         "c_f_h": c_f,

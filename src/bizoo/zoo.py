@@ -22,7 +22,10 @@ constrained, unconstrained) complete the solvable family.  Three more
 rows share the table without being compositions of that classification:
 the regularized free bilaplacian and the Neumann and Dirichlet Hessian
 normal products.  Every row names its stage solver and its constraints;
-`solve_zoo` alone solves, measures and reports each of them.
+`solve_zoo` alone solves, measures and reports each of them.  A row also
+names the catalog operators whose banded factors its solve shares
+(`factored`), and those carry to the next solve on the same catalog
+(OperatorCatalog.carried_factors).
 
 Sign convention: all stage operators are negative Laplacians, so the two
 signs cancel and the intermediate stage field equals minus the solution's
@@ -152,6 +155,16 @@ def _hessian_dirichlet(prob, catalog, f, cfg, factors):
     return u, None, res.residual_norm, 0.0, lost, res.iterations, extras
 
 
+# the catalog operators whose factors each one-sided solver keeps in the
+# shared dict, which carries to the next solve; every other factor a row
+# builds (the Hessian rows', regularized's, the clamped reference's, over's
+# range defect's) stays private and dies with its solve
+_SHARED_FACTORS = {
+    _doubly_constrained: (STAGES["c"].factored, "nested_normal"),
+    _unconstrained: ("biharmonic_normal",),
+}
+
+
 @dataclass(frozen=True)
 class ZooProblem:
     label: str
@@ -169,6 +182,14 @@ class ZooProblem:
     @property
     def composition(self) -> str:
         return self.title or f"{STAGES[self.first].stage} * {STAGES[self.second].stage}"
+
+    @property
+    def factored(self) -> tuple:
+        """Catalog names of the operators whose factors a solve of this
+        row keeps in its shared dict: a composition's two stages'."""
+        if self.solver is _two_stages:
+            return STAGES[self.first].factored, STAGES[self.second].factored
+        return _SHARED_FACTORS.get(self.solver, ())
 
 
 # report name of every measurement id a row lists (laplace.measure_constraint)
@@ -335,14 +356,15 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
     require_finite(prob.label, f)  # cells no solve reads still enter the report
 
     start = time.perf_counter()
-    factors = {}  # shared by the stages and constraint measurements below
-    u, w, pde, defect, lost, iterations, extras = prob.solver(
-        prob, catalog, f, cfg, factors
-    )
-    constraints = {
-        name: _measure_constraint(mid, catalog, u, w, f.values, cfg, factors)
-        for name, mid in prob.constraints
-    }
+    # shared by the stages and constraint measurements below, and carried
+    with catalog.carried_factors(prob.factored) as factors:
+        u, w, pde, defect, lost, iterations, extras = prob.solver(
+            prob, catalog, f, cfg, factors
+        )
+        constraints = {
+            name: _measure_constraint(mid, catalog, u, w, f.values, cfg, factors)
+            for name, mid in prob.constraints
+        }
     elapsed = (time.perf_counter() - start) * 1000.0
     return BiharmonicSolveReport(
         prob.label,

@@ -21,7 +21,7 @@ from bizoo import (
     solve_laplace,
     solve_zoo,
 )
-from bizoo import laplace, zoo
+from bizoo import laplace, linalg, zoo
 from bizoo.laplace import (
     clamped_preimage,
     harmonic_defect,
@@ -237,6 +237,26 @@ def test_every_kind_reproduces_its_recorded_report(shape):
         key = f"laplace/{shape}/{kind}"
         _assert_report_matches(laplace_report(solve_laplace(kind, cat, f)),
                                golden[key], key)
+
+
+def test_solve_laplace_carries_its_factor_to_the_next_solve(monkeypatch):
+    # each kind's second solve, and a zoo row on the same operator, reuse
+    # the factor the solve before carried; the answer is the fresh one's
+    cat = catalog("lshape", 12)
+    built = []
+    init = linalg._BandedCholesky.__init__
+    monkeypatch.setattr(linalg._BandedCholesky, "__init__",
+                        lambda self, op, *a: built.append(op) or init(self, op, *a))
+    for kind, data_space, row in (("dirichlet", "L2", "d_d"),
+                                  ("neumann", "L2_mean_free", "n_n"),
+                                  ("underdetermined", "L2", "f_f")):
+        f = compatible_data(cat, data_space, seed=4)
+        del built[:]
+        first = solve_laplace(kind, cat, f).solution.values
+        again = solve_laplace(kind, cat, f).solution.values
+        solve_zoo(row, cat, f)
+        assert built == [getattr(cat, laplace.KINDS[LaplacianKind(kind)].factored)]
+        assert again.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("shape,n,kw", [

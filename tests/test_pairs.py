@@ -18,6 +18,7 @@ from bizoo import (
     project_range,
     reduced_solve,
 )
+from bizoo import linalg
 from bizoo import pairs as pairs_module
 from bizoo.grid import DofSpace
 from bizoo.pairs import DENSE_SVD_LIMIT, _discover_kernel
@@ -130,6 +131,34 @@ def test_swapped_pair_shares_hints(monkeypatch):
     assert hess.kernel_basis("forward") is hess.swapped().kernel_basis("adjoint")
     assert hess.swapped().kernel_basis("forward") is hess.kernel_basis("adjoint")
     assert calls == [hess.forward, hess.adjoint]
+
+
+@pytest.mark.parametrize("shape", ["square", "annulus"])
+def test_an_eigensolved_pair_projects_on_the_same_factor(monkeypatch, shape):
+    # best_constant keeps the factor of the normal operator in the pair's
+    # dict, so the range projections and a swapped best constant that
+    # follow build none; the answers are those of a fresh pair's
+    cat = OperatorCatalog(build_domain(shape, 12))
+    edges = cat.gradient.codomain_space
+    g = Field(edges, rng(5).normal(size=edges.dim))
+    fresh_inside, _ = project_range(make_pair(cat.gradient), g)
+    built = []
+    init = linalg._BandedCholesky.__init__
+
+    def counting(self, op, pinned, name):
+        built.append(op)
+        init(self, op, pinned, name)
+
+    monkeypatch.setattr(linalg._BandedCholesky, "__init__", counting)
+    pair = make_pair(cat.gradient)
+    c = best_constant(pair, check_swapped=shape == "square")
+    assert built == [pair.normal("forward")] + [pair.normal("adjoint")] * (shape == "square")
+    inside, _ = project_range(pair, g)
+    project_range(pair, inside)
+    assert len(built) == 1 + (shape == "square")
+    assert list(pair.factors) == built
+    assert inside.values.tobytes() == fresh_inside.values.tobytes()
+    assert c == best_constant(make_pair(cat.gradient))
 
 
 def test_project_range_reproduces_dense_svd_projector():

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -728,8 +729,9 @@ def test_one_sided_problems_recover_their_preimage(shape, n):
 @pytest.mark.parametrize("shape,n", ONE_SIDED_GRIDS)
 def test_under_solves_on_one_banded_factor(monkeypatch, shape, n):
     # the minimum-norm u = B x of B* u = g comes from one banded factor of
-    # B* B, shared by the solve and its biharmonic-defect check, and
-    # agrees with the r of the augmented system's LU.  The stop bounds B* u's
+    # B* B, shared by the solve and its biharmonic-defect check and carried
+    # into the second solve on the catalog, which builds none, and agrees
+    # with the r of the augmented system's LU.  The stop bounds B* u's
     # residual, not u's error: the agreement reads 9.6e-11 on the square's
     # n=32 noise, and up to 1.4e-10 on other seeds where one solve stops
     cat = OperatorCatalog(build_domain(shape, n))
@@ -740,10 +742,10 @@ def test_under_solves_on_one_banded_factor(monkeypatch, shape, n):
     noise = Field(space, np.random.default_rng(n + 1).normal(size=dom.n_cells))
     banded = _count_factors(monkeypatch, linalg._BandedCholesky)
     reference = augmented_reference(b)
-    for g in (smooth, noise):
+    for g, built in ((smooth, 1), (noise, 0)):
         del banded[:]
         rep = solve_zoo("under", cat, g)
-        assert len(banded) == 1 and banded[0][0] is cat.biharmonic_normal
+        assert [args[0] for args in banded] == [cat.biharmonic_normal] * built
         u = rep.solution.values
         assert rep.pde_residual_norm <= 1e-10 * g.norm()
         assert rep.constraint_norms["u has no discrete-biharmonic component"] \
@@ -751,6 +753,114 @@ def test_under_solves_on_one_banded_factor(monkeypatch, shape, n):
         assert rep.iterations <= 3
         r = reference(g=g.values[dom.ring_cells(2)])[0]
         assert space.norm(u - r) <= 1e-10 * space.norm(r)
+
+
+SOLVABLE = WELL_POSED + ("regularized", "hessian_neumann", "hessian_dirichlet")
+# each row after the first, with the catalog operators it factors that the
+# row before it leaves uncarried: a row carries its stages' factors (over:
+# the clamped stage's and nested_normal; under: biharmonic_normal), and
+# over's range-defect factor of biharmonic_normal stays its own
+CARRY_SEQUENCE = (
+    ("d_f", ("laplacian_dirichlet", "interior_normal")),
+    ("f_d", ()),
+    ("n_f", ("laplacian_neumann",)),
+    ("n_n", ()),
+    ("over", ("interior_normal", "nested_normal", "biharmonic_normal")),
+    ("over", ("biharmonic_normal",)),
+    ("under", ("biharmonic_normal",)),
+    ("c_f", ("interior_normal",)),
+)
+
+
+@pytest.mark.parametrize("shape", ["square", "annulus"])
+def test_a_solve_reuses_the_factors_the_solve_before_it_carried(monkeypatch, shape):
+    cat = OperatorCatalog(build_domain(shape, 16))
+    built = _count_factors(monkeypatch, linalg._BandedCholesky)
+    for label, fresh in CARRY_SEQUENCE:
+        del built[:]
+        f = compatible_data(cat, resolve_problem(label).data_space, seed=3)
+        solve_zoo(label, cat, f)
+        names = {id(op): name for name, op in cat._cache.items()}
+        assert sorted(names[id(args[0])] for args in built) == sorted(fresh), label
+        assert set(map(id, cat._factors)) == {
+            id(getattr(cat, name)) for name in resolve_problem(label).factored}, label
+
+
+def test_a_solve_on_another_catalog_empties_the_first(cat8):
+    first = OperatorCatalog(build_domain("square", 8))
+    solve_zoo("d_f", first, compatible_data(first, "L2", seed=4))
+    assert len(first._factors) == 2
+    solve_zoo("n_n", cat8, compatible_data(cat8, "L2_mean_free", seed=4))
+    assert first._factors == {}
+    assert list(cat8._factors) == [cat8.laplacian_neumann]
+    solve_zoo("d_d", first, compatible_data(first, "L2", seed=4))
+    assert cat8._factors == {} and list(first._factors) == [first.laplacian_dirichlet]
+
+
+def test_a_solve_that_raises_carries_nothing(cat16):
+    solve_zoo("f_c", cat16, compatible_data(cat16, "L2", seed=5))
+    assert list(cat16._factors) == [cat16.interior_normal]
+    # c_f's first stage gates the data on the carried factor, and refuses it
+    with pytest.raises(CompatibilityError):
+        solve_zoo("c_f", cat16, compatible_data(cat16, "L2", seed=5))
+    assert cat16._factors == {}
+
+
+def test_a_collected_catalog_takes_its_factors_with_it():
+    cat = OperatorCatalog(build_domain("lshape", 16))
+    solve_zoo("n_f", cat, compatible_data(cat, "L2_mean_free", seed=6))
+    factors = [weakref.ref(factor) for factor in cat._factors.values()]
+    assert len(factors) == 2
+    held = weakref.ref(cat)
+    del cat
+    gc.collect()
+    assert held() is None and all(ref() is None for ref in factors)
+
+
+def test_private_factors_are_never_carried(monkeypatch, cat16):
+    # the Hessian rows', regularized's and the clamped reference's factors
+    # live for their own solve: each row drops the factors carried before
+    # it and carries none
+    built = _count_factors(monkeypatch, linalg._BandedCholesky)
+    for label in ("regularized", "hessian_neumann", "hessian_dirichlet"):
+        solve_zoo("c_d", cat16, compatible_data(cat16, "L2_no_harmonic", seed=7))
+        assert len(cat16._factors) == 2
+        del built[:]
+        solve_zoo(label, cat16, compatible_data(cat16, resolve_problem(label).data_space, 7))
+        assert len(built) == 1 + (label == "hessian_dirichlet"), label
+        assert cat16._factors == {}, label
+    assert built[1][0] is cat16.interior_normal  # the clamped reference
+
+
+def test_a_carried_factor_whose_pins_changed_is_rebuilt(monkeypatch, cat8):
+    op = cat8.laplacian_neumann
+    f = compatible_data(cat8, "L2_mean_free", seed=8)
+    first = solve_zoo("n_n", cat8, f).solution.values
+    built = _count_factors(monkeypatch, linalg._BandedCholesky)
+    basis, pinned = op.kernel
+    monkeypatch.setattr(op, "kernel", (basis, (pinned + 1) % cat8.domain.n_cells))
+    again = solve_zoo("n_n", cat8, f).solution.values
+    assert [args[0] for args in built] == [op]  # one factor, for both stages
+    assert np.allclose(again, first, rtol=0, atol=1e-10 * np.abs(first).max())
+
+
+@pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
+def test_a_warm_catalog_answers_bit_for_bit_as_a_fresh_one(shape):
+    # every solvable row, in table order and back on one catalog: the
+    # reports without their wall times and the solution bytes equal a
+    # fresh catalog's
+    def solved(cat, label):
+        f = compatible_data(cat, resolve_problem(label).data_space, seed=9)
+        rep = solve_zoo(label, cat, f)
+        report = rep.to_dict()
+        del report["wall_time_ms"]
+        return report, rep.solution.values.tobytes()
+
+    domain = build_domain(shape, 16)
+    fresh = {label: solved(OperatorCatalog(domain), label) for label in SOLVABLE}
+    warm = OperatorCatalog(domain)
+    for label in SOLVABLE + SOLVABLE[::-1]:
+        assert solved(warm, label) == fresh[label], label
 
 
 def test_under_answers_at_n192():
