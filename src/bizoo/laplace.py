@@ -10,9 +10,10 @@ Cholesky solves with the kernel their catalog operator carries; the
 overdetermined and underdetermined kinds, and the harmonic defect, solve
 with one factor of the interior normal product, and the biharmonic
 defect with one of the 13-point normal product.  Each kind names the one
-catalog operator its inverse factors (`factored`); `solve_laplace` and
-the zoo's rows carry those factors from one call to the next on a
-catalog (OperatorCatalog.carried_factors).
+catalog operator its inverse factors (`factored`).  Every direct solve
+here reads its factors dict from the catalog's solve session
+(OperatorCatalog.solve_session), which carries the declared factors to
+the next call; outside a session, a helper factors privately.
 
 Every report recomputes its residual and constraint norms from the
 returned solution (the overdetermined residual is the defect its inverse
@@ -96,51 +97,50 @@ def boundary_row_residual(domain: GridDomain, op, u: np.ndarray,
     return strip_norm(domain, r, 0)
 
 
-def _range_defect(normal, values: np.ndarray, passes: int, cfg: SolverConfig | None,
-                  factors: dict | None, name: str):
+def _range_defect(catalog: OperatorCatalog, normal, values: np.ndarray, passes: int,
+                  cfg: SolverConfig | None, name: str):
     """Distance of a cell field from the range of B = normal.first_order,
     and the projection u = B x onto it: direct_solve(min_norm=True) on
-    normal's banded factor (`factors` is passed on) refines u against
-    B* u = B* values, whose rounding floor grows with B's conditioning,
-    not B* B's.  Each pass after the first projects B* (values - u)."""
+    normal's banded factor refines u against B* u = B* values, whose
+    rounding floor grows with B's conditioning, not B* B's.  Each pass
+    after the first projects B* (values - u)."""
     adjoint = normal.first_order.adjoint()
     rhs = adjoint.apply_raw(values)
     inside = 0.0
     for step in range(passes):
         data = rhs - adjoint.apply_raw(inside) if step else rhs
         inside = inside + direct_solve(normal, Field(normal.domain_space, data), cfg,
-                                       min_norm=True, factors=factors, name=name).field.values
+                                       min_norm=True, factors=catalog.solve_factors,
+                                       name=name).field.values
     return normal.first_order.codomain_space.norm(values - inside), inside
 
 
 def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
-                    cfg: SolverConfig | None = None, factors: dict | None = None):
+                    cfg: SolverConfig | None = None):
     """Distance from the range of the interior stencil A, whose orthogonal
     complement the discrete harmonics span, and the projection onto that
     range, in one pass (_range_defect)."""
-    return _range_defect(catalog.interior_normal, values, 1, cfg, factors, "harmonic defect")
+    return _range_defect(catalog, catalog.interior_normal, values, 1, cfg, "harmonic defect")
 
 
 def clamped_preimage(catalog: OperatorCatalog, values: np.ndarray,
-                     cfg: SolverConfig | None, factors: dict | None = None,
-                     normal=None):
+                     cfg: SolverConfig | None, normal=None):
     """direct_solve's result x of B* B x = B* values, B the first-order
     operator of `normal` (by default catalog.interior_normal, whose B is
-    the interior stencil): the ungated least-squares preimage; `factors`
-    is passed on to direct_solve."""
+    the interior stencil): the ungated least-squares preimage."""
     k = normal or catalog.interior_normal
     rhs = Field(k.domain_space, k.first_order.adjoint().apply_raw(values))
-    return direct_solve(k, rhs, cfg, factors=factors, name="clamped preimage")
+    return direct_solve(k, rhs, cfg, factors=catalog.solve_factors, name="clamped preimage")
 
 
 def biharmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
-                      cfg: SolverConfig | None = None, factors: dict | None = None):
+                      cfg: SolverConfig | None = None):
     """Same as harmonic_defect for the 13-point interior stencil B, in two
     passes on the factor of B* B (catalog.biharmonic_normal): a stop on
     the residual of B* u = B* values bounds the projection's own error
     only up to B's conditioning, about n^4, and the second pass leaves a
     field of B's range with a defect at rounding level."""
-    return _range_defect(catalog.biharmonic_normal, values, 2, cfg, factors, "biharmonic defect")
+    return _range_defect(catalog, catalog.biharmonic_normal, values, 2, cfg, "biharmonic defect")
 
 
 def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
@@ -160,31 +160,32 @@ def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
 
 # -- the five kinds ---------------------------------------------------------------
 
-def _clamped_inverse(kind, catalog, values, cfg, factors):
+def _clamped_inverse(kind, catalog, values, cfg):
     domain = catalog.domain
     compatibility_gate(
-        harmonic_defect(catalog, values, cfg, factors)[0],
+        harmonic_defect(catalog, values, cfg)[0],
         domain.cell_space.norm(values), "discrete harmonics",
         "data has a discrete-harmonic component of relative size "
         "{rel:.3e}; the doubly constrained solve needs data in the "
         "interior stencil's range",
     )
-    x = clamped_preimage(catalog, values, cfg, factors).field.values
+    x = clamped_preimage(catalog, values, cfg).field.values
     defect = domain.cell_space.norm(values - catalog.interior_laplacian.apply_raw(x))
     return catalog.pad1.apply_raw(x), 0, defect, 0.0
 
 
-def _free_inverse(kind, catalog, values, cfg, factors):
+def _free_inverse(kind, catalog, values, cfg):
     k, domain = catalog.interior_normal, catalog.domain
     res = direct_solve(k, Field(k.domain_space, values[domain.ring_cells(1)]), cfg,
-                       min_norm=True, factors=factors, name="minimum-norm laplacian")
+                       min_norm=True, factors=catalog.solve_factors,
+                       name="minimum-norm laplacian")
     return res.field.values, res.iterations, 0.0, strip_norm(domain, values, 0)
 
 
-def _penalized_inverse(kind, catalog, values, cfg, factors):
+def _penalized_inverse(kind, catalog, values, cfg):
     res = direct_solve(getattr(catalog, KINDS[kind].operator),
                        Field(catalog.domain.cell_space, values), cfg,
-                       factors=factors, name=f"{kind.value} laplacian")
+                       factors=catalog.solve_factors, name=f"{kind.value} laplacian")
     return res.field.values, res.iterations, res.compatibility_defect, 0.0
 
 
@@ -192,7 +193,7 @@ def _penalized_inverse(kind, catalog, values, cfg, factors):
 class KindEntry:
     """One Laplacian kind: its zoo stage letter and composition name (None
     for mixed), its report's (display name, measurement id) pairs, its
-    inverse (kind, catalog, values, cfg, factors) -> (values, iterations,
+    inverse (kind, catalog, values, cfg) -> (values, iterations,
     compatibility defect, discarded mass), for the penalized kinds the
     catalog names of their Laplacian and (chain kinds) gradient, and the
     id measuring that Laplacian's depth-0 rows, and the catalog name of
@@ -245,7 +246,7 @@ _ROWS = {e.rows: e for e in KINDS.values() if e.rows}
 # -- solves ---------------------------------------------------------------------
 
 def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
-                     cfg: SolverConfig | None, factors: dict | None = None):
+                     cfg: SolverConfig | None):
     """Apply one of the five Laplacian inverses (KINDS) to a cell field.
 
     Returns (values, iterations, compatibility defect, discarded mass).
@@ -254,20 +255,20 @@ def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
     of the two refined solves it makes, so its iterations are 0.  The
     underdetermined one returns the minimum-norm preimage and discards the
     boundary ring data.  The penalized kinds solve with the kernel their
-    catalog operator carries.  `factors` is passed on to direct_solve.
+    catalog operator carries.
     """
     kind = LaplacianKind(kind)
-    return KINDS[kind].inverse(kind, catalog, values, cfg, factors)
+    return KINDS[kind].inverse(kind, catalog, values, cfg)
 
 
 def invert_stages(letters: str, catalog: OperatorCatalog, values: np.ndarray,
-                  cfg: SolverConfig | None, factors: dict | None = None) -> tuple:
+                  cfg: SolverConfig | None) -> tuple:
     """invert_laplacian through the stages the zoo letters name, first
     inverted first, each stage's values the next one's data.  Returns
     invert_laplacian's four outputs, each as a tuple over the stages."""
     out = []
     for letter in letters:
-        out.append(invert_laplacian(STAGES[letter].kind, catalog, values, cfg, factors))
+        out.append(invert_laplacian(STAGES[letter].kind, catalog, values, cfg))
         values = out[-1][0]
     return tuple(zip(*out))
 
@@ -281,7 +282,7 @@ def _energy(catalog: OperatorCatalog, u: np.ndarray) -> float:
 
 def measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
                        w: np.ndarray | None, f: np.ndarray | None,
-                       cfg: SolverConfig | None, factors: dict) -> float:
+                       cfg: SolverConfig | None) -> float:
     """One constraint norm.  mid is <measurement>_<stage>: stage u measures
     the solution, whose data is the laplacian stage w; stage w measures w,
     whose data is f.  A second-order solve passes its data as w."""
@@ -300,9 +301,9 @@ def measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
     if measurement == "mean":
         return mean_defect(domain, v)
     if measurement == "harm":
-        return harmonic_defect(catalog, v, cfg, factors)[0]
+        return harmonic_defect(catalog, v, cfg)[0]
     if measurement == "biharm":
-        return biharmonic_defect(catalog, v, cfg, factors)[0]
+        return biharmonic_defect(catalog, v, cfg)[0]
     if measurement == "affine":  # orthogonality to the Hessian's kernel
         space = domain.cell_space
         return max(abs(space.inner(v, b)) for b in catalog.hessian_normal.kernel[0])
@@ -326,13 +327,13 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         raise SpaceMismatchError("Laplacian data must live on the cell space")
     require_finite(kind.value, f)  # cells no solve reads still enter the report
     # the harmonic-defect measurement reuses the solve's factor
-    with catalog.carried_factors((KINDS[kind].factored,)) as factors:
-        u, iterations, defect, lost = invert_laplacian(kind, catalog, f.values, cfg, factors)
+    with catalog.solve_session((KINDS[kind].factored,)):
+        u, iterations, defect, lost = invert_laplacian(kind, catalog, f.values, cfg)
         # the overdetermined defect is |f - A x| on all cells, x the preimage u pads
         pde = (defect if kind is LaplacianKind.OVERDETERMINED
                else interior_residual_norm(catalog, u, f.values))
         constraints = {
-            name: measure_constraint(mid, catalog, u, f.values, None, cfg, factors)
+            name: measure_constraint(mid, catalog, u, f.values, None, cfg)
             for name, mid in KINDS[kind].constraints
         }
     return LaplaceSolveReport(

@@ -17,8 +17,8 @@ stalls, direct_solve finishes on the same factor by refining the
 augmented system [[I, B], [B*, 0]] of the B the operator records
 (corrected seminormal equations; with no B, the solve fails).  Every
 inversion in the package is such a banded factor; no solve path runs CG
-or a sparse LU.  A caller-owned dict lets several solves, and an
-eigensolve, share a factor.
+or a sparse LU.  Solves and eigensolves share factors through a dict: a
+catalog's solve session's (OperatorCatalog.solve_factors) or a pair's.
 `cg_solve` and `deflated_cg_solve` are conjugate gradients, stopped when
 the true residual stagnates; `normal_cg_solve` runs them on the normal
 equations.
@@ -535,6 +535,16 @@ def piecewise_affine(space: DofSpace, labels: np.ndarray, centers: np.ndarray):
     return basis, pivoted_pins(basis)
 
 
+def _factor(op: SparseOperator, factors: dict | None, build) -> _BandedCholesky:
+    """op's factor in a `factors` dict, looked up by operator and stored
+    there by build() on first use, so the dict's owner decides how long it
+    lives; with none, build()'s factor is private to the call."""
+    factors = {} if factors is None else factors
+    if op not in factors:
+        factors[op] = build()
+    return factors[op]
+
+
 def direct_solve(
     op: SparseOperator,
     b: Field,
@@ -551,8 +561,8 @@ def direct_solve(
     pinned cells on which no nonzero kernel vector vanishes everywhere,
     as many as the kernel has dimensions (the catalog sets the constants
     on each piece; piecewise_affine builds the affine functions;
-    pivoted_pins pins any basis).  The data is gated and projected as in
-    deflated_cg_solve, the pinned cells are held at zero for the
+    pivoted_pins pins any basis).  The data's kernel part is projected out
+    and gated (_gate_kernel), the pinned cells are held at zero for the
     factorization and the solution comes back orthogonal to the kernel.
     A kernel the pinned cells leave incomplete makes the factor singular
     and raises BizooError; so does no kernel (None, factored with no
@@ -574,9 +584,7 @@ def direct_solve(
     the attained and target residuals.  Refinement starts from zero, so
     `iterations` counts every solve with the factor, the first one
     included, the augmented route's too: at most 2 (_MAX_REFINEMENT + 1).
-    Given a `factors` dict, the factor is looked up there by operator and
-    stored on first use, so the caller decides how long it lives; a
-    stalled solve stores nothing more.
+    The factor comes from `factors` (_factor); the stall route adds none.
     """
     if not op.domain_space.compatible(op.codomain_space):
         raise SpaceMismatchError("direct_solve needs an endomorphism")
@@ -600,10 +608,7 @@ def direct_solve(
     y = x if lift is None else np.zeros(out_space.dim)
     iterations = 0
     if history[0] > 0.0:
-        factors = {} if factors is None else factors
-        if op not in factors:
-            factors[op] = _BandedCholesky(op, pinned, name)
-        factor = factors[op]
+        factor = _factor(op, factors, lambda: _BandedCholesky(op, pinned, name))
         r = rhs
         while True:
             d = _project_out(space, factor.solve(r), basis)
@@ -652,7 +657,8 @@ def _stalled_normal_solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig
     whose pins hold dy at zero there, so F is the factor of B* B with
     those columns dropped.  It converges while eps cond(B)^2 << 1, and
     stops on the larger of |s| / |r| and |t| / |rhs|, with rhs's pinned
-    entries dropped (_augmented_converged).  Returns (y, r, corrections):
+    entries dropped, at cfg.rel_tolerance, or raises ConvergenceFailure
+    once it stalls or passes the step cap.  Returns (y, r, corrections):
     y projected off the kernel, and r = B y the minimum-norm solution of
     B* r = rhs."""
     b, space = op.first_order, op.domain_space
@@ -676,28 +682,17 @@ def _stalled_normal_solve(op: SparseOperator, rhs: np.ndarray, cfg: SolverConfig
         s, t = b.apply_raw(y) - r, unmet(r)
         history.append(max(b.codomain_space.norm(s) / b.codomain_space.norm(r),
                            space.norm(t) / space.norm(g)))
-        if _augmented_converged(history, cfg, name):
+        if history[-1] <= cfg.rel_tolerance:
             basis = op.kernel[0] if op.kernel else []
             return _project_out(space, y, basis), r, len(history)
-
-
-def _augmented_converged(history, cfg: SolverConfig, name: str) -> bool:
-    """The stop of the stall route's augmented refinement on its history
-    of relative augmented residuals: True once the last meets
-    cfg.rel_tolerance; ConvergenceFailure, with the attained and target
-    values, once one fails to improve on its predecessor or the step cap
-    is passed."""
-    if history[-1] <= cfg.rel_tolerance:
-        return True
-    stalled = len(history) > 1 and history[-1] >= history[-2]
-    if stalled or len(history) > _MAX_REFINEMENT:
-        raise ConvergenceFailure(
-            f"{name}: refinement of the augmented system stopped at "
-            f"relative residual {min(history):.3e}, target "
-            f"{cfg.rel_tolerance:.1e}",
-            residual_history=history,
-        )
-    return False
+        stalled = len(history) > 1 and history[-1] >= history[-2]
+        if stalled or len(history) > _MAX_REFINEMENT:
+            raise ConvergenceFailure(
+                f"{name}: refinement of the augmented system stopped at "
+                f"relative residual {min(history):.3e}, target "
+                f"{cfg.rel_tolerance:.1e}",
+                residual_history=history,
+            )
 
 
 # -- eigenpairs -----------------------------------------------------------------
@@ -731,9 +726,7 @@ def smallest_eigenpairs(
     Eigenvectors come back weighted-orthonormal with the largest-magnitude
     entry positive; each satisfies
     |op v - lambda v| <= max(tol * lambda, 1e-11 * max |diag op|).
-    Given a `factors` dict, the factor is looked up there by operator and
-    stored on first use, as direct_solve does, so a later solve of op
-    reuses it.
+    The factor comes from `factors` (_factor), for later solves of op.
     """
     if not op.domain_space.compatible(op.codomain_space):
         raise SpaceMismatchError("eigensolve needs an endomorphism")
@@ -758,10 +751,7 @@ def smallest_eigenpairs(
     def deflate(v):
         return v - kt @ (kt.T @ v) if kt.size else v
 
-    factors = {} if factors is None else factors
-    if op not in factors:
-        factors[op] = _BandedCholesky(op, pinned, "eigensolve")
-    factor = factors[op]
+    factor = _factor(op, factors, lambda: _BandedCholesky(op, pinned, "eigensolve"))
 
     def apply_inverse(v):
         return deflate(s * factor.solve(deflate(np.ravel(v)) / s))

@@ -20,7 +20,10 @@ sparse-product construction would give: the gradient from the faces, the
 Laplacians from the neighbor table and boundary-face counts, the interior
 stencils (and free_stencil, which applies their adjoints without
 assembling them) from walks over the neighbor table, the Hessians from a
-table of each cell's rows by its stencil variants.
+table of each cell's rows by its stencil variants.  A catalog also runs
+each solve's session (OperatorCatalog.solve_session), which holds the
+banded factors the solve shares and carries the declared ones to the
+next solve on it; at most one catalog in the process holds any.
 """
 
 from __future__ import annotations
@@ -355,7 +358,7 @@ def _with_kernel(op: SparseOperator, kernel=None) -> SparseOperator:
     return op
 
 
-# the one catalog that holds carried factors (OperatorCatalog.carried_factors),
+# the one catalog that holds carried factors (OperatorCatalog.solve_session),
 # by weak reference, and the lock that swaps it
 _HOLDER_LOCK = threading.Lock()
 _holder = None
@@ -390,33 +393,37 @@ class OperatorCatalog:
     each piece, which its normal product shares; the Dirichlet gradient
     and Laplacian, both interior stencils, the nested stencil M and the
     curl adjoint are injective.
-
-    A solve's banded factors carry over to the next solve on the catalog
-    (carried_factors), and at most one catalog in the process holds any.
     """
 
     def __init__(self, domain: GridDomain):
         self.domain = domain
         self._cache = {}
         self._factors = {}  # carried factors, by operator
+        self.solve_factors = None  # the running solve's factors dict
 
     @contextlib.contextmanager
-    def carried_factors(self, names):
-        """The factors dict (linalg.direct_solve) of one solve that factors
-        the catalog entries `names`, seeded with the carried factors of
-        those entries whose pins are still their operator's.
+    def solve_session(self, names):
+        """Run one solve that factors the catalog entries `names`: while it
+        runs, solve_factors is the factors dict (linalg.direct_solve) its
+        stages and measurements share, seeded with the carried factors of
+        those entries whose pins are still their operator's; outside a
+        solve it is None, and a helper called on its own factors privately.
 
         Every other carried factor is dropped on entry, before the solve
         assembles or factors anything, and so is every factor another
         catalog carries: one catalog at a time holds factors.  A solve that
         returns leaves its dict carried; one that raises leaves nothing.
+        Sessions do not nest: a catalog runs one solve at a time.
         """
         wanted = {self._cache.get(name) for name in names}
-        factors = {op: factor for op, factor in self._swap_factors({}).items()
-                   if op in wanted
-                   and np.array_equal(factor.pinned, (op.kernel or ((), ()))[1])}
-        yield factors
-        self._swap_factors(factors)
+        self.solve_factors = {
+            op: factor for op, factor in self._swap_factors({}).items()
+            if op in wanted and np.array_equal(factor.pinned, (op.kernel or ((), ()))[1])}
+        try:
+            yield
+            self._swap_factors(self.solve_factors)
+        finally:
+            self.solve_factors = None
 
     def _swap_factors(self, factors: dict) -> dict:
         """Carry `factors` here and none on any other catalog; returns what

@@ -22,10 +22,12 @@ constrained, unconstrained) complete the solvable family.  Three more
 rows share the table without being compositions of that classification:
 the regularized free bilaplacian and the Neumann and Dirichlet Hessian
 normal products.  Every row names its stage solver and its constraints;
-`solve_zoo` alone solves, measures and reports each of them.  A row also
-names the catalog operators whose banded factors its solve shares
-(`factored`), and those carry to the next solve on the same catalog
-(OperatorCatalog.carried_factors).
+`solve_zoo` alone solves, measures and reports each of them, in one
+session on the catalog (OperatorCatalog.solve_session) whose factors the
+stages and measurements share; a row names the operators whose factors
+carry to the next solve on the catalog (`factored`), and a solve that
+passes direct_solve no dict (the Hessian rows, `regularized`, the clamped
+reference) factors privately.
 
 Sign convention: all stage operators are negative Laplacians, so the two
 signs cancel and the intermediate stage field equals minus the solution's
@@ -69,18 +71,16 @@ from .laplace import (
 from .operators import OperatorCatalog
 
 # -- stage solvers ---------------------------------------------------------------
-# (row, catalog, data, config, factors) -> (u, laplacian stage w or None, pde
+# (row, catalog, data, config) -> (u, laplacian stage w or None, pde
 # residual, compatibility defect, discarded mass, iterations, extras)
 
-def _two_stages(prob, catalog, f, cfg, factors):
-    (w, u), its, defects, lost = invert_stages(
-        prob.first + prob.second, catalog, f.values, cfg, factors
-    )
+def _two_stages(prob, catalog, f, cfg):
+    (w, u), its, defects, lost = invert_stages(prob.first + prob.second, catalog, f.values, cfg)
     pde = interior_residual_norm(catalog, u, f.values, depth=2)
     return u, w, pde, max(defects), lost[0] + lost[1], its[0] + its[1], {}
 
 
-def _doubly_constrained(prob, catalog, f, cfg, factors):
+def _doubly_constrained(prob, catalog, f, cfg):
     # B = A M: the 13-point stencil B is the 5-point interior stencil A
     # applied to M, the 5-point stencil of the zero extension from depth>=2
     # to depth>=1 cells, so range(B) lies in range(A) and the harmonic
@@ -96,14 +96,15 @@ def _doubly_constrained(prob, catalog, f, cfg, factors):
     b = catalog.interior_biharmonic
     refusal = ("data has a component outside the deep-interior range of "
                "relative size {}{{rel:.3e}}")
-    compatibility_gate(harmonic_defect(catalog, f.values, cfg, factors)[0], f.norm(),
+    compatibility_gate(harmonic_defect(catalog, f.values, cfg)[0], f.norm(),
                        "discrete biharmonics", refusal.format("at least "))
-    defect = compatibility_gate(biharmonic_defect(catalog, f.values, cfg, {})[0],
-                                f.norm(), "discrete biharmonics", refusal.format(""))
+    defect = biharmonic_defect(catalog, f.values, cfg)[0]
+    catalog.solve_factors.pop(catalog.biharmonic_normal, None)
+    compatibility_gate(defect, f.norm(), "discrete biharmonics", refusal.format(""))
     x, r, iterations = 0.0, f.values, 0
     for _ in range(2):
-        y = clamped_preimage(catalog, r, cfg, factors)
-        z = clamped_preimage(catalog, y.field.values, cfg, factors, catalog.nested_normal)
+        y = clamped_preimage(catalog, r, cfg)
+        z = clamped_preimage(catalog, y.field.values, cfg, catalog.nested_normal)
         x = x + z.field.values
         iterations += y.iterations + z.iterations
         r = f.values - b.apply_raw(x)
@@ -111,22 +112,23 @@ def _doubly_constrained(prob, catalog, f, cfg, factors):
     return catalog.pad2.apply_raw(x), None, pde, defect, 0.0, iterations, {}
 
 
-def _unconstrained(prob, catalog, f, cfg, factors):
+def _unconstrained(prob, catalog, f, cfg):
     k = catalog.biharmonic_normal
     data = Field(k.domain_space, f.values[catalog.domain.ring_cells(2)])
-    res = direct_solve(k, data, cfg, min_norm=True, factors=factors, name="unconstrained")
+    res = direct_solve(k, data, cfg, min_norm=True, factors=catalog.solve_factors,
+                       name="unconstrained")
     lost = strip_norm(catalog.domain, f.values, 1)
     return res.field.values, None, res.residual_norm, 0.0, lost, res.iterations, {}
 
 
-def _regularized(prob, catalog, f, cfg, factors):
+def _regularized(prob, catalog, f, cfg):
     res = direct_solve(catalog.regularized, f, cfg, name="regularized")
     u = res.field.values
     extras = {"energy": _energy(catalog, u), "data_norm": f.norm()}
     return u, None, res.residual_norm, 0.0, 0.0, res.iterations, extras
 
 
-def _hessian_neumann(prob, catalog, f, cfg, factors):
+def _hessian_neumann(prob, catalog, f, cfg):
     op = catalog.hessian_normal
     res = direct_solve(op, f, cfg, name="hessian neumann")
     u = res.field.values
@@ -134,7 +136,7 @@ def _hessian_neumann(prob, catalog, f, cfg, factors):
     return u, None, pde, res.compatibility_defect, 0.0, res.iterations, {}
 
 
-def _hessian_dirichlet(prob, catalog, f, cfg, factors):
+def _hessian_dirichlet(prob, catalog, f, cfg):
     op = catalog.hessian_dirichlet_normal
     data = Field(op.domain_space, f.values[catalog.domain.ring_cells(1)])
     res = direct_solve(op, data, cfg, name="hessian dirichlet")
@@ -155,8 +157,8 @@ def _hessian_dirichlet(prob, catalog, f, cfg, factors):
     return u, None, res.residual_norm, 0.0, lost, res.iterations, extras
 
 
-# the catalog operators whose factors each one-sided solver keeps in the
-# shared dict, which carries to the next solve; every other factor a row
+# the catalog operators whose factors each one-sided solver keeps in its
+# session, which carries them to the next solve; every other factor a row
 # builds (the Hessian rows', regularized's, the clamped reference's, over's
 # range defect's) stays private and dies with its solve
 _SHARED_FACTORS = {
@@ -186,7 +188,7 @@ class ZooProblem:
     @property
     def factored(self) -> tuple:
         """Catalog names of the operators whose factors a solve of this
-        row keeps in its shared dict: a composition's two stages'."""
+        row keeps in its session: a composition's two stages'."""
         if self.solver is _two_stages:
             return STAGES[self.first].factored, STAGES[self.second].factored
         return _SHARED_FACTORS.get(self.solver, ())
@@ -356,13 +358,11 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
     require_finite(prob.label, f)  # cells no solve reads still enter the report
 
     start = time.perf_counter()
-    # shared by the stages and constraint measurements below, and carried
-    with catalog.carried_factors(prob.factored) as factors:
-        u, w, pde, defect, lost, iterations, extras = prob.solver(
-            prob, catalog, f, cfg, factors
-        )
+    # factors shared by the stages and constraint measurements below, and carried
+    with catalog.solve_session(prob.factored):
+        u, w, pde, defect, lost, iterations, extras = prob.solver(prob, catalog, f, cfg)
         constraints = {
-            name: _measure_constraint(mid, catalog, u, w, f.values, cfg, factors)
+            name: _measure_constraint(mid, catalog, u, w, f.values, cfg)
             for name, mid in prob.constraints
         }
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -436,19 +436,20 @@ def exchange_identity_check(catalog_or_domain, f: Field,
 
     Without an explicit config the inner solves run at 1e-12 relative so
     that solver error stays well under the identity deviations measured.
+    Its solves share one session on the catalog, which carries the
+    clamped, Dirichlet and Neumann stage factors as a zoo row's.
     """
     catalog = _as_catalog(catalog_or_domain)
     cfg = cfg or SolverConfig(rel_tolerance=1e-12)
     space = catalog.domain.cell_space
-    factors = {}  # shared by every solve made here
     a = catalog.interior_laplacian
     ring = catalog.domain.ring_cells(1)
 
     def neumann_type_algebraic(values):
         # A K^-2 A* with K = A* A: the ungated clamped preimage, then the
         # free inverse of its padding
-        x = catalog.pad1.apply_raw(clamped_preimage(catalog, values, cfg, factors).field.values)
-        return invert_stages("f", catalog, x, cfg, factors)[0][0]
+        x = catalog.pad1.apply_raw(clamped_preimage(catalog, values, cfg).field.values)
+        return invert_stages("f", catalog, x, cfg)[0][0]
 
     def free_operator(values):
         return catalog.pad1.apply_raw(a.adjoint().apply_raw(values))
@@ -457,21 +458,21 @@ def exchange_identity_check(catalog_or_domain, f: Field,
         return a.apply_raw(values[ring])
 
     devs = {}
+    with catalog.solve_session([STAGES[letter].factored for letter in "cdn"]):
+        (w, lhs, v), *_ = invert_stages("cfc", catalog, f.values, cfg)  # c gates f
+        devs["neumann_via_dirichlet"] = space.norm(lhs - clamped_operator(v))
 
-    (w, lhs, v), *_ = invert_stages("cfc", catalog, f.values, cfg, factors)  # c gates f
-    devs["neumann_via_dirichlet"] = space.norm(lhs - clamped_operator(v))
+        lhs = invert_stages("fc", catalog, f.values, cfg)[0][1]
+        v = neumann_type_algebraic(w)
+        devs["dirichlet_via_neumann"] = space.norm(lhs - free_operator(v))
 
-    lhs = invert_stages("fc", catalog, f.values, cfg, factors)[0][1]
-    v = neumann_type_algebraic(w)
-    devs["dirichlet_via_neumann"] = space.norm(lhs - free_operator(v))
+        # fcf of f, reusing lhs = fc of f, then the free operator
+        v = invert_stages("f", catalog, lhs, cfg)[0][0]
+        devs["dirichlet_via_neumann_free"] = space.norm(lhs - free_operator(v))
 
-    # fcf of f, reusing lhs = fc of f, then the free operator
-    v = invert_stages("f", catalog, lhs, cfg, factors)[0][0]
-    devs["dirichlet_via_neumann_free"] = space.norm(lhs - free_operator(v))
-
-    (w, lhs, v), *_ = invert_stages("ndd", catalog, f.values, cfg, factors)
-    devs["mixed_second_order"] = space.norm(
-        lhs - catalog.laplacian_dirichlet.apply_raw(v))
+        (w, lhs, v), *_ = invert_stages("ndd", catalog, f.values, cfg)
+        devs["mixed_second_order"] = space.norm(
+            lhs - catalog.laplacian_dirichlet.apply_raw(v))
 
     devs["max"] = max(devs.values())
     devs["data_norm"] = f.norm()

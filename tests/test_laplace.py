@@ -348,7 +348,7 @@ def test_unknown_kinds_and_measurements_are_refused():
     with pytest.raises(ValueError, match="'robin' is not a valid LaplacianKind"):
         invert_laplacian("robin", cat, f.values, None)
     with pytest.raises(ValueError, match="unknown measurement 'bogus_u'"):
-        measure_constraint("bogus_u", cat, f.values, f.values, f.values, None, {})
+        measure_constraint("bogus_u", cat, f.values, f.values, f.values, None)
 
 
 def test_solve_laplace_guards():

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import gc
+import inspect
 import json
 import weakref
 from pathlib import Path
@@ -33,10 +34,11 @@ from bizoo import (
     solve_regularized,
     solve_zoo,
 )
-from bizoo import linalg, zoo
+from bizoo import laplace, linalg, zoo
 from bizoo.zoo import dense_stage_inverses
 from bizoo.expressions import Expression
 from bizoo.laplace import (
+    KINDS,
     STAGES,
     harmonic_defect,
     interior_residual_norm,
@@ -842,6 +844,43 @@ def test_a_carried_factor_whose_pins_changed_is_rebuilt(monkeypatch, cat8):
     again = solve_zoo("n_n", cat8, f).solution.values
     assert [args[0] for args in built] == [op]  # one factor, for both stages
     assert np.allclose(again, first, rtol=0, atol=1e-10 * np.abs(first).max())
+
+
+def test_no_laplace_or_zoo_function_takes_a_factors_dict():
+    # a solve's stages and measurements read their factors from the solve
+    # session on the catalog, so none of them passes a dict along
+    functions = [fn for module in (laplace, zoo)
+                 for _, fn in inspect.getmembers(module, inspect.isfunction)
+                 if fn.__module__ == module.__name__]
+    functions += [entry.inverse for entry in KINDS.values()]
+    functions += [row.solver for row in zoo._TABLE + zoo._OTHERS]
+    names = {fn.__name__ for fn in functions}
+    assert {"harmonic_defect", "invert_stages", "measure_constraint", "solve_laplace",
+            "_clamped_inverse", "_two_stages", "exchange_identity_check"} <= names
+    assert sorted({fn.__name__ for fn in functions
+                   if "factors" in inspect.signature(fn).parameters}) == []
+
+
+def test_a_helper_called_outside_a_solve_builds_a_private_factor(monkeypatch):
+    cat = OperatorCatalog(build_domain("square", 16))
+    solve_zoo("f_c", cat, compatible_data(cat, "L2", seed=10))
+    carried = dict(cat._factors)
+    assert list(carried) == [cat.interior_normal]
+    built = _count_factors(monkeypatch, linalg._BandedCholesky)
+    v = compatible_data(cat, "L2", seed=11).values
+    harmonic_defect(cat, v)
+    harmonic_defect(cat, v)
+    assert [args[0] for args in built] == [cat.interior_normal] * 2
+    assert cat._factors == carried
+
+
+def test_the_exchange_identities_factor_each_stage_operator_once(monkeypatch):
+    cat = OperatorCatalog(build_domain("lshape", 16))
+    built = _count_factors(monkeypatch, linalg._BandedCholesky)
+    exchange_identity_check(cat, compatible_data(cat, "L2_no_harmonic", seed=12))
+    names = {id(op): name for name, op in cat._cache.items()}
+    assert sorted(names[id(args[0])] for args in built) == [
+        "interior_normal", "laplacian_dirichlet", "laplacian_neumann"]
 
 
 @pytest.mark.parametrize("shape", ["square", "lshape", "annulus"])
