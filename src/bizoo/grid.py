@@ -22,6 +22,7 @@ vertices.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -147,8 +148,8 @@ class GridDomain:
         if arr.shape[0] == 0:
             raise EmptyDomainError("mask contains no cells")
         self.h = float(h)
-        if not self.h > 0:
-            raise ValueError("cell width h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"cell width h must be positive and finite, got {self.h!r}")
         self._origin = arr.min(axis=0) - PAD  # lattice point of image[0, 0]
         ni, nj = arr.max(axis=0) - self._origin + PAD + 1
         mask = np.zeros((nj, ni), dtype=bool)
@@ -398,10 +399,10 @@ def _label_pieces(mask: np.ndarray):
 
 def _integer_pair(pair) -> tuple:
     """pair as two int64 values; ValueError if a cast would change it (floats
-    must be whole, and both must lie in int64's range)."""
+    must be whole, not booleans, and both must lie in int64's range)."""
     if not (isinstance(pair, (list, tuple, np.ndarray)) and len(pair) == 2 and all(
-            isinstance(v, (int, np.integer)) or isinstance(v, float) and v.is_integer()
-            for v in pair)):
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+            or isinstance(v, float) and v.is_integer() for v in pair)):
         raise ValueError(f"cell {pair!r} is not a pair of integers")
     ij = int(pair[0]), int(pair[1])
     if not -2**63 <= min(ij) <= max(ij) < 2**63:
@@ -431,6 +432,8 @@ def build_domain(shape, n: int, labels=None, *, width: float = 1.0,
     h = 1.0 / n
     if not isinstance(shape, str):
         return GridDomain(shape, h, labels)
+    if shape == "rectangle" and not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"rectangle width {width!r} and height {height!r} must be finite")
     nx, ny = (round(width * n), round(height * n)) if shape == "rectangle" else (n, n)
     if nx < 1 or ny < 1:
         raise ValueError("rectangle dimensions must cover at least one cell")
@@ -494,6 +497,8 @@ def load_domain(path) -> GridDomain:
     if not isinstance(cells, list) or not all(
             isinstance(c, list) and len(c) == 2 for c in cells):
         raise ValueError("domain file's 'cells' is not a list of pairs")
+    if bool in map(type, itertools.chain.from_iterable(cells)):  # np.asarray reads it as 0 or 1
+        raise ValueError("domain file's 'cells' holds a boolean, not an integer")
     return GridDomain(np.asarray(cells), float(h), data.get("labels"))
 
 

@@ -10,10 +10,10 @@ Cholesky solves with the kernel their catalog operator carries; the
 overdetermined and underdetermined kinds, and the harmonic defect, solve
 with one factor of the interior normal product, and the biharmonic
 defect with one of the 13-point normal product.  Each kind names the one
-catalog operator its inverse factors (`factored`).  Every direct solve
-here reads its factors dict from the catalog's solve session
-(OperatorCatalog.solve_session), which carries the declared factors to
-the next call; outside a session, a helper factors privately.
+catalog operator its inverse factors (`factored`).  Every solve here is
+the catalog's (OperatorCatalog.solve), at the tolerance and on the factors
+of the solve session `solve_laplace` opens; outside a session, a helper
+solves at the default tolerance on a private factor.
 
 Every report recomputes its residual and constraint norms from the
 returned solution (the overdetermined residual is the defect its inverse
@@ -34,9 +34,7 @@ import numpy as np
 
 from .errors import SpaceMismatchError
 from .grid import Field, GridDomain
-from .linalg import (
-    SolverConfig, _project_out, compatibility_gate, direct_solve, require_finite,
-)
+from .linalg import SolverConfig, _project_out, compatibility_gate, require_finite
 from .operators import OperatorCatalog, free_stencil
 
 
@@ -98,10 +96,10 @@ def boundary_row_residual(domain: GridDomain, op, u: np.ndarray,
 
 
 def _range_defect(catalog: OperatorCatalog, normal, values: np.ndarray, passes: int,
-                  cfg: SolverConfig | None, name: str):
+                  name: str):
     """Distance of a cell field from the range of B = normal.first_order,
-    and the projection u = B x onto it: direct_solve(min_norm=True) on
-    normal's banded factor refines u against B* u = B* values, whose
+    and the projection u = B x onto it: a min_norm solve on normal's
+    banded factor refines u against B* u = B* values, whose
     rounding floor grows with B's conditioning, not B* B's.  Each pass
     after the first projects B* (values - u)."""
     adjoint = normal.first_order.adjoint()
@@ -109,38 +107,34 @@ def _range_defect(catalog: OperatorCatalog, normal, values: np.ndarray, passes: 
     inside = 0.0
     for step in range(passes):
         data = rhs - adjoint.apply_raw(inside) if step else rhs
-        inside = inside + direct_solve(normal, Field(normal.domain_space, data), cfg,
-                                       min_norm=True, factors=catalog.solve_factors,
-                                       name=name).field.values
+        inside = inside + catalog.solve(normal, Field(normal.domain_space, data),
+                                        min_norm=True, name=name).field.values
     return normal.first_order.codomain_space.norm(values - inside), inside
 
 
-def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
-                    cfg: SolverConfig | None = None):
+def harmonic_defect(catalog: OperatorCatalog, values: np.ndarray):
     """Distance from the range of the interior stencil A, whose orthogonal
     complement the discrete harmonics span, and the projection onto that
     range, in one pass (_range_defect)."""
-    return _range_defect(catalog, catalog.interior_normal, values, 1, cfg, "harmonic defect")
+    return _range_defect(catalog, catalog.interior_normal, values, 1, "harmonic defect")
 
 
-def clamped_preimage(catalog: OperatorCatalog, values: np.ndarray,
-                     cfg: SolverConfig | None, normal=None):
-    """direct_solve's result x of B* B x = B* values, B the first-order
+def clamped_preimage(catalog: OperatorCatalog, values: np.ndarray, normal=None):
+    """The solve result x of B* B x = B* values, B the first-order
     operator of `normal` (by default catalog.interior_normal, whose B is
     the interior stencil): the ungated least-squares preimage."""
     k = normal or catalog.interior_normal
     rhs = Field(k.domain_space, k.first_order.adjoint().apply_raw(values))
-    return direct_solve(k, rhs, cfg, factors=catalog.solve_factors, name="clamped preimage")
+    return catalog.solve(k, rhs, name="clamped preimage")
 
 
-def biharmonic_defect(catalog: OperatorCatalog, values: np.ndarray,
-                      cfg: SolverConfig | None = None):
+def biharmonic_defect(catalog: OperatorCatalog, values: np.ndarray):
     """Same as harmonic_defect for the 13-point interior stencil B, in two
     passes on the factor of B* B (catalog.biharmonic_normal): a stop on
     the residual of B* u = B* values bounds the projection's own error
     only up to B's conditioning, about n^4, and the second pass leaves a
     field of B's range with a defect at rounding level."""
-    return _range_defect(catalog, catalog.biharmonic_normal, values, 2, cfg, "biharmonic defect")
+    return _range_defect(catalog, catalog.biharmonic_normal, values, 2, "biharmonic defect")
 
 
 def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
@@ -160,32 +154,30 @@ def interior_residual_norm(catalog: OperatorCatalog, u: np.ndarray,
 
 # -- the five kinds ---------------------------------------------------------------
 
-def _clamped_inverse(kind, catalog, values, cfg):
+def _clamped_inverse(kind, catalog, values):
     domain = catalog.domain
     compatibility_gate(
-        harmonic_defect(catalog, values, cfg)[0],
+        harmonic_defect(catalog, values)[0],
         domain.cell_space.norm(values), "discrete harmonics",
         "data has a discrete-harmonic component of relative size "
         "{rel:.3e}; the doubly constrained solve needs data in the "
         "interior stencil's range",
     )
-    x = clamped_preimage(catalog, values, cfg).field.values
+    x = clamped_preimage(catalog, values).field.values
     defect = domain.cell_space.norm(values - catalog.interior_laplacian.apply_raw(x))
     return catalog.pad1.apply_raw(x), 0, defect, 0.0
 
 
-def _free_inverse(kind, catalog, values, cfg):
+def _free_inverse(kind, catalog, values):
     k, domain = catalog.interior_normal, catalog.domain
-    res = direct_solve(k, Field(k.domain_space, values[domain.ring_cells(1)]), cfg,
-                       min_norm=True, factors=catalog.solve_factors,
-                       name="minimum-norm laplacian")
+    res = catalog.solve(k, Field(k.domain_space, values[domain.ring_cells(1)]),
+                        min_norm=True, name="minimum-norm laplacian")
     return res.field.values, res.iterations, 0.0, strip_norm(domain, values, 0)
 
 
-def _penalized_inverse(kind, catalog, values, cfg):
-    res = direct_solve(getattr(catalog, KINDS[kind].operator),
-                       Field(catalog.domain.cell_space, values), cfg,
-                       factors=catalog.solve_factors, name=f"{kind.value} laplacian")
+def _penalized_inverse(kind, catalog, values):
+    res = catalog.solve(getattr(catalog, KINDS[kind].operator),
+                        Field(catalog.domain.cell_space, values), name=f"{kind.value} laplacian")
     return res.field.values, res.iterations, res.compatibility_defect, 0.0
 
 
@@ -193,11 +185,11 @@ def _penalized_inverse(kind, catalog, values, cfg):
 class KindEntry:
     """One Laplacian kind: its zoo stage letter and composition name (None
     for mixed), its report's (display name, measurement id) pairs, its
-    inverse (kind, catalog, values, cfg) -> (values, iterations,
+    inverse (kind, catalog, values) -> (values, iterations,
     compatibility defect, discarded mass), for the penalized kinds the
     catalog names of their Laplacian and (chain kinds) gradient, and the
-    id measuring that Laplacian's depth-0 rows, and the catalog name of
-    the one operator the inverse factors (`factored`).
+    id measuring that Laplacian's depth-0 rows; `factored` names the one
+    operator the inverse factors.
 
     The stage kinds carry three facts the zoo derives its rows from, as
     ranks in the nested classes L2 (0) > mean-free (1) > range of the
@@ -213,31 +205,34 @@ class KindEntry:
     operator: str | None = None
     rows: str | None = None
     gradient: str | None = None
-    factored: str | None = None
     data_rank: int | None = None
     output_rank: int | None = None
     adjoint: str | None = None
+
+    @property
+    def factored(self) -> str:  # the penalized kinds' Laplacian, or A* A
+        return self.operator or "interior_normal"
 
 
 KINDS = {entry.kind: entry for entry in (
     KindEntry(LaplacianKind.DIRICHLET, "d", "dirichlet",
               (("zero trace on boundary faces", "drows_u"),),
               _penalized_inverse, "laplacian_dirichlet", "drows", "gradient_dirichlet",
-              factored="laplacian_dirichlet", data_rank=0, output_rank=0, adjoint="d"),
+              data_rank=0, output_rank=0, adjoint="d"),
     KindEntry(LaplacianKind.NEUMANN, "n", "neumann",
               (("zero flux on boundary faces", "nrows_u"),
                ("mean-free solution", "mean_u")),
               _penalized_inverse, "laplacian_neumann", "nrows", "gradient",
-              factored="laplacian_neumann", data_rank=1, output_rank=1, adjoint="n"),
+              data_rank=1, output_rank=1, adjoint="n"),
     KindEntry(LaplacianKind.MIXED, None, None, (("labeled boundary rows", "mrows_u"),),
-              _penalized_inverse, "laplacian_mixed", "mrows", factored="laplacian_mixed"),
+              _penalized_inverse, "laplacian_mixed", "mrows"),
     KindEntry(LaplacianKind.OVERDETERMINED, "c", "clamped",
               (("zero trace on boundary ring", "strip_u"),
                ("zero normal difference on boundary", "ndiff_u")), _clamped_inverse,
-              factored="interior_normal", data_rank=2, output_rank=0, adjoint="f"),
+              data_rank=2, output_rank=0, adjoint="f"),
     KindEntry(LaplacianKind.UNDERDETERMINED, "f", "free",
               (("no discrete-harmonic component", "harm_u"),), _free_inverse,
-              factored="interior_normal", data_rank=0, output_rank=2, adjoint="c"),
+              data_rank=0, output_rank=2, adjoint="c"),
 )}
 STAGES = {e.letter: e for e in KINDS.values() if e.letter}
 _ROWS = {e.rows: e for e in KINDS.values() if e.rows}
@@ -245,8 +240,7 @@ _ROWS = {e.rows: e for e in KINDS.values() if e.rows}
 
 # -- solves ---------------------------------------------------------------------
 
-def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
-                     cfg: SolverConfig | None):
+def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray):
     """Apply one of the five Laplacian inverses (KINDS) to a cell field.
 
     Returns (values, iterations, compatibility defect, discarded mass).
@@ -258,17 +252,16 @@ def invert_laplacian(kind, catalog: OperatorCatalog, values: np.ndarray,
     catalog operator carries.
     """
     kind = LaplacianKind(kind)
-    return KINDS[kind].inverse(kind, catalog, values, cfg)
+    return KINDS[kind].inverse(kind, catalog, values)
 
 
-def invert_stages(letters: str, catalog: OperatorCatalog, values: np.ndarray,
-                  cfg: SolverConfig | None) -> tuple:
+def invert_stages(letters: str, catalog: OperatorCatalog, values: np.ndarray) -> tuple:
     """invert_laplacian through the stages the zoo letters name, first
     inverted first, each stage's values the next one's data.  Returns
     invert_laplacian's four outputs, each as a tuple over the stages."""
     out = []
     for letter in letters:
-        out.append(invert_laplacian(STAGES[letter].kind, catalog, values, cfg))
+        out.append(invert_laplacian(STAGES[letter].kind, catalog, values))
         values = out[-1][0]
     return tuple(zip(*out))
 
@@ -281,8 +274,7 @@ def _energy(catalog: OperatorCatalog, u: np.ndarray) -> float:
 
 
 def measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
-                       w: np.ndarray | None, f: np.ndarray | None,
-                       cfg: SolverConfig | None) -> float:
+                       w: np.ndarray | None, f: np.ndarray | None) -> float:
     """One constraint norm.  mid is <measurement>_<stage>: stage u measures
     the solution, whose data is the laplacian stage w; stage w measures w,
     whose data is f.  A second-order solve passes its data as w."""
@@ -301,9 +293,9 @@ def measure_constraint(mid: str, catalog: OperatorCatalog, u: np.ndarray,
     if measurement == "mean":
         return mean_defect(domain, v)
     if measurement == "harm":
-        return harmonic_defect(catalog, v, cfg)[0]
+        return harmonic_defect(catalog, v)[0]
     if measurement == "biharm":
-        return biharmonic_defect(catalog, v, cfg)[0]
+        return biharmonic_defect(catalog, v)[0]
     if measurement == "affine":  # orthogonality to the Hessian's kernel
         space = domain.cell_space
         return max(abs(space.inner(v, b)) for b in catalog.hessian_normal.kernel[0])
@@ -327,13 +319,13 @@ def solve_laplace(kind, catalog: OperatorCatalog, f: Field,
         raise SpaceMismatchError("Laplacian data must live on the cell space")
     require_finite(kind.value, f)  # cells no solve reads still enter the report
     # the harmonic-defect measurement reuses the solve's factor
-    with catalog.solve_session((KINDS[kind].factored,)):
-        u, iterations, defect, lost = invert_laplacian(kind, catalog, f.values, cfg)
+    with catalog.solve_session((KINDS[kind].factored,), cfg):
+        u, iterations, defect, lost = invert_laplacian(kind, catalog, f.values)
         # the overdetermined defect is |f - A x| on all cells, x the preimage u pads
         pde = (defect if kind is LaplacianKind.OVERDETERMINED
                else interior_residual_norm(catalog, u, f.values))
         constraints = {
-            name: measure_constraint(mid, catalog, u, f.values, None, cfg)
+            name: measure_constraint(mid, catalog, u, f.values, None)
             for name, mid in KINDS[kind].constraints
         }
     return LaplaceSolveReport(

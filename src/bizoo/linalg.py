@@ -18,7 +18,7 @@ augmented system [[I, B], [B*, 0]] of the B the operator records
 (corrected seminormal equations; with no B, the solve fails).  Every
 inversion in the package is such a banded factor; no solve path runs CG
 or a sparse LU.  Solves and eigensolves share factors through a dict: a
-catalog's solve session's (OperatorCatalog.solve_factors) or a pair's.
+catalog solve session's (OperatorCatalog.solve) or a pair's.
 `cg_solve` and `deflated_cg_solve` are conjugate gradients, stopped when
 the true residual stagnates; `normal_cg_solve` runs them on the normal
 equations.

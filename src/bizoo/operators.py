@@ -20,10 +20,10 @@ sparse-product construction would give: the gradient from the faces, the
 Laplacians from the neighbor table and boundary-face counts, the interior
 stencils (and free_stencil, which applies their adjoints without
 assembling them) from walks over the neighbor table, the Hessians from a
-table of each cell's rows by its stencil variants.  A catalog also runs
-each solve's session (OperatorCatalog.solve_session), which holds the
-banded factors the solve shares and carries the declared ones to the
-next solve on it; at most one catalog in the process holds any.
+table of each cell's rows by its stencil variants.  Every laplace and zoo
+solve is a catalog's (OperatorCatalog.solve), at the tolerance and on the
+banded factors of its solve session, whose declared factors carry to the
+next solve on it; at most one catalog in the process carries any.
 """
 
 from __future__ import annotations
@@ -38,10 +38,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyDomainError, StencilReachError
-from .grid import DIRICHLET, DofSpace, GridDomain
+from .grid import DIRICHLET, DofSpace, Field, GridDomain
 from .linalg import (
+    SolverConfig,
     SparseOperator,
     _piecewise_constants,
+    direct_solve,
     identity_operator,
     normal_product,
     piecewise_affine,
@@ -399,31 +401,41 @@ class OperatorCatalog:
         self.domain = domain
         self._cache = {}
         self._factors = {}  # carried factors, by operator
-        self.solve_factors = None  # the running solve's factors dict
+        self.solve_factors = self._solve_cfg = None  # the running solve's dict and config
 
     @contextlib.contextmanager
-    def solve_session(self, names):
-        """Run one solve that factors the catalog entries `names`: while it
-        runs, solve_factors is the factors dict (linalg.direct_solve) its
-        stages and measurements share, seeded with the carried factors of
-        those entries whose pins are still their operator's; outside a
-        solve it is None, and a helper called on its own factors privately.
+    def solve_session(self, names, cfg: SolverConfig | None = None):
+        """Run one solve that carries the factors of the catalog entries
+        `names`: while it runs, every `solve` on the catalog reads cfg and
+        the factors dict solve_factors, so its stages and measurements
+        share each factor they build; the dict is seeded with the carried
+        factors of those entries whose pins are still their operator's.
 
         Every other carried factor is dropped on entry, before the solve
         assembles or factors anything, and so is every factor another
         catalog carries: one catalog at a time holds factors.  A solve that
-        returns leaves its dict carried; one that raises leaves nothing.
-        Sessions do not nest: a catalog runs one solve at a time.
+        returns carries the factors of `names` its dict holds and drops the
+        rest; one that raises carries nothing.  Sessions do not nest: a
+        catalog runs one solve at a time.
         """
         wanted = {self._cache.get(name) for name in names}
         self.solve_factors = {
             op: factor for op, factor in self._swap_factors({}).items()
             if op in wanted and np.array_equal(factor.pinned, (op.kernel or ((), ()))[1])}
+        self._solve_cfg = cfg
         try:
             yield
-            self._swap_factors(self.solve_factors)
+            self._swap_factors({op: self.solve_factors[op] for op in map(self._cache.get, names)
+                                if op in self.solve_factors})
         finally:
-            self.solve_factors = None
+            self.solve_factors = self._solve_cfg = None
+
+    def solve(self, op: SparseOperator, b: Field, *, min_norm: bool = False, name: str):
+        """linalg.direct_solve of op x = b with the running session's
+        configuration and factors dict; outside a session, at the default
+        configuration on a private factor."""
+        return direct_solve(op, b, self._solve_cfg, min_norm=min_norm,
+                            factors=self.solve_factors, name=name)
 
     def _swap_factors(self, factors: dict) -> dict:
         """Carry `factors` here and none on any other catalog; returns what

@@ -23,11 +23,11 @@ rows share the table without being compositions of that classification:
 the regularized free bilaplacian and the Neumann and Dirichlet Hessian
 normal products.  Every row names its stage solver and its constraints;
 `solve_zoo` alone solves, measures and reports each of them, in one
-session on the catalog (OperatorCatalog.solve_session) whose factors the
-stages and measurements share; a row names the operators whose factors
-carry to the next solve on the catalog (`factored`), and a solve that
-passes direct_solve no dict (the Hessian rows, `regularized`, the clamped
-reference) factors privately.
+session on the catalog (OperatorCatalog.solve_session) that holds the
+caller's SolverConfig and the factors every stage and measurement shares,
+each solve being the catalog's (OperatorCatalog.solve); a row names the
+operators whose factors carry to the next solve on the catalog
+(`factored`), and every other factor dies with the solve.
 
 Sign convention: all stage operators are negative Laplacians, so the two
 signs cancel and the intermediate stage field equals minus the solution's
@@ -53,7 +53,6 @@ from .linalg import (
     SolverConfig,
     _run_cg,  # noqa: F401  unused; bench/test_bench.py checks the tracer restores it
     compatibility_gate,
-    direct_solve,
     require_finite,
 )
 from .laplace import (
@@ -71,16 +70,16 @@ from .laplace import (
 from .operators import OperatorCatalog
 
 # -- stage solvers ---------------------------------------------------------------
-# (row, catalog, data, config) -> (u, laplacian stage w or None, pde
-# residual, compatibility defect, discarded mass, iterations, extras)
+# (row, catalog, data) -> (u, laplacian stage w or None, pde residual,
+# compatibility defect, discarded mass, iterations, extras)
 
-def _two_stages(prob, catalog, f, cfg):
-    (w, u), its, defects, lost = invert_stages(prob.first + prob.second, catalog, f.values, cfg)
+def _two_stages(prob, catalog, f):
+    (w, u), its, defects, lost = invert_stages(prob.first + prob.second, catalog, f.values)
     pde = interior_residual_norm(catalog, u, f.values, depth=2)
     return u, w, pde, max(defects), lost[0] + lost[1], its[0] + its[1], {}
 
 
-def _doubly_constrained(prob, catalog, f, cfg):
+def _doubly_constrained(prob, catalog, f):
     # B = A M: the 13-point stencil B is the 5-point interior stencil A
     # applied to M, the 5-point stencil of the zero extension from depth>=2
     # to depth>=1 cells, so range(B) lies in range(A) and the harmonic
@@ -96,15 +95,15 @@ def _doubly_constrained(prob, catalog, f, cfg):
     b = catalog.interior_biharmonic
     refusal = ("data has a component outside the deep-interior range of "
                "relative size {}{{rel:.3e}}")
-    compatibility_gate(harmonic_defect(catalog, f.values, cfg)[0], f.norm(),
+    compatibility_gate(harmonic_defect(catalog, f.values)[0], f.norm(),
                        "discrete biharmonics", refusal.format("at least "))
-    defect = biharmonic_defect(catalog, f.values, cfg)[0]
+    defect = biharmonic_defect(catalog, f.values)[0]
     catalog.solve_factors.pop(catalog.biharmonic_normal, None)
     compatibility_gate(defect, f.norm(), "discrete biharmonics", refusal.format(""))
     x, r, iterations = 0.0, f.values, 0
     for _ in range(2):
-        y = clamped_preimage(catalog, r, cfg)
-        z = clamped_preimage(catalog, y.field.values, cfg, catalog.nested_normal)
+        y = clamped_preimage(catalog, r)
+        z = clamped_preimage(catalog, y.field.values, catalog.nested_normal)
         x = x + z.field.values
         iterations += y.iterations + z.iterations
         r = f.values - b.apply_raw(x)
@@ -112,42 +111,40 @@ def _doubly_constrained(prob, catalog, f, cfg):
     return catalog.pad2.apply_raw(x), None, pde, defect, 0.0, iterations, {}
 
 
-def _unconstrained(prob, catalog, f, cfg):
+def _unconstrained(prob, catalog, f):
     k = catalog.biharmonic_normal
     data = Field(k.domain_space, f.values[catalog.domain.ring_cells(2)])
-    res = direct_solve(k, data, cfg, min_norm=True, factors=catalog.solve_factors,
-                       name="unconstrained")
+    res = catalog.solve(k, data, min_norm=True, name="unconstrained")
     lost = strip_norm(catalog.domain, f.values, 1)
     return res.field.values, None, res.residual_norm, 0.0, lost, res.iterations, {}
 
 
-def _regularized(prob, catalog, f, cfg):
-    res = direct_solve(catalog.regularized, f, cfg, name="regularized")
+def _regularized(prob, catalog, f):
+    res = catalog.solve(catalog.regularized, f, name="regularized")
     u = res.field.values
     extras = {"energy": _energy(catalog, u), "data_norm": f.norm()}
     return u, None, res.residual_norm, 0.0, 0.0, res.iterations, extras
 
 
-def _hessian_neumann(prob, catalog, f, cfg):
+def _hessian_neumann(prob, catalog, f):
     op = catalog.hessian_normal
-    res = direct_solve(op, f, cfg, name="hessian neumann")
+    res = catalog.solve(op, f, name="hessian neumann")
     u = res.field.values
     pde = catalog.domain.cell_space.norm(op.apply_raw(u) - f.values)
     return u, None, pde, res.compatibility_defect, 0.0, res.iterations, {}
 
 
-def _hessian_dirichlet(prob, catalog, f, cfg):
+def _hessian_dirichlet(prob, catalog, f):
     op = catalog.hessian_dirichlet_normal
     data = Field(op.domain_space, f.values[catalog.domain.ring_cells(1)])
-    res = direct_solve(op, data, cfg, name="hessian dirichlet")
+    res = catalog.solve(op, data, name="hessian dirichlet")
+    catalog.solve_factors.pop(op, None)  # freed before the clamped reference factors
     x = res.field.values
     u = catalog.pad1.apply_raw(x)
     # penalty-based clamped solution of the same data, for comparison; a
     # diagnostic only, so its failure does not cost the answer
     try:
-        y = direct_solve(
-            catalog.interior_normal, data, cfg, name="clamped reference"
-        ).field.values
+        y = catalog.solve(catalog.interior_normal, data, name="clamped reference").field.values
         extras = {"clamped_comparison_l2": catalog.domain.cell_space.norm(
             u - catalog.pad1.apply_raw(y))}
     except ConvergenceFailure as exc:
@@ -155,16 +152,6 @@ def _hessian_dirichlet(prob, catalog, f, cfg):
                   "clamped_comparison_failure": str(exc)}
     lost = strip_norm(catalog.domain, f.values, 0)  # the ring the product never reads
     return u, None, res.residual_norm, 0.0, lost, res.iterations, extras
-
-
-# the catalog operators whose factors each one-sided solver keeps in its
-# session, which carries them to the next solve; every other factor a row
-# builds (the Hessian rows', regularized's, the clamped reference's, over's
-# range defect's) stays private and dies with its solve
-_SHARED_FACTORS = {
-    _doubly_constrained: (STAGES["c"].factored, "nested_normal"),
-    _unconstrained: ("biharmonic_normal",),
-}
 
 
 @dataclass(frozen=True)
@@ -187,11 +174,13 @@ class ZooProblem:
 
     @property
     def factored(self) -> tuple:
-        """Catalog names of the operators whose factors a solve of this
-        row keeps in its session: a composition's two stages'."""
+        """Catalog names of the operators whose factors a solve of this row
+        carries to the next one on its catalog: a composition's two
+        stages'; every other factor it builds dies with it."""
         if self.solver is _two_stages:
             return STAGES[self.first].factored, STAGES[self.second].factored
-        return _SHARED_FACTORS.get(self.solver, ())
+        return {"over": (STAGES["c"].factored, "nested_normal"),
+                "under": ("biharmonic_normal",)}.get(self.label, ())
 
 
 # report name of every measurement id a row lists (laplace.measure_constraint)
@@ -359,10 +348,10 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
 
     start = time.perf_counter()
     # factors shared by the stages and constraint measurements below, and carried
-    with catalog.solve_session(prob.factored):
-        u, w, pde, defect, lost, iterations, extras = prob.solver(prob, catalog, f, cfg)
+    with catalog.solve_session(prob.factored, cfg):
+        u, w, pde, defect, lost, iterations, extras = prob.solver(prob, catalog, f)
         constraints = {
-            name: _measure_constraint(mid, catalog, u, w, f.values, cfg)
+            name: _measure_constraint(mid, catalog, u, w, f.values)
             for name, mid in prob.constraints
         }
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -448,8 +437,8 @@ def exchange_identity_check(catalog_or_domain, f: Field,
     def neumann_type_algebraic(values):
         # A K^-2 A* with K = A* A: the ungated clamped preimage, then the
         # free inverse of its padding
-        x = catalog.pad1.apply_raw(clamped_preimage(catalog, values, cfg).field.values)
-        return invert_stages("f", catalog, x, cfg)[0][0]
+        x = catalog.pad1.apply_raw(clamped_preimage(catalog, values).field.values)
+        return invert_stages("f", catalog, x)[0][0]
 
     def free_operator(values):
         return catalog.pad1.apply_raw(a.adjoint().apply_raw(values))
@@ -458,19 +447,19 @@ def exchange_identity_check(catalog_or_domain, f: Field,
         return a.apply_raw(values[ring])
 
     devs = {}
-    with catalog.solve_session([STAGES[letter].factored for letter in "cdn"]):
-        (w, lhs, v), *_ = invert_stages("cfc", catalog, f.values, cfg)  # c gates f
+    with catalog.solve_session([STAGES[letter].factored for letter in "cdn"], cfg):
+        (w, lhs, v), *_ = invert_stages("cfc", catalog, f.values)  # c gates f
         devs["neumann_via_dirichlet"] = space.norm(lhs - clamped_operator(v))
 
-        lhs = invert_stages("fc", catalog, f.values, cfg)[0][1]
+        lhs = invert_stages("fc", catalog, f.values)[0][1]
         v = neumann_type_algebraic(w)
         devs["dirichlet_via_neumann"] = space.norm(lhs - free_operator(v))
 
         # fcf of f, reusing lhs = fc of f, then the free operator
-        v = invert_stages("f", catalog, lhs, cfg)[0][0]
+        v = invert_stages("f", catalog, lhs)[0][0]
         devs["dirichlet_via_neumann_free"] = space.norm(lhs - free_operator(v))
 
-        (w, lhs, v), *_ = invert_stages("ndd", catalog, f.values, cfg)
+        (w, lhs, v), *_ = invert_stages("ndd", catalog, f.values)
         devs["mixed_second_order"] = space.norm(
             lhs - catalog.laplacian_dirichlet.apply_raw(v))
 

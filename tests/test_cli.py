@@ -228,6 +228,18 @@ def test_malformed_domain_files_exit_1(tmp_path, capsys, text, message):
     assert err.startswith("bizoo: error: ") and message in err
 
 
+def test_non_finite_widths_exit_1(tmp_path, capsys):
+    assert main(["domain", "make", "--shape", "rectangle", "--width", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bizoo: error: ") and "must be finite" in err
+    path = tmp_path / "wide.json"
+    path.write_text('{"h": Infinity, "cells": [[0, 0], [1, 0]]}')
+    assert main(["solve", "--problem", "dirichlet", "--rhs", "1",
+                 "--domain", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bizoo: error: ") and "cell width h must be positive and finite" in err
+
+
 def test_solve_problem_choices():
     # the 27 labels --problem took before every row came from one table
     solve = cli._build_parser()._subparsers._group_actions[0].choices["solve"]
@@ -294,14 +306,14 @@ def test_hessian_dirichlet_survives_a_failed_clamped_reference(monkeypatch, caps
     extras = json.loads(capsys.readouterr().out)["extras"]
     assert list(extras) == ["clamped_comparison_l2"]
     assert extras["clamped_comparison_l2"] > 0.0
-    solve = bizoo.zoo.direct_solve
+    solve = bizoo.operators.direct_solve
 
     def failing_reference(op, b, cfg=None, **kw):
         if kw.get("name") == "clamped reference":
             raise bizoo.ConvergenceFailure("clamped reference: no convergence")
         return solve(op, b, cfg, **kw)
 
-    monkeypatch.setattr(bizoo.zoo, "direct_solve", failing_reference)
+    monkeypatch.setattr(bizoo.operators, "direct_solve", failing_reference)
     assert main(argv) == 0  # the diagnostic fails, the answer stands
     doc = json.loads(capsys.readouterr().out)
     assert doc["extras"] == {

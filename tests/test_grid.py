@@ -452,6 +452,40 @@ def test_loaded_non_integer_cells_are_refused(tmp_path):
     assert whole.count_boundary_faces("neumann").tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -0.5])
+def test_a_cell_width_that_is_not_positive_and_finite_is_refused(h):
+    with pytest.raises(ValueError, match="cell width h must be positive and finite"):
+        GridDomain([(0, 0), (1, 0)], h)
+
+
+@pytest.mark.parametrize("h", ["Infinity", "1e400", "NaN"])
+def test_loaded_non_finite_cell_widths_are_refused(tmp_path, h):
+    path = tmp_path / "wide.json"
+    path.write_text('{"h": %s, "cells": [[0, 0], [1, 0]]}' % h)
+    with pytest.raises(ValueError, match="cell width h must be positive and finite"):
+        load_domain(path)
+
+
+def test_non_finite_rectangle_sides_are_refused():
+    for width, height in ((np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_domain("rectangle", 8, width=width, height=height)
+
+
+def test_boolean_cells_are_refused(tmp_path):
+    # a boolean among integers would load as 0 or 1
+    path = tmp_path / "bool.json"
+    path.write_text('{"h": 0.5, "cells": [[true, false], [1, 1]]}')
+    with pytest.raises(ValueError, match="'cells' holds a boolean"):
+        load_domain(path)
+    path.write_text('{"h": 0.5, "cells": [[0, 0], [1, 0]], "labels": '
+                    '[{"cell": [1, false], "dir": "+x", "bc": "neumann"}]}')
+    with pytest.raises(ValueError, match=re.escape("cell [1, False] is not a pair")):
+        load_domain(path)
+    with pytest.raises(ValueError, match="is not a pair of integers"):
+        GridDomain(np.array([[True, False]]), 0.5)
+
+
 @pytest.mark.parametrize("rules,message", [
     ([{"dir": "-x", "bc": "neumann"}], "lacks 'cell'"),
     ([{"cell": [0, 0], "bc": "neumann"}], "lacks 'dir'"),

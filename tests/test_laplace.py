@@ -346,9 +346,9 @@ def test_unknown_kinds_and_measurements_are_refused():
     with pytest.raises(ValueError, match="'robin' is not a valid LaplacianKind"):
         solve_laplace("robin", cat, f)
     with pytest.raises(ValueError, match="'robin' is not a valid LaplacianKind"):
-        invert_laplacian("robin", cat, f.values, None)
+        invert_laplacian("robin", cat, f.values)
     with pytest.raises(ValueError, match="unknown measurement 'bogus_u'"):
-        measure_constraint("bogus_u", cat, f.values, f.values, f.values, None)
+        measure_constraint("bogus_u", cat, f.values, f.values, f.values)
 
 
 def test_solve_laplace_guards():
@@ -401,7 +401,7 @@ def test_harmonic_defect_without_preimage_refines_the_projection():
     space = cat.domain.cell_space
     values = np.random.default_rng(5).normal(size=space.dim)
     # the preimage route: A x with A* A x = A* values
-    x = clamped_preimage(cat, values, SolverConfig()).field.values
+    x = clamped_preimage(cat, values).field.values
     inside = cat.interior_laplacian.apply_raw(x)
     defect = space.norm(values - inside)
     d2, inside2 = harmonic_defect(cat, values)

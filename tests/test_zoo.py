@@ -34,7 +34,7 @@ from bizoo import (
     solve_regularized,
     solve_zoo,
 )
-from bizoo import laplace, linalg, zoo
+from bizoo import laplace, linalg, operators, zoo
 from bizoo.zoo import dense_stage_inverses
 from bizoo.expressions import Expression
 from bizoo.laplace import (
@@ -503,11 +503,12 @@ def zoo_route_devs(cat, f, cfg):
     def free_operator(values):
         return cat.pad1.apply_raw(a.adjoint().apply_raw(values))
 
-    w = invert_laplacian("overdetermined", cat, f.values, cfg)[0]
-    z = direct_solve(k, Field(k.domain_space, a.adjoint().apply_raw(w)), cfg)
-    algebraic = direct_solve(k, z.field, cfg, min_norm=True).field.values
-    w_free = invert_laplacian("underdetermined", cat, f.values, cfg)[0]
-    w_neumann = invert_laplacian("neumann", cat, f.values, cfg)[0]
+    with cat.solve_session((), cfg):
+        w = invert_laplacian("overdetermined", cat, f.values)[0]
+        z = direct_solve(k, Field(k.domain_space, a.adjoint().apply_raw(w)), cfg)
+        algebraic = direct_solve(k, z.field, cfg, min_norm=True).field.values
+        w_free = invert_laplacian("underdetermined", cat, f.values)[0]
+        w_neumann = invert_laplacian("neumann", cat, f.values)[0]
     dirichlet = zoo("f_c", f.values)
     return {
         "neumann_via_dirichlet": space.norm(
@@ -859,6 +860,65 @@ def test_no_laplace_or_zoo_function_takes_a_factors_dict():
             "_clamped_inverse", "_two_stages", "exchange_identity_check"} <= names
     assert sorted({fn.__name__ for fn in functions
                    if "factors" in inspect.signature(fn).parameters}) == []
+
+
+def test_only_the_public_entries_take_a_solver_config():
+    # a solve's tolerance is its session's, read by OperatorCatalog.solve,
+    # so no stage, inverse or measurement takes one, and no laplace or zoo
+    # function calls direct_solve itself
+    functions = [fn for module in (laplace, zoo)
+                 for _, fn in inspect.getmembers(module, inspect.isfunction)
+                 if fn.__module__ == module.__name__]
+    functions += [entry.inverse for entry in KINDS.values()]
+    functions += [row.solver for row in zoo._TABLE + zoo._OTHERS]
+    names = {fn.__name__ for fn in functions}
+    assert {"_range_defect", "clamped_preimage", "_free_inverse", "invert_stages",
+            "_doubly_constrained", "_hessian_dirichlet"} <= names
+    assert sorted({fn.__name__ for fn in functions
+                   if "cfg" in inspect.signature(fn).parameters}) == [
+        "exchange_identity_check", "solve_hessian", "solve_laplace", "solve_regularized",
+        "solve_zoo"]
+    assert [site for site in construction_sites("direct_solve")
+            if site[0] in ("laplace.py", "zoo.py")] == []
+    assert not hasattr(laplace, "direct_solve") and not hasattr(zoo, "direct_solve")
+
+
+def _spy_solves(monkeypatch):
+    """(name, config) of every solve the catalogs make while the spy is set."""
+    seen = []
+    solve = operators.direct_solve
+
+    def spying(op, b, cfg=None, **kw):
+        seen.append((kw["name"], cfg))
+        return solve(op, b, cfg, **kw)
+
+    monkeypatch.setattr(operators, "direct_solve", spying)
+    return seen
+
+
+@pytest.mark.parametrize("label,names", [
+    ("f_c", {"minimum-norm laplacian", "harmonic defect", "clamped preimage"}),
+    ("over", {"harmonic defect", "biharmonic defect", "clamped preimage"}),
+    ("under", {"unconstrained", "biharmonic defect"}),
+    ("hessian_dirichlet", {"hessian dirichlet", "clamped reference"}),
+])
+def test_a_callers_tolerance_reaches_every_solve(monkeypatch, cat16, label, names):
+    # stages, range-defect measurements and the clamped reference alike
+    cfg = SolverConfig(rel_tolerance=1e-12)
+    seen = _spy_solves(monkeypatch)
+    solve_zoo(label, cat16, compatible_data(cat16, resolve_problem(label).data_space, 15), cfg)
+    assert {name for name, _ in seen} == names
+    assert all(used is cfg for _, used in seen)
+
+
+def test_the_exchange_identities_default_to_a_tight_tolerance(monkeypatch, cat16):
+    seen = _spy_solves(monkeypatch)
+    exchange_identity_check(cat16, compatible_data(cat16, "L2_no_harmonic", seed=16))
+    assert seen and {used.rel_tolerance for _, used in seen} == {1e-12}
+    # a helper called on its own solves at the default tolerance
+    del seen[:]
+    harmonic_defect(cat16, compatible_data(cat16, "L2", seed=16).values)
+    assert seen == [("harmonic defect", None)]
 
 
 def test_a_helper_called_outside_a_solve_builds_a_private_factor(monkeypatch):
