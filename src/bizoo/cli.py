@@ -62,11 +62,12 @@ def _add_domain_flags(sub, with_labels=False):
                          help="side labels, e.g. left=dirichlet,top=neumann")
 
 
-def _parse_labels(text):
-    if not text:
+def _parse_labels(args):
+    """The --labels sides as a dict, None without them or with --domain."""
+    if args.domain or not args.labels:
         return None
     labels = {}
-    for part in text.split(","):
+    for part in args.labels.split(","):
         side, _, bc = part.partition("=")
         if not bc:
             raise _UsageError(f"label {part!r} is not side=bc")
@@ -74,10 +75,10 @@ def _parse_labels(text):
     return labels
 
 
-def _domain_from_args(args):
-    if getattr(args, "domain", None):
+def _domain_from_args(args, labels=None):
+    """The --domain file, else the --shape grid with parsed `labels`."""
+    if args.domain:
         return load_domain(args.domain)
-    labels = _parse_labels(getattr(args, "labels", None))
     return build_domain(args.shape, args.n, labels=labels,
                         width=args.width, height=args.height)
 
@@ -144,7 +145,7 @@ def _parser() -> _Parser:
 
 
 def _cmd_domain_make(args) -> int:
-    domain = _domain_from_args(args)
+    domain = _domain_from_args(args, _parse_labels(args))
     if args.out:
         save_domain(domain, args.out)
     else:
@@ -153,8 +154,13 @@ def _cmd_domain_make(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    domain = _domain_from_args(args)
-    f = Expression(args.rhs).on_domain(domain)
+    # usage errors first, then a forbidden ordering, which the composition
+    # alone decides, and only then the domain and the data
+    labels = _parse_labels(args)
+    rhs = Expression(args.rhs)
+    _BY_NAME[args.problem].refuse_if_forbidden()
+    domain = _domain_from_args(args, labels)
+    f = rhs.on_domain(domain)
     report = solve_zoo(args.problem, domain, f)
     _emit(report.to_dict(), args.out)
     if args.dump:

@@ -39,6 +39,7 @@ NEUMANN = "neumann"
 _SIDES = {"left": ("-x",), "right": ("+x",), "bottom": ("-y",), "top": ("+y",),
           "all": DIRECTIONS}
 PAD = 3  # cells of -1 around the mask in the index image
+_BCS = (DIRICHLET, NEUMANN)  # face label codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +139,13 @@ class GridDomain:
     then i) and all derived enumerations (faces, vertices, rings) follow
     that order, so two domains built from the same mask are identical
     arrays, not just equal sets.
+
+    The constructor builds the index image, the neighbor table and the
+    depths, and checks the label rules.  Every other table is derived on
+    first use and then kept: the interior faces (face_cells, face_axes),
+    boundary_faces, face_labels, the pieces (component_labels,
+    n_components), interior_vertices, n_holes, diameter and the DOF
+    spaces.
     """
 
     def __init__(self, cells, h: float, labels=None):
@@ -162,41 +170,28 @@ class GridDomain:
 
         # neighbor index per direction, -1 where the neighbor cell is absent
         self.neighbors = np.column_stack([self.shifted(*OFFSETS[d]) for d in DIRECTIONS])
-        missing = self.neighbors < 0
-        self.boundary_faces = [
-            (k, DIRECTIONS[d]) for k, d in np.argwhere(missing).tolist()
-        ]
-
-        # interior faces: owner a, neighbor b = a + e_axis, axis 0 for +x,
-        # 1 for +y (DIRECTIONS[0] = +x, DIRECTIONS[2] = +y), owner-major
-        owners, self.face_axes = np.nonzero(~missing[:, [0, 2]])
-        self.face_cells = np.column_stack(
-            [owners, self.neighbors[owners, 2 * self.face_axes]]
-        )
-
         # taxicab distance to the nearest non-mask cell, minus one
         self.depth = _taxicab_distance(mask)[jj, ii] - 1
-        self.component_labels, self.n_components = _label_pieces(mask)
-        self.face_labels = self._resolve_labels(labels)
+        self._bc_codes = self._check_labels(labels)
 
     # -- construction helpers ------------------------------------------------
 
-    def _resolve_labels(self, rules) -> np.ndarray:
-        labels = np.array([DIRICHLET] * len(self.boundary_faces), dtype=object)
+    def _check_labels(self, rules) -> np.ndarray:
+        """Per (cell, direction), the index in _BCS of the label the rules
+        give it, 0 (Dirichlet) where none does; every rule is checked here,
+        so a bad one is refused when the domain is built."""
+        codes = np.zeros(self.neighbors.shape, dtype=np.int8)
         if rules is None:
-            return labels
+            return codes
         if not isinstance(rules, (dict, list, tuple)):
             raise ValueError(f"labels {rules!r} are neither sides nor a list of rules")
         if isinstance(rules, dict):
-            sides = np.array(DIRECTIONS)[np.nonzero(self.neighbors < 0)[1]]
             for side, bc in rules.items():
                 bc = _check_bc(bc)
                 if side not in _SIDES:
                     raise ValueError(f"unknown side {side!r}")
-                labels[np.isin(sides, _SIDES[side])] = bc
-            return labels
-        missing = self.neighbors < 0
-        rows = np.cumsum(missing) - 1  # flat (cell, direction) -> face row
+                codes[:, [DIRECTIONS.index(d) for d in _SIDES[side]]] = _BCS.index(bc)
+            return codes
         for rule in rules:
             try:
                 cell, d, bc = ((rule["cell"], rule["dir"], rule["bc"])
@@ -207,10 +202,10 @@ class GridDomain:
                 raise ValueError(f"label rule {rule!r} is not (cell, dir, bc)") from None
             bc, cell = _check_bc(bc), _integer_pair(cell)
             k = self._find(*cell)
-            if k < 0 or d not in DIRECTIONS or not missing[k, DIRECTIONS.index(d)]:
+            if k < 0 or d not in DIRECTIONS or self.neighbors[k, DIRECTIONS.index(d)] >= 0:
                 raise ValueError(f"label rule {cell}:{d} is not a boundary face")
-            labels[rows[4 * k + DIRECTIONS.index(d)]] = bc
-        return labels
+            codes[k, DIRECTIONS.index(d)] = _BCS.index(bc)
+        return codes
 
     # -- basic queries ---------------------------------------------------------
 
@@ -310,6 +305,42 @@ class GridDomain:
         )
         return self.cells[full] + 1
 
+    @cached_property
+    def boundary_faces(self) -> list:
+        """(cell, direction) of each boundary face, cell-major."""
+        return [(k, DIRECTIONS[d]) for k, d in np.argwhere(self.neighbors < 0).tolist()]
+
+    @cached_property
+    def face_labels(self) -> np.ndarray:
+        """Each boundary face's label, in boundary_faces order."""
+        return np.array(_BCS, dtype=object)[self._bc_codes[self.neighbors < 0]]
+
+    @cached_property
+    def _interior_faces(self):
+        # owner a, neighbor b = a + e_axis, axis 0 for +x, 1 for +y
+        # (DIRECTIONS[0] = +x, DIRECTIONS[2] = +y), owner-major
+        owners, axes = np.nonzero(self.neighbors[:, [0, 2]] >= 0)
+        return np.column_stack([owners, self.neighbors[owners, 2 * axes]]), axes
+
+    @cached_property
+    def face_cells(self) -> np.ndarray:
+        """Owner and neighbor cell of each interior face, owner-major."""
+        return self._interior_faces[0]
+
+    @cached_property
+    def face_axes(self) -> np.ndarray:
+        """Per interior face, 0 between x-neighbors and 1 between y-neighbors."""
+        return self._interior_faces[1]
+
+    @cached_property
+    def component_labels(self) -> np.ndarray:
+        """Each cell's 4-connected piece, numbered in cell order of first cells."""
+        return _label_pieces(self._image >= 0)
+
+    @cached_property
+    def n_components(self) -> int:
+        return int(self.component_labels.max()) + 1
+
     # -- DOF spaces ----------------------------------------------------------
 
     @cached_property
@@ -372,7 +403,7 @@ def _taxicab_distance(mask: np.ndarray) -> np.ndarray:
 def _label_pieces(mask: np.ndarray):
     """Label the 4-connected pieces of a mask whose border is False.
 
-    Returns each True pixel's piece, in raster order, and the piece count.
+    Returns each True pixel's piece, in raster order.
     Pixels join into horizontal runs, and runs into pieces through their
     vertical contacts by hooking each root onto the smaller one and
     compressing paths until every contact joins two equal roots.  A
@@ -394,7 +425,7 @@ def _label_pieces(mask: np.ndarray):
         while not np.array_equal(root, root[root]):
             root = root[root]
     first = root == np.arange(root.size)
-    return (np.cumsum(first) - 1)[root[run[flat]]], int(first.sum())
+    return (np.cumsum(first) - 1)[root[run[flat]]]
 
 
 def _integer_pair(pair) -> tuple:

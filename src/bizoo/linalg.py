@@ -111,7 +111,7 @@ class SparseOperator:
     """
 
     def __init__(self, matrix, domain_space: DofSpace, codomain_space: DofSpace):
-        m = sp.csr_matrix(matrix)
+        m = matrix if isinstance(matrix, sp.csr_matrix) else sp.csr_matrix(matrix)
         if m.shape != (codomain_space.dim, domain_space.dim):
             raise SpaceMismatchError(
                 f"matrix shape {m.shape} does not map "

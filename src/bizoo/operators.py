@@ -203,6 +203,13 @@ def _reach(domain: GridDomain, k: int, d: int):
     return ring, coefs, cells
 
 
+def require_depth(domain: GridDomain, d: int) -> None:
+    """Raise EmptyDomainError unless a cell has depth >= d, as every
+    interior stencil from the depth>=d cells needs."""
+    if domain.depth.max() < d:
+        raise EmptyDomainError(f"no cells of depth >= {d}: interior stencil is empty")
+
+
 def _interior_stencil(domain: GridDomain, k: int, d: int) -> SparseOperator:
     """Zero-extension stencil of reach k from depth>=d cells (d >= k) to
     depth>=d-k cells, all cells where d = k.
@@ -214,9 +221,8 @@ def _interior_stencil(domain: GridDomain, k: int, d: int) -> SparseOperator:
     order, numbered among the depth>=d-k cells; they are also its
     adjoint's CSR arrays.
     """
+    require_depth(domain, d)
     ring, coefs, cells = _reach(domain, k, d)
-    if ring.size == 0:
-        raise EmptyDomainError(f"no cells of depth >= {d}: interior stencil is empty")
     width = len(coefs)
     rows = np.column_stack(cells).ravel()
     if d > k:  # each cell's place among the depth>=d-k cells

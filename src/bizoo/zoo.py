@@ -67,7 +67,7 @@ from .laplace import (
     measure_constraint as _measure_constraint,  # the name bench/tracer.py wraps
     strip_norm,
 )
-from .operators import OperatorCatalog
+from .operators import OperatorCatalog, require_depth
 
 # -- stage solvers ---------------------------------------------------------------
 # (row, catalog, data) -> (u, laplacian stage w or None, pde residual,
@@ -90,9 +90,9 @@ def _doubly_constrained(prob, catalog, f):
     # then two clamped preimages, on A's factor and on M's, in two passes,
     # the second on the remainder f - B x.  On data off range(B) that
     # route is an oblique projection, whose defect overstates the
-    # least-squares one, so it decides nothing.  B is assembled first, so
-    # a mask with no depth-2 cell still raises EmptyDomainError.
-    b = catalog.interior_biharmonic
+    # least-squares one, so it decides nothing.  A mask with no depth-2
+    # cell is refused first, as assembling B would refuse it.
+    require_depth(catalog.domain, 2)
     refusal = ("data has a component outside the deep-interior range of "
                "relative size {}{{rel:.3e}}")
     compatibility_gate(harmonic_defect(catalog, f.values)[0], f.norm(),
@@ -106,7 +106,7 @@ def _doubly_constrained(prob, catalog, f):
         z = clamped_preimage(catalog, y.field.values, catalog.nested_normal)
         x = x + z.field.values
         iterations += y.iterations + z.iterations
-        r = f.values - b.apply_raw(x)
+        r = f.values - catalog.interior_biharmonic.apply_raw(x)
     pde = catalog.domain.cell_space.norm(r)
     return catalog.pad2.apply_raw(x), None, pde, defect, 0.0, iterations, {}
 
@@ -171,6 +171,12 @@ class ZooProblem:
     @property
     def composition(self) -> str:
         return self.title or f"{STAGES[self.first].stage} * {STAGES[self.second].stage}"
+
+    def refuse_if_forbidden(self) -> None:
+        """Raise ForbiddenCompositionError if this ordering is forbidden,
+        which its composition alone decides, whatever the domain or data."""
+        if self.status == "forbidden":
+            raise ForbiddenCompositionError(f"{self.label} is not well posed: {self.reason}")
 
     @property
     def factored(self) -> tuple:
@@ -340,10 +346,7 @@ def solve_zoo(problem, catalog_or_domain, f: Field,
     if not f.space.compatible(domain.cell_space):
         raise SpaceMismatchError("biharmonic data must live on the cell space")
     prob = resolve_problem(problem) if isinstance(problem, str) else problem
-    if prob.status == "forbidden":
-        raise ForbiddenCompositionError(
-            f"{prob.label} is not well posed: {prob.reason}"
-        )
+    prob.refuse_if_forbidden()
     require_finite(prob.label, f)  # cells no solve reads still enter the report
 
     start = time.perf_counter()

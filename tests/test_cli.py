@@ -119,6 +119,21 @@ def test_forbidden_composition_exits_3(capsys):
     assert "forbidden composition" in capsys.readouterr().err
 
 
+def test_usage_and_forbidden_ordering_are_decided_before_the_domain(monkeypatch, capsys):
+    def no_domain(*args, **kwargs):
+        raise ValueError("the domain was built")
+
+    monkeypatch.setattr(cli, "build_domain", no_domain)
+    assert main(["solve", "--problem", "d_n", "--rhs", "x", "--n", "8"]) == 3
+    assert "forbidden composition" in capsys.readouterr().err
+    assert main(["solve", "--problem", "d_n", "--rhs", "2**3", "--n", "8"]) == 64
+    assert "expression error at byte 2" in capsys.readouterr().err
+    assert main(["solve", "--problem", "d_n", "--rhs", "x", "--labels", "left"]) == 64
+    assert "label 'left' is not side=bc" in capsys.readouterr().err
+    assert main(["solve", "--problem", "d_d", "--rhs", "x", "--n", "8"]) == 1
+    assert "the domain was built" in capsys.readouterr().err
+
+
 def test_unknown_problem_exits_64(capsys):
     rc = main(["solve", "--problem", "bogus", "--rhs", "x", "--n", "8"])
     assert rc == 64

@@ -16,9 +16,10 @@ from bizoo import (
     load_domain,
     read_field_csv,
     save_domain,
+    solve_zoo,
     write_field_csv,
 )
-from bizoo.grid import domain_json
+from bizoo.grid import DIRECTIONS, domain_json
 from test_operator_golden import golden_domains
 
 
@@ -621,3 +622,109 @@ def test_diameter_matches_convex_hull(shape, n):
     diff = hull[:, None, :] - hull[None, :, :]
     expect = np.sqrt((diff**2).sum(axis=2)).max()
     assert dom.diameter == pytest.approx(expect, rel=1e-14)
+
+
+# -- derived tables ------------------------------------------------------------
+
+def eager_label_pieces(mask):
+    # the constructor's labelling before the pieces were derived on first use
+    flat = mask.ravel()
+    start = flat.copy()
+    start[1:] &= ~flat[:-1]
+    run = np.cumsum(start) - 1
+    below = np.flatnonzero(mask[:-1].ravel() & mask[1:].ravel())
+    upper, lower = run[below], run[below + mask.shape[1]]
+    root = np.arange(run[-1] + 1)
+    while True:
+        a, b = root[upper], root[lower]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root, root[root]):
+            root = root[root]
+    first = root == np.arange(root.size)
+    return (np.cumsum(first) - 1)[root[run[flat]]], int(first.sum())
+
+
+def eager_face_labels(dom, rules):
+    # the constructor's label resolution, for rules it accepts
+    labels = np.array(["dirichlet"] * len(dom.boundary_faces), dtype=object)
+    if rules is None:
+        return labels
+    sides_of = {"left": ("-x",), "right": ("+x",), "bottom": ("-y",), "top": ("+y",),
+                "all": DIRECTIONS}
+    if isinstance(rules, dict):
+        sides = np.array(DIRECTIONS)[np.nonzero(dom.neighbors < 0)[1]]
+        for side, bc in rules.items():
+            labels[np.isin(sides, sides_of[side])] = bc
+        return labels
+    rows = np.cumsum(dom.neighbors < 0) - 1
+    for cell, d, bc in rules:
+        labels[rows[4 * dom.index_of(*cell) + DIRECTIONS.index(d)]] = bc
+    return labels
+
+
+def eager_tables(dom, rules):
+    missing = dom.neighbors < 0
+    owners, axes = np.nonzero(~missing[:, [0, 2]])
+    lo = dom.cells.min(axis=0) - 1  # a False border around the mask
+    mask = np.zeros(tuple(dom.cells.max(axis=0) - lo + 2)[::-1], dtype=bool)
+    mask[dom.cells[:, 1] - lo[1], dom.cells[:, 0] - lo[0]] = True
+    pieces, count = eager_label_pieces(mask)
+    return {
+        "boundary_faces": [(k, DIRECTIONS[d]) for k, d in np.argwhere(missing).tolist()],
+        "face_axes": axes,
+        "face_cells": np.column_stack([owners, dom.neighbors[owners, 2 * axes]]),
+        "component_labels": pieces,
+        "n_components": count,
+        "face_labels": eager_face_labels(dom, rules),
+    }
+
+
+def label_rule_sets(dom):
+    faces = GridDomain(dom.cells, dom.h).boundary_faces  # unlabelled
+    cells = dom.cells.tolist()
+    listed = [(cells[k], d, "neumann") for k, d in faces[::3]]
+    listed += [(cells[k], d, "dirichlet") for k, d in faces[::6]]  # later rules win
+    return [None, {"left": "neumann"}, {"all": "neumann", "top": "dirichlet"}, listed]
+
+
+DERIVED_CASES = {**golden_domains(), **{
+    f"{shape}{n}": build_domain(shape, n)
+    for shape in ("square", "lshape", "annulus") for n in (8, 16, 32)}}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_CASES))
+def test_derived_tables_equal_the_eager_formulas(name):
+    base = DERIVED_CASES[name]
+    for rules in label_rule_sets(base):
+        dom = GridDomain(base.cells, base.h, rules)
+        for key, want in eager_tables(dom, rules).items():
+            got = getattr(dom, key)
+            assert type(got) is type(want), (key, rules)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (key, rules)
+            else:
+                assert got == want, (key, rules)
+
+
+def test_a_dirichlet_solve_derives_no_faces_or_pieces():
+    dom = build_domain("square", 16)
+    solve_zoo("d_d", dom, dom.cell_space.ones())
+    derived = {"boundary_faces", "face_labels", "face_cells", "face_axes",
+               "component_labels", "n_components"}
+    assert not derived & set(vars(dom))
+
+
+@pytest.mark.parametrize("rule", [
+    {"cell": [1, 1], "dir": "-x", "bc": "neumann"},  # not a boundary face
+    {"cell": [0, 0], "dir": "-x", "bc": "robin"},
+])
+def test_a_bad_label_rule_is_refused_at_construction(tmp_path, rule):
+    cells = [[i, j] for j in range(3) for i in range(3)]
+    with pytest.raises(ValueError):
+        GridDomain(cells, 1 / 3, labels=[rule])
+    path = tmp_path / "dom.json"
+    path.write_text(json.dumps({"h": 1 / 3, "cells": cells, "labels": [rule]}))
+    with pytest.raises(ValueError):
+        load_domain(path)

@@ -115,6 +115,16 @@ def test_shape_guard():
         op @ op
 
 
+def test_a_csr_matrix_is_kept_and_other_formats_become_csr():
+    a = uniform_space("a", 4)
+    b = uniform_space("b", 3)
+    m = sp.csr_matrix(np.arange(12.0).reshape(3, 4))
+    assert SparseOperator(m, a, b).matrix is m
+    op = SparseOperator(m.tocsc(), a, b)
+    assert isinstance(op.matrix, sp.csr_matrix)
+    assert np.array_equal(op.to_dense(), m.toarray())
+
+
 def test_cg_matches_dense_solve():
     space = uniform_space("s", 5, 0.3)
     m = rng(4).normal(size=(5, 5))

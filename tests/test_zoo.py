@@ -233,6 +233,18 @@ def test_two_stage_rows_leave_the_bilaplacian_unassembled(label):
     assert "interior_biharmonic" not in cat._cache
 
 
+def test_a_refused_over_leaves_the_bilaplacian_unassembled():
+    cat = OperatorCatalog(build_domain("square", 16))
+    with pytest.raises(CompatibilityError):  # constants are harmonic
+        solve_zoo("over", cat, cat.domain.cell_space.ones())
+    assert "interior_biharmonic" not in cat._cache
+    shallow = OperatorCatalog(build_domain("annulus", 8))
+    with pytest.raises(EmptyDomainError, match=r"^no cells of depth >= 2: interior "
+                                                r"stencil is empty$"):
+        solve_zoo("over", shallow, shallow.domain.cell_space.ones())
+    assert shallow._cache == {}
+
+
 @pytest.mark.parametrize("label", ["d_d", "n_n", "d_f"])
 def test_laplacian_stages_leave_the_gradient_unassembled(label):
     # the penalized Laplacians are written from the neighbor table, and

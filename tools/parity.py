@@ -21,17 +21,26 @@ before it, and records:
   * the names of the factors the catalog carries afterwards.
 
 Each domain adds one `exchange_identity_check` on a fresh and on the warm
-catalog.  `compare` prints the number of cases and every case that differs,
-and exits 1 if any does; cases compare equal when their canonical JSON
-texts are equal.
+catalog.  The CLI cases run `bizoo solve` through `bizoo.cli.main` for
+every label and alias on the three shapes at n = 8 and 16, with one smooth
+right-hand side, plus two argument lists whose checks collide (a forbidden
+label, and a bad expression, each with an odd L-shape n), and record the
+exit code, stderr, the report without `wall_time_ms` and the SHA-256 of
+the solution CSV.  `compare` prints the number of cases and every case
+that differs, and exits 1 if any does; cases compare equal when their
+canonical JSON texts are equal.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import importlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +48,13 @@ import numpy as np
 SHAPES = ("square", "lshape", "annulus")
 LEVELS = (8, 16, 32)
 DATA = ("smooth", "noise", "in-range", "mean-free")
+CLI_LEVELS = (8, 16)
+CLI_RHS = "exp(x)*cos(3*y)+x*y"
+# the forbidden ordering and the expression error each meet a domain error
+PRECEDENCE = {
+    "forbidden": ["--problem", "d_n", "--rhs", "x", "--shape", "lshape", "--n", "7"],
+    "expression": ["--problem", "d_d", "--rhs", "2**3", "--shape", "lshape", "--n", "7"],
+}
 
 
 def _digest(values) -> str:
@@ -119,6 +135,33 @@ def _exchange_run(bz, values):
     return run
 
 
+def _cli_outcome(cli, args, tmp: Path) -> dict:
+    """`bizoo solve args`'s exit code, stderr, report and CSV digest."""
+    report, dump = tmp / "report.json", tmp / "solution.csv"
+    report.unlink(missing_ok=True)
+    dump.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["solve", *args, "--out", str(report), "--dump", str(dump)])
+    out = {"exit": code, "stderr": stderr.getvalue()}
+    if report.exists():
+        out["report"] = json.loads(report.read_text())
+        del out["report"]["wall_time_ms"]
+    if dump.exists():
+        out["csv"] = hashlib.sha256(dump.read_bytes()).hexdigest()
+    return out
+
+
+def cli_sweep(bz) -> dict:
+    cli = importlib.import_module(f"{bz.__name__}.cli")
+    runs = {f"cli/{shape}/{n}/{label}":
+            ["--problem", label, "--rhs", CLI_RHS, "--shape", shape, "--n", str(n)]
+            for shape in SHAPES for n in CLI_LEVELS for label in bz.zoo._BY_NAME}
+    runs |= {f"cli/precedence/{name}": args for name, args in PRECEDENCE.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        return {key: _cli_outcome(cli, args, Path(tmp)) for key, args in runs.items()}
+
+
 def sweep(bz) -> dict:
     cases = {}
     for shape in SHAPES:
@@ -141,7 +184,7 @@ def sweep(bz) -> dict:
             warm = bz.OperatorCatalog(domain)
             for key, run in runs:
                 cases[f"{shape}/{n}/warm/{key}"] = _outcome(bz, warm, run)
-    return cases
+    return cases | cli_sweep(bz)
 
 
 def compare(a: dict, b: dict) -> list:
